@@ -11,8 +11,7 @@ at most one unit in the last place (well inside the documented budget of
 
 Elementary functions (sqrt, exp, ln, integer powers, sin of pi times a
 rational) work in fixed-point integer arithmetic with guard bits taken from
-:data:`GUARD_BITS`, which can be overridden through the environment
-variable ``HYPERPI_GUARD_BITS``.
+:data:`GUARD_BITS`.
 
 The module also provides reference constants: pi via Machin's arctangent
 formula (with an independent second arctangent decomposition as a
@@ -24,7 +23,6 @@ cached at the largest precision computed so far.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +36,11 @@ except ImportError:  # pragma: no cover
     _mpz = int
     _isqrt = math.isqrt
 
-GUARD_BITS = int(os.environ.get("HYPERPI_GUARD_BITS", "32"))
+GUARD_BITS = 32
+
+# Decimal digits per str() call in _decimal_text: below the int-to-str
+# digit limit that Python 3.11+ enforces by default (4300 digits).
+_DECIMAL_LEAF_DIGITS = 2000
 
 _LOG2_25 = math.log2(25.0)
 _LOG2_239SQ = math.log2(239.0 * 239.0)
@@ -56,6 +58,37 @@ def round_shift(value: int, shift: int) -> int:
     if rem > half or (rem == half and (head & 1)):
         head += 1
     return sign * head
+
+
+def _decimal_text(value: int) -> str:
+    """Decimal digits of a nonnegative integer of any size.
+
+    The value is split by divide and conquer on powers 10**(L * 2**j), with
+    L = :data:`_DECIMAL_LEAF_DIGITS`, until every piece has at most L
+    digits; each piece goes through ``str``, zero-padded to L digits
+    except the leading one.  No interpreter-wide limit is touched.
+    """
+    if value < 10**_DECIMAL_LEAF_DIGITS:
+        return str(value)
+    powers = [10**_DECIMAL_LEAF_DIGITS]  # powers[j] = 10**(L * 2**j)
+    while powers[-1] * powers[-1] <= value:
+        powers.append(powers[-1] * powers[-1])
+    parts: list[str] = []
+
+    def emit(n: int, level: int, pad: bool) -> None:
+        if level < 0:
+            text = str(n)
+            parts.append(text.zfill(_DECIMAL_LEAF_DIGITS) if pad else text)
+            return
+        high, low = divmod(n, powers[level])
+        if high or pad:
+            emit(high, level - 1, pad)
+            emit(low, level - 1, True)
+        else:
+            emit(low, level - 1, False)
+
+    emit(value, len(powers) - 1, False)
+    return "".join(parts)
 
 
 def div_nearest(num: int, den: int) -> int:
@@ -153,7 +186,7 @@ class BigFloat:
         scaled = abs(self.man) * 10**digits
         total = scaled << self.exp if self.exp >= 0 else round_shift(scaled, -self.exp)
         sign = "-" if self.man < 0 else ""
-        text = str(total).rjust(digits + 1, "0")
+        text = _decimal_text(total).rjust(digits + 1, "0")
         if digits == 0:
             return sign + text
         return sign + text[:-digits] + "." + text[-digits:]

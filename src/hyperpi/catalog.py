@@ -59,7 +59,7 @@ from hyperpi.constexpr import (
     SqrtNode,
     SumNode,
 )
-from hyperpi.dougall import WellPoisedParams, theorem_term, normalize_theorem_series
+from hyperpi.dougall import WellPoisedParams, normalize_theorem_series, theorem_terms
 from hyperpi.engine import (
     precision_for_digits,
     sum_series,
@@ -67,7 +67,7 @@ from hyperpi.engine import (
     terms_for_digits,
 )
 from hyperpi.errors import NoMatch, NoNonzeroTerm, SchemaError, UnsupportedLhs
-from hyperpi.factorials import SeriesSpec, term_eval
+from hyperpi.factorials import SeriesSpec, term_values
 
 #: closed-form class -> (pi exponent, gamma exponent or None)
 CLASS_SHAPES: dict[str, tuple[int, int | None]] = {
@@ -380,16 +380,27 @@ def match_to_theorem(entry: CatalogEntry) -> TheoremMatch:
     small rational ratio to fifty digits.  Raises :class:`NoMatch` when
     neither applies and :class:`NoNonzeroTerm` when the comparison window
     contains no usable term.
+
+    Both term sequences come from running products
+    (:func:`~hyperpi.factorials.term_values` and
+    :func:`~hyperpi.dougall.theorem_terms`); each checks its value at the
+    last index of the window against its definitional formula and raises
+    :class:`~hyperpi.errors.InvariantViolation` on a difference.
     """
     spec = entry.spec
     params = entry.params
     tag = entry.theorem
+    if spec.start > _EXACT_LIMIT:
+        raise NoNonzeroTerm(
+            f"entry {entry.entry_id}: no nonzero term below index {_EXACT_LIMIT}"
+        )
+    entry_terms = term_values(spec, spec.start, _EXACT_LIMIT)
+    family_terms = theorem_terms(params, tag, _EXACT_LIMIT)
     scale: Fraction | None = None
     exact_ok = True
     saw_pair = False
-    for k in range(spec.start, _EXACT_LIMIT + 1):
-        entry_term = term_eval(spec, k)
-        family_term = theorem_term(params, tag, k)
+    for k, entry_term in enumerate(entry_terms, spec.start):
+        family_term = family_terms[k]
         if scale is None:
             if entry_term == 0 and family_term == 0:
                 continue
@@ -406,9 +417,7 @@ def match_to_theorem(entry: CatalogEntry) -> TheoremMatch:
             f"entry {entry.entry_id}: no nonzero term below index {_EXACT_LIMIT}"
         )
     if exact_ok and saw_pair:
-        head = sum(
-            (theorem_term(params, tag, k) for k in range(spec.start)), Fraction(0)
-        )
+        head = sum(family_terms[: spec.start], Fraction(0))
         if spec.additive == scale * head:
             return TheoremMatch(entry.entry_id, tag, "exact", scale)
         exact_ok = False

@@ -21,12 +21,14 @@ covers, for a parameter quadruple (a, b, c, d):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from hyperpi.bigfloat import BigFloat
 from hyperpi.errors import (
+    InvariantViolation,
     NormalizationMismatch,
     ZeroDenominator,
     ZeroLeadParameter,
@@ -35,13 +37,14 @@ from hyperpi.factorials import (
     SeriesSpec,
     binomial,
     poch_quotient,
+    poch_step,
     pochhammer,
     poly_divmod,
     poly_eval,
     poly_interpolate,
     poly_scale,
     poly_trim,
-    term_eval,
+    term_values,
 )
 from hyperpi.gammafn import gamma_quotient
 from hyperpi.inversion import InversionScheme, forward_extended
@@ -348,7 +351,7 @@ def limit_series_term(params: WellPoisedParams, k: int, branch: str) -> Fraction
         return (
             (d + 3 * k)
             * (a - d + k)
-            / _factorial(2 * k)
+            / math.factorial(2 * k)
             * poch_quotient((b + d - a,), (1 + a - c, b + c + d - a), 2 * k)
             * shared
             * poch_quotient((1 + a - b - c, d, c + d - a), (1 + a - b,), k)
@@ -356,7 +359,7 @@ def limit_series_term(params: WellPoisedParams, k: int, branch: str) -> Fraction
     if branch == "odd":
         return (
             (b + 3 * k + 1)
-            / _factorial(2 * k + 1)
+            / math.factorial(2 * k + 1)
             * poch_quotient((b + d - a,), (1 + a - c, b + c + d - a), 2 * k + 1)
             * shared
             * poch_quotient((1 + a - b - c, d, c + d - a), (1 + a - b,), k)
@@ -365,13 +368,6 @@ def limit_series_term(params: WellPoisedParams, k: int, branch: str) -> Fraction
             * (c + d - a + k)
         )
     raise ValueError(f"unknown branch {branch!r}")
-
-
-def _factorial(n: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def limit_gamma_args(params: WellPoisedParams) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -394,15 +390,9 @@ def theorem_term(params: WellPoisedParams, tag: str, k: int) -> Fraction:
     """
     a, b, c, d = params.as_tuple()
     if tag == "A":
-        weight = (
-            (1 + a - b - c + k) * (d + k) * (c + d - a + k)
-            * (b + d - a + 2 * k) * (1 + b + 3 * k)
-            + (1 + 2 * k) * (a - d + k) * (1 + a - c + 2 * k)
-            * (b + c + d - a + 2 * k) * (d + 3 * k)
-        )
         return (
-            weight
-            / _factorial(2 * k + 1)
+            _family_a_weight_at(params, k)
+            / math.factorial(2 * k + 1)
             * poch_quotient(
                 (b, d, 1 + a - b - c, 1 + a - c - d, b + c - a, c + d - a),
                 (1 + a - b, 1 + a - d),
@@ -418,6 +408,72 @@ def theorem_term(params: WellPoisedParams, tag: str, k: int) -> Fraction:
             value += limit_series_term(params, k - 1, "odd")
         return value
     raise ValueError(f"unknown generator family tag {tag!r}")
+
+
+def _family_a_weight_at(params: WellPoisedParams, k: int | Fraction) -> Fraction:
+    """The family-A weight polynomial, evaluated from its factored form."""
+    a, b, c, d = params.as_tuple()
+    return (
+        (1 + a - b - c + k) * (d + k) * (c + d - a + k)
+        * (b + d - a + 2 * k) * (1 + b + 3 * k)
+        + (1 + 2 * k) * (a - d + k) * (1 + a - c + 2 * k)
+        * (b + c + d - a + 2 * k) * (d + 3 * k)
+    )
+
+
+def theorem_terms(params: WellPoisedParams, tag: str, k_last: int) -> list[Fraction]:
+    """Terms k = 0..k_last of generator family "A" or "B", equal to
+    :func:`theorem_term` at each index.
+
+    Both families are built from the same two rising-factorial quotients:
+    one at index k over (1+a-b, 1+a-d) and one at index 2k over
+    (1+a-c, b+c+d-a), each lower parameter raised by one for family A.
+    Each is kept as a running product, one step per k for the first and two
+    for the second, with (2k)! as a running integer, so a new term costs a
+    few multiplications instead of rebuilding every rising factorial.
+    Raises :class:`ZeroDenominator` at the first index at which
+    :func:`theorem_term` would.  The last term is also computed by
+    :func:`theorem_term`, and a difference raises
+    :class:`InvariantViolation`: the definitional formula guards the
+    stepping code on every call.
+    """
+    if tag not in ("A", "B"):
+        raise ValueError(f"unknown generator family tag {tag!r}")
+    a, b, c, d = params.as_tuple()
+    shift = 1 if tag == "A" else 0
+    pair_upper = (b, d, 1 + a - b - c, 1 + a - c - d, b + c - a, c + d - a)
+    pair_lower = (1 + a - b, 1 + a - d)
+    double_upper = (b + d - a,)
+    double_lower = (1 + a - c + shift, b + c + d - a + shift)
+    pair = double = Fraction(1)  # the quotients at k and at 2k
+    fact = 1  # (2k)!
+    out = []
+    for k in range(k_last + 1):
+        if k:
+            prev_pair = pair
+            pair *= poch_step(pair_upper, pair_lower, k - 1)
+            odd_double = double * poch_step(double_upper, double_lower, 2 * k - 2)
+            double = odd_double * poch_step(double_upper, double_lower, 2 * k - 1)
+            odd_fact = fact * (2 * k - 1)
+            fact = odd_fact * 2 * k
+        if tag == "A":
+            out.append(
+                _family_a_weight_at(params, k) / (fact * (2 * k + 1)) * pair * double
+            )
+            continue
+        # even-branch term at k plus odd-branch term at k - 1 (limit_series_term)
+        value = (d + 3 * k) * (a - d + k) / fact * double * pair
+        if k:
+            value += (
+                (b + 3 * k - 2) / odd_fact * odd_double * prev_pair
+                * (a - b - c + k) * (d + k - 1) * (c + d - a + k - 1)
+            )
+        out.append(value)
+    if out and out[-1] != theorem_term(params, tag, k_last):
+        raise InvariantViolation(
+            f"running family {tag} term at k={k_last} differs from theorem_term"
+        )
+    return out
 
 
 def theorem_b_literal_term(params: WellPoisedParams, k: int) -> Fraction:
@@ -550,16 +606,7 @@ def _family_b_skeleton(
 
 
 def _family_a_weight(params: WellPoisedParams) -> tuple[Fraction, ...]:
-    a, b, c, d = params.as_tuple()
-
-    def weight(k: Fraction) -> Fraction:
-        return (1 + a - b - c + k) * (d + k) * (c + d - a + k) * (b + d - a + 2 * k) * (
-            1 + b + 3 * k
-        ) + (1 + 2 * k) * (a - d + k) * (1 + a - c + 2 * k) * (b + c + d - a + 2 * k) * (
-            d + 3 * k
-        )
-
-    points = [(Fraction(i), weight(Fraction(i))) for i in range(6)]
+    points = [(Fraction(i), _family_a_weight_at(params, Fraction(i))) for i in range(6)]
     return poly_interpolate(points)
 
 
@@ -583,9 +630,13 @@ def normalize_theorem_series(params: WellPoisedParams, tag: str, check_terms: in
 
     The rewrite is proven on the spot: every term of the returned
     description from its start index up to ``check_terms`` must equal the
-    corresponding :func:`theorem_term` exactly, and a nonzero start index
-    must be compensated exactly by the additive constant.  Any discrepancy
-    raises :class:`NormalizationMismatch`.
+    corresponding family term exactly, and a nonzero start index must be
+    compensated exactly by the additive constant.  Any discrepancy raises
+    :class:`NormalizationMismatch`.  Both sides are generated as running
+    products (:func:`~hyperpi.factorials.term_values` and
+    :func:`theorem_terms`), each checked at ``check_terms`` against its
+    definitional formula (:func:`~hyperpi.factorials.term_eval` and
+    :func:`theorem_term`).
     """
     a, b, c, d = params.as_tuple()
     if tag == "A":
@@ -648,13 +699,15 @@ def normalize_theorem_series(params: WellPoisedParams, tag: str, check_terms: in
     else:
         raise ValueError(f"unknown generator family tag {tag!r}")
 
-    for k in range(spec.start, check_terms + 1):
-        if term_eval(spec, k) != theorem_term(params, tag, k):
+    family_terms = theorem_terms(params, tag, check_terms)
+    spec_terms = term_values(spec, spec.start, check_terms)
+    for k, term in enumerate(spec_terms, spec.start):
+        if term != family_terms[k]:
             raise NormalizationMismatch(
                 f"normalized term differs from the generator at k={k} "
                 f"(family {tag}, params {params})"
             )
-    if spec.start == 1 and spec.additive != theorem_term(params, tag, 0):
+    if spec.start == 1 and spec.additive != family_terms[0]:
         raise NormalizationMismatch("additive constant does not equal the k=0 term")
     return spec
 

@@ -61,6 +61,26 @@ def poch_quotient(upper: Sequence[Fraction], lower: Sequence[Fraction], n: int) 
     return num / den
 
 
+def poch_step(upper: Sequence[Fraction], lower: Sequence[Fraction], n: int) -> Fraction:
+    """Ratio of :func:`poch_quotient` at n + 1 to its value at n.
+
+    This is one step of a running product: the quotient gains the factors
+    (u + n) over (l + n).  Raises :class:`ZeroDenominator` when a lower
+    rising factorial vanishes at n + 1.
+    """
+    # u + n = (p + n q) / q, multiplied out in integers with one final gcd
+    num = den = 1
+    for u in upper:
+        num *= u.numerator + n * u.denominator
+        den *= u.denominator
+    for low in lower:
+        den *= low.numerator + n * low.denominator
+        num *= low.denominator
+    if den == 0:
+        raise ZeroDenominator(f"lower rising factorial vanished at n={n + 1}")
+    return Fraction(num, den)
+
+
 def phi_eval(
     a_of: Callable[[int], Fraction],
     b_of: Callable[[int], Fraction],
@@ -409,28 +429,24 @@ def term_eval(spec: SeriesSpec, k: int) -> Fraction:
 
 
 def term_values(spec: SeriesSpec, k_first: int, k_last: int) -> list[Fraction]:
-    """Terms for k in [k_first, k_last], maintained incrementally."""
+    """Terms for k in [k_first, k_last], from a running rising-factorial
+    quotient; equal to :func:`term_eval` at each index.
+
+    The last term is also computed by :func:`term_eval`, and a difference
+    raises :class:`InvariantViolation`.
+    """
     if k_first < spec.start:
         raise DomainError("first index below start index")
     out = []
-    num = Fraction(1)
-    den = Fraction(1)
-    for u in spec.upper:
-        num *= pochhammer(u, k_first)
-    for low in spec.lower:
-        den *= pochhammer(low, k_first)
-    if den == 0:
-        raise ZeroDenominator("lower rising factorial vanished")
+    quotient = poch_quotient(spec.upper, spec.lower, k_first)
     scale = Fraction(spec.base) ** k_first
     for k in range(k_first, k_last + 1):
-        out.append(Fraction(spec.sign) * poly_eval(spec.poly, Fraction(k)) * num / den / scale)
-        for u in spec.upper:
-            num *= u + k
-        for low in spec.lower:
-            den *= low + k
-        if den == 0:
-            raise ZeroDenominator(f"lower rising factorial vanished at k={k + 1}")
-        scale *= spec.base
+        if k > k_first:
+            quotient *= poch_step(spec.upper, spec.lower, k - 1)
+            scale *= spec.base
+        out.append(spec.sign * poly_eval(spec.poly, Fraction(k)) * quotient / scale)
+    if out and out[-1] != term_eval(spec, k_last):
+        raise InvariantViolation(f"running series term at k={k_last} differs from term_eval")
     return out
 
 

@@ -88,6 +88,45 @@ def test_decimal_string_rounds_final_digit():
     assert BigFloat.from_fraction(Fraction(-1, 8), 64).to_decimal_string(3) == "-0.125"
 
 
+def _machin_pi_scaled(digits: int) -> int:
+    """round(pi * 10**digits) from Machin's formula in integers only."""
+    fbits = int(digits * 3.33) + 64
+
+    def arctan_inv(q: int) -> int:
+        total, term, n = 0, (1 << fbits) // q, 0
+        while term:
+            total += term // (2 * n + 1) if n % 2 == 0 else -(term // (2 * n + 1))
+            term //= q * q
+            n += 1
+        return total
+
+    value = 16 * arctan_inv(5) - 4 * arctan_inv(239)
+    return (value * 10**digits + (1 << (fbits - 1))) >> fbits
+
+
+def _chunked_decimal(value: int) -> str:
+    # least significant 1000 digits at a time; each str() stays far below
+    # Python's int-to-str digit limit
+    chunks = []
+    while value:
+        value, chunk = divmod(value, 10**1000)
+        chunks.append(str(chunk).zfill(1000))
+    return "".join(reversed(chunks)).lstrip("0") or "0"
+
+
+def test_decimal_string_past_the_int_str_digit_limit():
+    digits = 10**4
+    text = pi_reference(int(digits * 3.33) + 128).to_decimal_string(digits)
+    expected = _chunked_decimal(_machin_pi_scaled(digits))
+    assert text == expected[0] + "." + expected[1:]
+    # powers of ten around the splitting boundaries of the conversion
+    for n in (1999, 2000, 2001, 4000, 4001, 8000, 12345):
+        for value, want in ((10**n, "1" + "0" * n), (10**n - 1, "9" * n)):
+            big = BigFloat.from_int(value, value.bit_length() + 1)
+            assert big.to_decimal_string(0) == want
+            assert BigFloat.from_int(-value, value.bit_length() + 1).to_decimal_string(0) == "-" + want
+
+
 def test_pi_reference_digits():
     assert pi_reference(400).to_decimal_string(50) == PI_50
     # two precisions agree bit-for-bit on the shared prefix

@@ -26,6 +26,61 @@ EXPECTED_CLASS_COUNTS = {
     "BBP": 10,
 }
 
+# (match mode, scale) of every packaged entry, as match_to_theorem reports
+# them; s3.7-ex9 is stored with a folded-in constant and matches by value
+EXPECTED_MATCHES = {
+    "s3.1-ex1": ("exact", "32"), "s3.1-ex2": ("exact", "32"),
+    "s3.1-ex3": ("exact", "32/3"), "s3.1-ex4": ("exact", "32"),
+    "s3.1-ex5": ("exact", "-32"), "s3.1-ex6": ("exact", "-32"),
+    "s3.1-ex7": ("exact", "2"), "s3.1-ex8": ("exact", "6"),
+    "s3.1-ex9": ("exact", "-32/9"), "s3.2-ex1": ("exact", "8"),
+    "s3.2-ex2": ("exact", "8"), "s3.2-ex3": ("exact", "4"),
+    "s3.2-ex4": ("exact", "2/3"), "s3.2-ex5": ("exact", "2/15"),
+    "s3.2-ex6": ("exact", "2/3"), "s3.2-ex7": ("exact", "6"),
+    "s3.3-ex1": ("exact", "-1944"), "s3.3-ex2": ("exact", "486"),
+    "s3.3-ex3": ("exact", "972"), "s3.3-ex4": ("exact", "-972/5"),
+    "s3.3-ex5": ("exact", "-1944/5"), "s3.3-ex6": ("exact", "-2178"),
+    "s3.3-ex7": ("exact", "-1530/7"), "s3.3-ex8": ("exact", "-495/7"),
+    "s3.3-ex9": ("exact", "198"), "s3.3-ex10": ("exact", "-495/13"),
+    "s3.3-ex11": ("exact", "-1638/5"), "s3.3-ex12": ("exact", "882/5"),
+    "s3.4-ex1": ("exact", "-7776"), "s3.4-ex2": ("exact", "-7776/7"),
+    "s3.4-ex3": ("exact", "-7776/49"), "s3.4-ex4": ("exact", "-7776"),
+    "s3.4-ex5": ("exact", "-7776/7"), "s3.4-ex6": ("exact", "7776/49"),
+    "s3.4-ex7": ("exact", "7776/5"), "s3.4-ex8": ("exact", "7776/5"),
+    "s3.4-ex9": ("exact", "7776/25"), "s3.4-ex10": ("exact", "-7776/55"),
+    "s3.4-ex11": ("exact", "-7776/25"), "s3.4-ex12": ("exact", "7776/55"),
+    "s3.4-ex13": ("exact", "-99"), "s3.4-ex14": ("exact", "-198"),
+    "s3.4-ex15": ("exact", "-225"), "s3.4-ex16": ("exact", "90"),
+    "s3.4-ex17": ("exact", "1170"), "s3.4-ex18": ("exact", "-441/2"),
+    "s3.4-ex19": ("exact", "-126/5"), "s3.4-ex20": ("exact", "-126"),
+    "s3.4-ex21": ("exact", "-630"), "s3.5-ex1": ("exact", "108"),
+    "s3.5-ex2": ("exact", "108"), "s3.5-ex3": ("exact", "256"),
+    "s3.5-ex4": ("exact", "256/3"), "s3.5-ex5": ("exact", "288"),
+    "s3.5-ex6": ("exact", "864"), "s3.5-ex7": ("exact", "864"),
+    "s3.5-ex8": ("exact", "500"), "s3.5-ex9": ("exact", "500"),
+    "s3.5-ex10": ("exact", "500/3"), "s3.5-ex11": ("exact", "500"),
+    "s3.5-ex12": ("exact", "2048"), "s3.5-ex13": ("exact", "2048/3"),
+    "s3.5-ex14": ("exact", "2048"), "s3.5-ex15": ("exact", "2048"),
+    "s3.5-ex16": ("exact", "90"), "s3.5-ex17": ("exact", "-36/5"),
+    "s3.5-ex18": ("exact", "-80/3"), "s3.5-ex19": ("exact", "10"),
+    "s3.5-ex20": ("exact", "-6"), "s3.5-ex21": ("exact", "-27"),
+    "s3.5-ex22": ("exact", "144"), "s3.5-ex23": ("exact", "-400"),
+    "s3.5-ex24": ("exact", "-14"), "s3.5-ex25": ("exact", "-432/5"),
+    "s3.6-ex1": ("exact", "16/21"), "s3.6-ex2": ("exact", "80/9"),
+    "s3.6-ex3": ("exact", "16/5"), "s3.6-ex4": ("exact", "54/5"),
+    "s3.6-ex5": ("exact", "3"), "s3.6-ex6": ("exact", "-9"), "s3.6-ex7": ("exact", "9"),
+    "s3.6-ex8": ("exact", "-9"), "s3.6-ex9": ("exact", "4/3"),
+    "s3.6-ex10": ("exact", "-4/3"), "s3.6-ex11": ("exact", "2"),
+    "s3.6-ex12": ("exact", "36"), "s3.6-ex13": ("exact", "-10"),
+    "s3.6-ex14": ("exact", "8"), "s3.6-ex15": ("exact", "27"),
+    "s3.6-ex16": ("exact", "54/5"), "s3.7-ex1": ("exact", "128/3"),
+    "s3.7-ex2": ("exact", "128/3"), "s3.7-ex3": ("exact", "-16"),
+    "s3.7-ex4": ("exact", "16/3"), "s3.7-ex5": ("exact", "16/3"),
+    "s3.7-ex6": ("exact", "16/3"), "s3.7-ex7": ("exact", "16/3"),
+    "s3.7-ex8": ("exact", "16"), "s3.7-ex9": ("numeric", "-16"),
+    "s3.7-ex10": ("exact", "128/3"),
+}
+
 
 @pytest.fixture(scope="module")
 def raw_doc():
@@ -165,6 +220,15 @@ def test_match_samples(catalog_by_id):
     assert match.scale == Fraction(32)
     match_b = match_to_theorem(catalog_by_id["s3.6-ex1"])
     assert match_b.tag == "B" and match_b.mode == "exact"
+
+
+def test_match_modes_and_scales_are_pinned(catalog_entries):
+    got = {
+        entry.entry_id: (match.mode, str(match.scale))
+        for entry in catalog_entries
+        for match in [match_to_theorem(entry)]
+    }
+    assert got == EXPECTED_MATCHES
 
 
 def test_match_numeric_fallback_for_restructured_entry(catalog_by_id):

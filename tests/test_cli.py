@@ -97,6 +97,17 @@ def test_pi_digits(capsys):
     assert out.strip() == "3.141592653589793238462643383280"
 
 
+def test_pi_ten_thousand_digits_json(capsys):
+    code, out, _ = run(
+        capsys, "pi", "--entry", "s3.1-ex1", "--digits", "10000", "--format", "json"
+    )
+    assert code == 0
+    digits = json.loads(out)["pi"]
+    assert len(digits) == 10002
+    assert digits.startswith("3.14159265358979323846")
+    assert digits.endswith("375679")  # ...3756785667...: the last digit rounds up
+
+
 def test_pi_rejects_gamma_entry(capsys):
     code, _, err = run(capsys, "pi", "--entry", "s3.3-ex1", "--digits", "20")
     assert code == 2

@@ -21,6 +21,7 @@ from hyperpi.dougall import (
     theorem_closed_value,
     theorem_gamma_args,
     theorem_term,
+    theorem_terms,
     verify_chain,
     verify_dougall,
     verify_dual_relation,
@@ -155,6 +156,50 @@ def test_theorem_b_matches_interleaved_limit_terms():
         )
         assert theorem_term(params, "B", k) == expected
     assert theorem_term(params, "B", 0) == limit_series_term(params, 0, "even")
+
+
+def test_theorem_terms_match_per_index_terms():
+    rng = SplitMix64(37)
+    for _ in range(4):
+        params = random_valid_params(rng)
+        for tag in ("A", "B"):
+            expected = [theorem_term(params, tag, k) for k in range(61)]
+            assert theorem_terms(params, tag, 60) == expected
+
+
+def test_theorem_terms_on_boundary_parameters():
+    # b + c + d - a = 0 is a lower parameter of family B, so only the A
+    # form stays finite there; a = d is finite in both
+    cases = [(params, "A") for params in DEGENERATE_A]
+    cases.append((P("3/2", "1/2", "1/2", "1/2"), "A"))  # b + c + d - a = 0
+    cases += [(P("3/4", "1/2", "1/3", "3/4"), tag) for tag in ("A", "B")]  # a = d
+    for params, tag in cases:
+        expected = [theorem_term(params, tag, k) for k in range(13)]
+        assert theorem_terms(params, tag, 12) == expected
+
+
+def _first_failing_index(params, tag):
+    for k in range(20):
+        try:
+            theorem_term(params, tag, k)
+        except ZeroDenominator:
+            return k
+    raise AssertionError("no zero denominator within k < 20")
+
+
+def test_theorem_terms_raise_where_theorem_term_raises():
+    cases = [
+        P("1/2", "5/2", "1/4", "1/3"),  # 1 + a - b = -1: index-k lower vanishes
+        P("1/2", "1/3", "7/2", "1/4"),  # 1 + a - c = -2: index-2k lower vanishes
+    ]
+    for params in cases:
+        for tag in ("A", "B"):
+            k0 = _first_failing_index(params, tag)
+            assert k0 >= 1
+            expected = [theorem_term(params, tag, k) for k in range(k0)]
+            assert theorem_terms(params, tag, k0 - 1) == expected
+            with pytest.raises(ZeroDenominator):
+                theorem_terms(params, tag, k0)
 
 
 def test_theorem_b_literal_form_agrees():
