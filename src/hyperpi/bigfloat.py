@@ -3,11 +3,14 @@
 A :class:`BigFloat` is an immutable triple (mantissa, exponent, precision)
 representing the exact dyadic rational ``man * 2**exp``.  Nonzero mantissas
 are normalized to exactly ``prec`` bits, i.e. ``2**(prec-1) <= |man| <
-2**prec``.  Every arithmetic operation first forms an exact or
-guard-extended intermediate result and then rounds once to the target
-precision using round-half-to-even, so each operation's relative error is
-at most one unit in the last place (well inside the documented budget of
-``2**(1-prec)`` per operation).
+2**prec``.  ``normalize``, ``add``, ``mul`` and ``mul_int`` form the exact
+result and round it once to the target precision using round-half-to-even.
+``div``, ``from_fraction`` and ``from_ratio`` round twice: a guard-extended
+quotient is first rounded to the nearest integer (ties away from zero) and
+then rounded half-to-even to ``prec`` bits.  They can miss the nearest
+value, but their error stays below one unit in the last place (at most 9/16
+ulp for the two conversions, ``1/2 + 2**-9`` ulp for ``div``), well inside
+the documented budget of ``2**(1-prec)`` per operation.
 
 Elementary functions (sqrt, exp, ln, integer powers, sin of pi times a
 rational) work in fixed-point integer arithmetic with guard bits taken from
@@ -15,9 +18,9 @@ rational) work in fixed-point integer arithmetic with guard bits taken from
 
 The module also provides reference constants: pi via Machin's arctangent
 formula (with an independent second arctangent decomposition as a
-cross-check), ln 2 via the inverse hyperbolic tangent series, and e via the
-factorial series.  All three use exact integer binary splitting and are
-cached at the largest precision computed so far.
+cross-check) and ln 2 via the inverse hyperbolic tangent series.  Both use
+exact integer binary splitting and are cached at the largest precision
+computed so far.
 """
 
 from __future__ import annotations
@@ -137,6 +140,15 @@ class BigFloat:
 
     @staticmethod
     def from_fraction(value: Fraction, prec: int) -> "BigFloat":
+        """``value`` rounded to ``prec`` bits, in two steps.
+
+        With D the bit-length difference of the reduced numerator and
+        denominator, the quotient is first rounded to the nearest integer,
+        ties away from zero, at ``prec + 3 - D`` fraction bits (a
+        ``prec + 3`` or ``prec + 4`` bit integer), and that integer is then
+        rounded half-to-even to ``prec`` bits.  The result is within 9/16
+        ulp of ``value`` but is not always the nearest ``prec``-bit value.
+        """
         num, den = value.numerator, value.denominator
         if num == 0:
             return BigFloat.zero(prec)
@@ -146,6 +158,34 @@ class BigFloat:
         else:
             q = div_nearest(num, den << (-shift))
         return BigFloat.normalize(q, -shift, prec)
+
+    @staticmethod
+    def from_ratio(num: int, den: int, prec: int) -> "BigFloat":
+        """``from_fraction(Fraction(num, den), prec)``, bit for bit, without
+        reducing the pair.
+
+        The rounding of :meth:`from_fraction` depends on the bit lengths of
+        the reduced pair, which differ by e or e + 1 with
+        e = floor(log2 |num/den|).  One ``divmod`` yields the result for
+        both cases (:func:`_ratio_candidates`); only when they differ,
+        because the value lies close to a rounding midpoint, is the pair
+        reduced by a gcd to tell which case applies.  Same error bound:
+        9/16 ulp.
+        """
+        if den == 0:
+            raise ZeroDivisionError("from_ratio with a zero denominator")
+        if num == 0:
+            return BigFloat.zero(prec)
+        negative = (num < 0) != (den < 0)
+        num, den = abs(int(num)), abs(int(den))
+        e, wide, narrow = _ratio_candidates(num, den, prec)
+        if wide == narrow:
+            out = wide
+        else:
+            g = math.gcd(num, den)
+            reduced_d = (num // g).bit_length() - (den // g).bit_length()
+            out = wide if reduced_d == e else narrow
+        return out.neg() if negative else out
 
     @staticmethod
     def from_fixed(value: int, fbits: int, prec: int) -> "BigFloat":
@@ -313,13 +353,41 @@ class BigFloat:
         return f"BigFloat({self.to_float():.17g}, prec={self.prec})"
 
 
+def _ratio_candidates(num: int, den: int, prec: int) -> tuple[int, "BigFloat", "BigFloat"]:
+    """For ``num, den > 0`` with e = floor(log2(num/den)), the two results
+    :meth:`BigFloat.from_fraction` can give, from one ``divmod``.
+
+    Returns ``(e, wide, narrow)``: ``wide`` is the result when the reduced
+    pair's bit lengths differ by e (first rounding at ``prec + 3 - e``
+    fraction bits), ``narrow`` the result when they differ by e + 1 (one
+    bit coarser).  With ``q = floor(x)`` for ``x = num/den * 2**(prec+3-e)``,
+    the first roundings are ``floor(x + 1/2)`` and ``floor(x/2 + 1/2) =
+    floor((q + 1) / 2)``.
+    """
+    e = num.bit_length() - den.bit_length()
+    if (num >> e if e >= 0 else num << -e) < den:  # (num >> e) < den iff num < den * 2**e
+        e -= 1
+    shift = prec + 3 - e
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    q, r = divmod(num, den)
+    wide = q + (2 * r >= den)
+    narrow = (q >> 1) + (q & 1)
+    return (
+        e,
+        BigFloat.normalize(wide, -shift, prec),
+        BigFloat.normalize(narrow, 1 - shift, prec),
+    )
+
+
 # ----------------------------------------------------------------------
 # cached integer constants (fixed point)
 # ----------------------------------------------------------------------
 
 _pi_cache: dict[str, int] = {"fbits": -1, "value": 0}
 _ln2_cache: dict[str, int] = {"fbits": -1, "value": 0}
-_e_cache: dict[str, int] = {"fbits": -1, "value": 0}
 
 
 def _machin_pi_fixed(fbits: int) -> int:
@@ -340,13 +408,12 @@ def _gauss_pi_fixed(fbits: int) -> int:
         terms = int(fbits / math.log2(q * q)) + 8
         t, b = alternating_arctan_sum(q, terms)
         parts.append((coeff, t, b * q))
-    den = 1
-    for _, _, b in parts:
-        den *= _mpz(b)
-    num = _mpz(0)
-    for coeff, t, b in parts:
-        num += coeff * _mpz(t) * (den // _mpz(b))
-    return div_nearest(int(num << fbits), int(den))
+    # Over the common denominator b0*b1*b2 each numerator takes the product
+    # of the other two denominators; no big division is needed.
+    (c0, t0, b0), (c1, t1, b1), (c2, t2, b2) = parts
+    b12 = b1 * b2
+    num = c0 * t0 * b12 + c1 * t1 * (b0 * b2) + c2 * t2 * (b0 * b1)
+    return div_nearest(int(num << fbits), int(b0 * b12))
 
 
 def pi_fixed(fbits: int) -> int:
@@ -388,22 +455,6 @@ def ln2_fixed(fbits: int) -> int:
     value = div_nearest(int(2 * _mpz(t) << work), int(3 * b))
     _ln2_cache["fbits"] = work
     _ln2_cache["value"] = value
-    return round_shift(value, work - fbits)
-
-
-def e_fixed(fbits: int) -> int:
-    """Return ``round(e * 2**fbits)`` via the factorial series, cached."""
-    if _e_cache["fbits"] >= fbits:
-        return round_shift(_e_cache["value"], _e_cache["fbits"] - fbits)
-    work = fbits + 16
-    # Series sum 1/j!: ratio of consecutive terms is 1/(j+1).
-    terms = 8
-    while terms * (math.log2(terms) - 1.5) < work + 8:
-        terms += 8
-    _, b, t = product_sum(lambda j: 1, lambda i: 1, lambda i: i + 1, 0, terms)
-    value = div_nearest(int(_mpz(t) << work), int(b))
-    _e_cache["fbits"] = work
-    _e_cache["value"] = value
     return round_shift(value, work - fbits)
 
 

@@ -3,8 +3,11 @@
 Four capabilities, all built on exact rational arithmetic:
 
 * :func:`sum_series` -- partial sums of a :class:`~hyperpi.factorials.SeriesSpec`
-  by integer binary splitting; the only rounding is the final conversion of
-  one exact fraction to a :class:`~hyperpi.bigfloat.BigFloat`.
+  by integer binary splitting.  The splitting and everything folded into its
+  result are exact; the one rounding step is the conversion of the unreduced
+  integer pair to a :class:`~hyperpi.bigfloat.BigFloat`
+  (:meth:`~hyperpi.bigfloat.BigFloat.from_ratio`), which rounds twice
+  internally, exactly as ``from_fraction`` does, and errs by at most 9/16 ulp.
 * :func:`compute_pi_via` -- solve a verified series/closed-form pair for pi.
 * :func:`bbp_hex_digits` -- hexadecimal digits of pi at an arbitrary offset
   without computing earlier digits (modular spigot).
@@ -34,7 +37,6 @@ from hyperpi.factorials import (
     SeriesSpec,
     partial_fractions,
     pochhammer,
-    poly_eval,
     poly_mul,
     term_eval,
 )
@@ -70,17 +72,21 @@ def precision_for_digits(digits: int) -> int:
 # ----------------------------------------------------------------------
 
 
-def sum_series_fraction(spec: SeriesSpec, terms: int) -> Fraction:
-    """Exact value of ``additive + sign * sum`` over the first ``terms`` terms.
+def _series_ratio(spec: SeriesSpec, terms: int) -> tuple[int, int]:
+    """Exact ``additive + sign * sum`` over the first ``terms`` terms, as an
+    unreduced pair ``(num, den)`` of integers with ``den > 0``.
 
     Runs the whole computation in big integers via binary splitting.  The
     per-step ratio of consecutive terms is a pure product of linear factors,
     so the weight sequence carries the polynomial and the splitting never
-    divides by a (possibly zero) polynomial value.
+    divides by a (possibly zero) polynomial value.  Leaf weights are integer
+    Horner evaluations of ``poly * lcm(denominators)``; the lead factor, the
+    sign and the additive constant fold into the pair without a gcd.
     """
     spec.validate()
+    additive = Fraction(spec.additive)
     if terms <= 0:
-        return Fraction(spec.additive)
+        return additive.numerator, additive.denominator
     s = spec.start
     lead_num = Fraction(1)
     lead_den = Fraction(spec.base) ** s
@@ -88,17 +94,22 @@ def sum_series_fraction(spec: SeriesSpec, terms: int) -> Fraction:
         lead_num *= pochhammer(u, s)
     for low in spec.lower:
         lead_den *= pochhammer(low, s)
+    lead = lead_num / lead_den
     poly_lcm = 1
     for coeff in spec.poly:
         poly_lcm = math.lcm(poly_lcm, coeff.denominator)
+    coeffs = [(coeff * poly_lcm).numerator for coeff in reversed(spec.poly)]
     upper_nd = [(u.numerator, u.denominator) for u in spec.upper]
     lower_nd = [(low.numerator, low.denominator) for low in spec.lower]
     prod_ud = math.prod(d for _, d in upper_nd)
     prod_ld = math.prod(d for _, d in lower_nd)
 
     def weight(j: int) -> int:
-        value = poly_eval(spec.poly, Fraction(s + j)) * poly_lcm
-        return value.numerator
+        x = s + j
+        acc = 0
+        for c in coeffs:
+            acc = acc * x + c
+        return acc
 
     def alpha(i: int) -> int:
         out = prod_ld
@@ -113,13 +124,28 @@ def sum_series_fraction(spec: SeriesSpec, terms: int) -> Fraction:
         return out
 
     _, big_b, big_t = product_sum(weight, alpha, beta, 0, terms)
-    partial = lead_num / lead_den * Fraction(int(big_t), poly_lcm * int(big_b))
-    return spec.additive + spec.sign * partial
+    num = spec.sign * lead.numerator * int(big_t)
+    den = lead.denominator * poly_lcm * int(big_b)
+    num = additive.numerator * den + additive.denominator * num
+    den *= additive.denominator
+    # B < 0 when an odd number of its factors are, e.g. lower parameter -1/2 at k = 0.
+    if den < 0:
+        num, den = -num, -den
+    return num, den
+
+
+def sum_series_fraction(spec: SeriesSpec, terms: int) -> Fraction:
+    """Exact value of ``additive + sign * sum`` over the first ``terms`` terms."""
+    return Fraction(*_series_ratio(spec, terms))
 
 
 def sum_series(spec: SeriesSpec, terms: int, prec: int) -> BigFloat:
-    """Partial sum rounded once to ``prec`` bits."""
-    return BigFloat.from_fraction(sum_series_fraction(spec, terms), prec)
+    """Partial sum converted to ``prec`` bits with one division.
+
+    Bit-identical to ``BigFloat.from_fraction(sum_series_fraction(spec,
+    terms), prec)``; the pair from the splitting is never reduced.
+    """
+    return BigFloat.from_ratio(*_series_ratio(spec, terms), prec)
 
 
 def sum_series_naive(spec: SeriesSpec, terms: int) -> Fraction:

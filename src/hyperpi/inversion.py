@@ -120,15 +120,6 @@ def inverse_extended(scheme: InversionScheme, f: SequenceFn, n: int) -> Fraction
     return total
 
 
-@dataclass(frozen=True)
-class RoundtripReport:
-    pair: str
-    trials: int
-    n_max: int
-    passed: bool
-    failures: tuple[str, ...]
-
-
 def _tabulate(fn: SequenceFn, n_max: int) -> SequenceFn:
     values = [fn(k) for k in range(n_max + 1)]
     return lambda k: values[k]

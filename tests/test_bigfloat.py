@@ -1,16 +1,17 @@
 """Arbitrary-precision floating point: arithmetic, constants, digit output."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperpi.bigfloat import (
     BigFloat,
+    _ratio_candidates,
     agrees_to_bits,
     div_nearest,
-    e_fixed,
     exp,
     ln,
     ln2_reference,
@@ -41,6 +42,78 @@ small_fractions = st.builds(
 def test_round_trip_dyadic():
     x = Fraction(-77, 64)
     assert BigFloat.from_fraction(x, 80).to_fraction() == x
+
+
+def bits_of(x: BigFloat) -> tuple[int, int, int]:
+    return x.man, x.exp, x.prec
+
+
+nonzero = st.integers(min_value=-(2**160), max_value=2**160).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=-(2**200), max_value=2**200),
+    nonzero,
+    nonzero,
+    st.integers(min_value=1, max_value=200),
+)
+@example(0, 7, -3, 10)
+@example(-5, 3, -(2**70), 1)
+def test_from_ratio_matches_from_fraction(n, d, g, prec):
+    got = BigFloat.from_ratio(n * g, d * g, prec)
+    assert bits_of(got) == bits_of(BigFloat.from_fraction(Fraction(n, d), prec))
+
+
+def test_from_ratio_near_rounding_midpoints():
+    # v = (m + 1/2 + s * (1 + a/c) / 32) * 2**k sits 1/32 to 1/16 ulp from
+    # the midpoint between m and m + 1, on the side away from the even one.
+    # The first rounding at prec + 4 bits passes the midpoint, the one at
+    # prec + 3 bits lands on it and then goes to even: the two candidates
+    # differ, and only the reduced pair tells which one from_fraction gives.
+    rng = random.Random(2718)  # SplitMix64.randint spans at most 2**64 values
+    chose = set()
+    for _ in range(200):
+        prec = rng.randint(2, 160)
+        m = rng.randint(1 << (prec - 1), (1 << prec) - 2)
+        s = 1 if m % 2 == 0 else -1
+        c = rng.randint(2, 1 << rng.randint(2, 60))
+        a = rng.randint(1, c - 1)
+        num, den = (32 * m + 16) * c + s * (c + a), 32 * c
+        k = rng.randint(-200, 200)
+        if k >= 0:
+            num <<= k
+        else:
+            den <<= -k
+        e, wide, narrow = _ratio_candidates(num, den, prec)
+        assert bits_of(wide) != bits_of(narrow)
+        value = Fraction(num, den)
+        chose.add(value.numerator.bit_length() - value.denominator.bit_length() - e)
+        sign = rng.choice((1, -1))
+        g = rng.randint(1, 1 << 64) * rng.choice((1, -1))
+        got = BigFloat.from_ratio(sign * num * g, den * g, prec)
+        assert bits_of(got) == bits_of(BigFloat.from_fraction(sign * value, prec))
+    assert chose == {0, 1}  # both candidates are picked somewhere
+
+
+def test_from_ratio_first_rounding_ties():
+    # m * 2**k with m odd of prec + 5 bits makes the first rounding an exact
+    # tie (away from zero); low bits 01111 and 10001 put the second rounding
+    # on a tie as well or one step off it.
+    rng = random.Random(1414)
+    for _ in range(100):
+        prec = rng.randint(2, 160)
+        top = rng.randint(1 << (prec - 1), (1 << prec) - 1)
+        mantissa = (top << 5) | rng.choice((1, 15, 17, 31))
+        value = rng.choice((1, -1)) * mantissa * Fraction(2) ** rng.randint(-200, 200)
+        g = rng.randint(1, 1 << 64) * rng.choice((1, -1))
+        got = BigFloat.from_ratio(value.numerator * g, value.denominator * g, prec)
+        assert bits_of(got) == bits_of(BigFloat.from_fraction(value, prec))
+
+
+def test_from_ratio_rejects_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        BigFloat.from_ratio(1, 0, 53)
 
 
 def test_round_shift_nearest():
@@ -134,11 +207,8 @@ def test_pi_reference_digits():
     assert agrees_to_bits(lo, hi.round_to(200)) >= 198
 
 
-def test_ln2_and_e():
+def test_ln2_reference():
     assert ln2_reference(300).to_decimal_string(40) == LN2_40
-    prec = 300
-    e_val = BigFloat.from_fixed(e_fixed(prec), prec, prec)
-    assert e_val.to_decimal_string(30) == "2.718281828459045235360287471353"
 
 
 def test_pi_hex_digits():

@@ -28,6 +28,14 @@ from hyperpi.prng import SplitMix64
 F = Fraction
 
 GEOMETRIC = SeriesSpec(upper=(F(1),), lower=(F(1),), poly=(F(1),), base=16)
+NEGATIVE_LOWER = SeriesSpec(
+    upper=(F(1, 2), F(1)), lower=(F(-1, 2), F(3, 4)),
+    poly=(F(1, 3), F(-2, 5), F(1)), base=4,
+)
+SHIFTED = SeriesSpec(
+    upper=(F(1, 3), F(2, 3)), lower=(F(1), F(5, 6)), poly=(F(7, 2), F(3)),
+    base=27, start=3, additive=F(-7, 5), sign=-1,
+)
 
 # expected proportionality constants of the ten digit-extraction entries
 # against the classic 4-term and 8-term templates
@@ -60,6 +68,11 @@ def test_splitting_equals_naive_on_catalog_entries(catalog_entries):
         assert sum_series_fraction(entry.spec, terms) == sum_series_naive(
             entry.spec, terms
         )
+    # NEGATIVE_LOWER makes the splitting denominator B negative; SHIFTED has
+    # a lead factor, a sign and an additive constant to fold into the pair
+    for spec in (NEGATIVE_LOWER, SHIFTED):
+        for terms in (0, 1, 2, 17):
+            assert sum_series_fraction(spec, terms) == sum_series_naive(spec, terms)
 
 
 def test_term_budget_helpers():
@@ -189,11 +202,12 @@ def test_bbp_equivalence_rejects_corrupted_weight(catalog_by_id):
         verify_bbp_equivalence(corrupted, entry.lhs)
 
 
-def test_sum_series_matches_fraction_path(catalog_by_id):
-    spec = catalog_by_id["s3.5-ex1"].spec
-    prec = 400
-    via_float = sum_series(spec, 90, prec)
-    via_fraction = BigFloat.from_fraction(sum_series_fraction(spec, 90), prec)
-    assert via_float.sub(via_fraction, prec).abs() < BigFloat.from_fraction(
-        F(1, 2**380), 64
-    )
+def test_sum_series_matches_fraction_path(catalog_entries):
+    # one division from the unreduced splitting pair gives exactly the bits
+    # of rounding the reduced exact fraction
+    specs = [entry.spec for entry in catalog_entries] + [NEGATIVE_LOWER, SHIFTED]
+    for spec in specs:
+        for terms, prec in ((1, 53), (23, 200), (120, 700)):
+            got = sum_series(spec, terms, prec)
+            want = BigFloat.from_fraction(sum_series_fraction(spec, terms), prec)
+            assert (got.man, got.exp, got.prec) == (want.man, want.exp, want.prec)
