@@ -434,6 +434,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
     parser = _Parser(prog="hyperpi", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"hyperpi {__version__}")

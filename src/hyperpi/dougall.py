@@ -102,25 +102,39 @@ def closed_form_quotient(params: WellPoisedParams, n: int) -> Fraction:
 
 def wellpoised_sum(params: WellPoisedParams, n: int) -> Fraction:
     """Degree-n very-well-poised sum with the terminating fifth numerator
-    parameter chosen so the closed form applies."""
+    parameter chosen so the closed form applies.
+
+    The sum is kept as one unreduced integer pair: with every parameter
+    written p/q, the step from term k to term k + 1 multiplies the running
+    numerator by prod (p_u + k q_u) prod q_l and the running denominator by
+    prod q_u prod (p_l + k q_l), and the pair is reduced once at the end.
+    """
     a, b, c, d = params.as_tuple()
     if a == 0:
         raise ZeroLeadParameter("the leading parameter must be nonzero")
     e = 1 + 2 * a + n - b - c - d
     upper = (a, b, c, d, e, Fraction(-n))
     lower = (Fraction(1), 1 + a - b, 1 + a - c, 1 + a - d, b + c + d - a - n, 1 + a + n)
-    total = Fraction(0)
-    num = Fraction(1)
-    den = Fraction(1)
-    for k in range(n + 1):
-        total += (a + 2 * k) / a * num / den
-        for u in upper:
-            num *= u + k
-        for low in lower:
-            den *= low + k
-        if den == 0 and k < n:
+    upper_pq = [(u.numerator, u.denominator) for u in upper]
+    lower_pq = [(low.numerator, low.denominator) for low in lower]
+    pa, qa = a.numerator, a.denominator
+    # sum = acc / (den * pa); term k is (pa + 2k qa) / pa * num / den
+    acc = pa
+    num = den = 1
+    for k in range(n):
+        up = lo = 1
+        for p, q in upper_pq:
+            up *= p + k * q
+            lo *= q
+        for p, q in lower_pq:
+            lo *= p + k * q
+            up *= q
+        if lo == 0:
             raise ZeroDenominator(f"series denominator vanished at k={k + 1}")
-    return total
+        num *= up
+        den *= lo
+        acc = acc * lo + (pa + 2 * (k + 1) * qa) * num
+    return Fraction(acc, den * pa)
 
 
 def verify_dougall(params: WellPoisedParams, n: int) -> IdentityCheck:
@@ -758,10 +772,10 @@ def _finite_params_admissible(params: WellPoisedParams, n_max: int) -> bool:
     for low in lowers:
         if _hits_zero(low, n_max):
             return False
-    for n in range(n_max + 1):
-        if _hits_zero(b + c + d - a - n, n) or _hits_zero(1 + a + n, n):
-            return False
-    return True
+    # Over n = 0..n_max, the lower parameters b+c+d-a-n and 1+a+n of the
+    # degree-n sum vanish within n steps exactly when b+c+d-a is an integer
+    # in [0, n_max] or 1+a is an integer in [-2 n_max, 0].
+    return not (_hits_zero(a - b - c - d, n_max) or _hits_zero(1 + a, 2 * n_max))
 
 
 def _hits_zero(x: Fraction, span: int) -> bool:

@@ -29,13 +29,18 @@ Poly = tuple[Fraction, ...]  # ascending coefficients
 
 
 def pochhammer(x: Fraction, n: int) -> Fraction:
-    """Rising factorial (x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1."""
+    """Rising factorial (x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1.
+
+    With x = p/q the factors are (p + i q)/q: their numerators are
+    multiplied as integers and the product over q**n is reduced once.
+    """
     if n < 0:
         raise DomainError("pochhammer requires a nonnegative index")
-    out = Fraction(1)
+    p, q = x.numerator, x.denominator
+    num = 1
     for i in range(n):
-        out *= x + i
-    return out
+        num *= p + i * q
+    return Fraction(num, q**n)
 
 
 def binomial(n: int, k: int) -> int:
@@ -50,15 +55,19 @@ def poch_quotient(upper: Sequence[Fraction], lower: Sequence[Fraction], n: int) 
 
     Raises :class:`ZeroDenominator` when a lower rising factorial vanishes.
     """
-    num = Fraction(1)
+    # numerators and denominators multiplied as integers, one final gcd
+    num = den = 1
     for u in upper:
-        num *= pochhammer(u, n)
-    den = Fraction(1)
+        value = pochhammer(u, n)
+        num *= value.numerator
+        den *= value.denominator
     for low in lower:
-        den *= pochhammer(low, n)
+        value = pochhammer(low, n)
+        num *= value.denominator
+        den *= value.numerator
     if den == 0:
         raise ZeroDenominator(f"lower rising factorial vanished at n={n}")
-    return num / den
+    return Fraction(num, den)
 
 
 def poch_step(upper: Sequence[Fraction], lower: Sequence[Fraction], n: int) -> Fraction:
@@ -89,14 +98,20 @@ def phi_eval(
 ) -> Fraction:
     """The triangular product phi(x; n) = prod_{j=0}^{n-1} (a_j + x * b_j).
 
-    phi(x; 0) = 1 by convention.
+    phi(x; 0) = 1 by convention.  Each factor is an integer numerator over
+    the product of the denominators of a_j, x and b_j; the numerators and
+    denominators are multiplied as integers and reduced once.
     """
     if n < 0:
         raise DomainError("phi requires a nonnegative length")
-    out = Fraction(1)
+    px, qx = x.numerator, x.denominator
+    num = den = 1
     for j in range(n):
-        out *= a_of(j) + x * b_of(j)
-    return out
+        a, b = a_of(j), b_of(j)
+        qa, qb = a.denominator, b.denominator
+        num *= a.numerator * qx * qb + px * b.numerator * qa
+        den *= qa * qx * qb
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -113,33 +128,6 @@ class FactorialQuotient:
                     f"lower entry {low} is a non-positive integer; the quotient "
                     "would divide by zero for large indices"
                 )
-
-    def eval_at(self, n: int) -> Fraction:
-        return poch_quotient(self.upper, self.lower, n)
-
-
-@dataclass(frozen=True)
-class DuplicatedIndex:
-    """Result of rewriting (x)_{2k} or (x)_{2k+1} in terms of index-k symbols.
-
-    Meaning: original = prefactor * 4**k * (halves[0])_k * (halves[1])_k.
-    """
-
-    halves: tuple[Fraction, Fraction]
-    prefactor: Fraction
-
-
-def duplicate_index(x: Fraction, parity: str) -> DuplicatedIndex:
-    """Index-duplication rewrite of a rising factorial.
-
-    * ``parity="even"``: (x)_{2k}   = 4**k (x/2)_k ((x+1)/2)_k
-    * ``parity="odd"``:  (x)_{2k+1} = x * 4**k ((x+1)/2)_k ((x+2)/2)_k
-    """
-    if parity == "even":
-        return DuplicatedIndex((x / 2, (x + 1) / 2), Fraction(1))
-    if parity == "odd":
-        return DuplicatedIndex(((x + 1) / 2, (x + 2) / 2), x)
-    raise DomainError(f"unknown parity {parity!r}")
 
 
 # ----------------------------------------------------------------------

@@ -35,15 +35,19 @@ class SplitMix64:
         """Uniform integer in the inclusive range [lo, hi].
 
         Uses rejection sampling so the distribution is exactly uniform and
-        platform independent.
+        platform independent.  A span above 2**64 draws as many 64-bit
+        outputs as its bit length needs and joins them, high word first.
         """
         if hi < lo:
             raise ValueError("empty range")
         span = hi - lo + 1
-        # Largest multiple of span not exceeding 2**64.
-        limit = (1 << 64) - ((1 << 64) % span)
+        words = 1 if span <= 1 << 64 else -(-span.bit_length() // 64)
+        # Largest multiple of span not exceeding 2**(64 * words).
+        limit = (1 << 64 * words) - ((1 << 64 * words) % span)
         while True:
-            r = self.next_u64()
+            r = 0
+            for _ in range(words):
+                r = (r << 64) | self.next_u64()
             if r < limit:
                 return lo + (r % span)
 

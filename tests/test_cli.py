@@ -1,6 +1,7 @@
 """Command line interface: exit codes, report determinism, negative controls."""
 
 import copy
+import hashlib
 import importlib.resources
 import json
 
@@ -89,6 +90,34 @@ def test_json_reports_are_byte_deterministic(capsys):
     assert report["passed"] is True
     assert report["timings"] is None
     assert report["parameters"]["seed"] == 9
+
+
+# sha256 of the JSON reports of the benchmark's identity commands; the
+# exact-arithmetic layers they run must not change a byte of them
+PINNED_REPORTS = [
+    (("verify", "dougall", "--nmax", "20", "--trials", "120", "--seed", "1"),
+     "13fa80e7e62cfc934c7fa540ca3d42f73cf63268f8d1e14fec4468e85afd0a11"),
+    (("verify", "dougall", "--nmax", "20", "--trials", "120", "--seed", "2"),
+     "cc408483ecce0fd286cebd4ca67673b4729a73feec3a76b39095438e4e3c3584"),
+    (("verify", "chain", "--nmax", "6", "--trials", "3", "--seed", "1"),
+     "b982ce2ba155913c968ade299dd20139628c9adf488e2f75f6fb988cef1aee51"),
+    (("verify", "chain", "--nmax", "6", "--trials", "3", "--seed", "2"),
+     "1a5e89cb23f622224d603112e57cdb4dbf8feb8624159897a11c881100cd7ed3"),
+    (("verify", "inversion", "--nmax", "12", "--trials", "2", "--seed", "1"),
+     "c4bc068d25d4fb4964f9562a87af5a7390188e0e1852d36e8bd208a802a6356d"),
+    (("verify", "inversion", "--nmax", "12", "--trials", "2", "--seed", "2"),
+     "c970e284c9c271ff08e432f9e6345cc059ed027e1576d482583f17331015285b"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", PINNED_REPORTS,
+    ids=[f"{argv[1]}-seed{argv[-1]}" for argv, _ in PINNED_REPORTS],
+)
+def test_identity_reports_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_pi_digits(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hyperpi.bigfloat import BigFloat, agrees_to_bits
 from hyperpi.dougall import (
     WellPoisedParams,
+    _finite_params_admissible,
     dual_expansion_sum,
     dual_limit_deviation,
     dual_quotient,
@@ -73,6 +74,93 @@ def test_terminating_identity_random():
         params = random_finite_params(rng, 10)
         n = rng.randint(0, 10)
         assert verify_dougall(params, n).passed
+
+
+def _wellpoised_sum_reference(params, n):
+    """The terminating sum term by term: each term built from its own
+    rising factorials, every product reduced as a Fraction."""
+    a, b, c, d = params.as_tuple()
+    e = 1 + 2 * a + n - b - c - d
+    upper = (a, b, c, d, e, F(-n))
+    lower = (F(1), 1 + a - b, 1 + a - c, 1 + a - d, b + c + d - a - n, 1 + a + n)
+    total = F(0)
+    for k in range(n + 1):
+        num = den = F(1)
+        for u in upper:
+            for i in range(k):
+                num *= u + i
+        for low in lower:
+            for i in range(k):
+                den *= low + i
+        if den == 0:
+            return k  # first index with a vanishing denominator
+        total += (a + 2 * k) / a * num / den
+    return total
+
+
+def test_wellpoised_sum_matches_termwise_reference():
+    rng = SplitMix64(29)
+    checked = raised = 0
+    for _ in range(150):
+        params = WellPoisedParams(
+            rng.fraction(6, 4, nonzero=True),
+            rng.fraction(6, 4),
+            rng.fraction(6, 4),
+            rng.fraction(6, 4),
+        )
+        n = rng.randint(0, 12)
+        want = _wellpoised_sum_reference(params, n)
+        if isinstance(want, int):
+            with pytest.raises(ZeroDenominator, match=f"k={want}$"):
+                wellpoised_sum(params, n)
+            raised += 1
+        else:
+            assert wellpoised_sum(params, n) == want
+            checked += 1
+    assert checked > 50 and raised > 5
+
+
+def _finite_params_admissible_reference(params, n_max):
+    """The admissibility rule as first written: one check per degree n."""
+
+    def hits_zero(x, span):
+        return x.denominator == 1 and -span <= x <= 0
+
+    a, b, c, d = params.as_tuple()
+    if a == 0:
+        return False
+    for low in (1 + a - b, 1 + a - c, 1 + a - d, 1 + a - b - c - d):
+        if hits_zero(low, n_max):
+            return False
+    for n in range(n_max + 1):
+        if hits_zero(b + c + d - a - n, n) or hits_zero(1 + a + n, n):
+            return False
+    return True
+
+
+def test_finite_params_admissible_matches_per_degree_rule():
+    # a and s = b + c + d - a run over integers and half-integers around
+    # both rejection ranges; with b and c fixed in sevenths, of the four
+    # lower parameters of the closed form only 1+a-b-c-d = 1 - s can vanish
+    a_values = [F(p, q) for q in (1, 2) for p in range(-28, 5)]
+    s_values = [F(p, q) for q in (1, 2) for p in range(-3, 16)]
+    b, c = F(1, 7), F(2, 7)
+    mismatches = 0
+    for n_max in (0, 1, 5, 12):
+        for a in a_values:
+            for s in s_values:
+                params = WellPoisedParams(a, b, c, s + a - b - c)
+                mismatches += _finite_params_admissible(params, n_max) != (
+                    _finite_params_admissible_reference(params, n_max)
+                )
+    assert mismatches == 0
+    rng = SplitMix64(31)
+    for _ in range(2000):
+        params = WellPoisedParams(*(rng.fraction(12, 4) for _ in range(4)))
+        n_max = rng.randint(0, 20)
+        assert _finite_params_admissible(params, n_max) == (
+            _finite_params_admissible_reference(params, n_max)
+        )
 
 
 def test_parity_form_splits_the_sum():

@@ -4,17 +4,17 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperpi.errors import DomainError, InvariantViolation, RepeatedPole
+from hyperpi.errors import DomainError, InvariantViolation, RepeatedPole, ZeroDenominator
 from hyperpi.factorials import (
     FactorialQuotient,
     RationalFunctionOfK,
     SeriesSpec,
     binomial,
-    duplicate_index,
     partial_fractions,
+    phi_eval,
     poch_quotient,
     pochhammer,
     poly_divmod,
@@ -67,35 +67,104 @@ def test_poch_quotient_is_product_ratio():
         assert poch_quotient(upper, lower, n) == direct
 
 
-@settings(max_examples=60, deadline=None)
-@given(fractions_st, st.integers(min_value=0, max_value=30))
-def test_duplicate_index_even(x, k):
-    dup = duplicate_index(x, "even")
-    rebuilt = (
-        dup.prefactor
-        * Fraction(4) ** k
-        * pochhammer(dup.halves[0], k)
-        * pochhammer(dup.halves[1], k)
-    )
-    assert rebuilt == pochhammer(x, 2 * k)
+# Step-by-step Fraction definitions: every product reduces after each
+# factor.  The integer-product implementations must agree exactly.
 
 
-@settings(max_examples=60, deadline=None)
-@given(fractions_st, st.integers(min_value=0, max_value=30))
-def test_duplicate_index_odd(x, k):
-    dup = duplicate_index(x, "odd")
-    rebuilt = (
-        dup.prefactor
-        * Fraction(4) ** k
-        * pochhammer(dup.halves[0], k)
-        * pochhammer(dup.halves[1], k)
-    )
-    assert rebuilt == pochhammer(x, 2 * k + 1)
+def _pochhammer_reference(x, n):
+    out = Fraction(1)
+    for i in range(n):
+        out *= x + i
+    return out
 
 
-def test_duplicate_index_rejects_unknown_parity():
+def _poch_quotient_reference(upper, lower, n):
+    num = Fraction(1)
+    for u in upper:
+        num *= _pochhammer_reference(u, n)
+    den = Fraction(1)
+    for low in lower:
+        den *= _pochhammer_reference(low, n)
+    if den == 0:
+        return None
+    return num / den
+
+
+# integers and negative values included; small denominators make the
+# lower factors vanish often enough to exercise ZeroDenominator
+small_fractions_st = st.builds(
+    Fraction,
+    st.integers(min_value=-12, max_value=12),
+    st.sampled_from((1, 1, 2, 3)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(fractions_st, st.integers(min_value=-20, max_value=20).map(Fraction)),
+    st.integers(min_value=0, max_value=25),
+)
+@example(Fraction(-3), 5)
+@example(Fraction(-3), 3)
+@example(Fraction(7, 3), 0)
+def test_pochhammer_matches_stepwise_definition(x, n):
+    got = pochhammer(x, n)
+    assert type(got) is Fraction
+    assert got == _pochhammer_reference(x, n)
+
+
+def test_pochhammer_rejects_negative_index():
     with pytest.raises(DomainError):
-        duplicate_index(Fraction(1, 2), "both")
+        pochhammer(Fraction(1, 2), -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(small_fractions_st, max_size=4),
+    st.lists(small_fractions_st, max_size=4),
+    st.integers(min_value=0, max_value=15),
+)
+@example([Fraction(-2)], [Fraction(-1)], 2)  # upper and lower both vanish
+@example([Fraction(1, 2)], [Fraction(-4, 2)], 3)
+@example([], [], 0)
+def test_poch_quotient_matches_stepwise_definition(upper, lower, n):
+    want = _poch_quotient_reference(upper, lower, n)
+    if want is None:
+        with pytest.raises(ZeroDenominator, match=f"n={n}$"):
+            poch_quotient(upper, lower, n)
+    else:
+        assert poch_quotient(upper, lower, n) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(fractions_st, st.one_of(st.just(Fraction(0)), fractions_st)),
+             max_size=12),
+    st.one_of(fractions_st, st.integers(min_value=-12, max_value=12).map(Fraction)),
+    st.data(),
+)
+def test_phi_eval_matches_stepwise_definition(pairs, x, data):
+    a_vals = [a for a, _ in pairs]
+    b_vals = [b for _, b in pairs]
+    n = data.draw(st.integers(min_value=0, max_value=len(pairs)))
+    want = Fraction(1)
+    for j in range(n):
+        want *= a_vals[j] + x * b_vals[j]
+    got = phi_eval(a_vals.__getitem__, b_vals.__getitem__, x, n)
+    assert type(got) is Fraction
+    assert got == want
+
+
+def test_phi_eval_edge_cases():
+    a_vals = [Fraction(3, 2), Fraction(-1, 3), Fraction(2)]
+    b_vals = [Fraction(0), Fraction(1, 3), Fraction(-5, 4)]
+    assert phi_eval(a_vals.__getitem__, b_vals.__getitem__, Fraction(7, 5), 0) == 1
+    # b_0 = 0: the first factor is a_0 whatever x is
+    assert phi_eval(a_vals.__getitem__, b_vals.__getitem__, Fraction(-9, 7), 1) == Fraction(3, 2)
+    # a_1 + x b_1 = 0 at x = 1: the product vanishes
+    assert phi_eval(a_vals.__getitem__, b_vals.__getitem__, Fraction(1), 3) == 0
+    with pytest.raises(DomainError):
+        phi_eval(a_vals.__getitem__, b_vals.__getitem__, Fraction(1), -1)
 
 
 coeff_lists = st.lists(fractions_st, min_size=1, max_size=6)

@@ -1,0 +1,28 @@
+"""SplitMix64 draws: pinned outputs and ranges wider than one 64-bit word."""
+
+from fractions import Fraction
+
+from hyperpi.prng import SplitMix64
+
+
+def test_small_span_outputs_are_pinned():
+    rng = SplitMix64(1)
+    assert [rng.randint(0, 9) for _ in range(8)] == [5, 9, 0, 5, 1, 8, 5, 3]
+    rng = SplitMix64(2)
+    assert [rng.randint(-10, 10) for _ in range(6)] == [-6, 4, -10, 5, 0, -1]
+    assert rng.randint(0, 2**64 - 1) == 13398859234004329862
+    assert rng.randint(5, 5) == 5
+    assert rng.randint(1, 2**63 + 3) == 4617448268296080640
+    rng = SplitMix64(3)
+    assert rng.fraction(10, 10) == Fraction(-1, 2)
+    assert rng.fraction(10, 10, nonzero=True) == Fraction(-1, 2)
+    assert rng.choice((2, 3, 4, 6, 12)) == 3
+
+
+def test_spans_above_two_to_the_64_return_in_range():
+    rng = SplitMix64(1)
+    assert 0 <= rng.randint(0, 2**64) <= 2**64
+    for lo, hi in ((0, 2**64), (-(2**100), 2**100), (7, 7 + 3 * 2**130)):
+        draws = [rng.randint(lo, hi) for _ in range(50)]
+        assert all(lo <= r <= hi for r in draws)
+        assert len(set(draws)) == 50
