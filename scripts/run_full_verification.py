@@ -2,8 +2,9 @@
 """Run every verification stage end to end and print a one-line summary each.
 
 Stages: random trials of the terminating identity, inverse-pair round trips,
-the parity/dual/inverse-pair derivation chain, and full catalog certification
-(closed-form value, generator-family match, digit-extraction templates).
+the parity/dual/inverse-pair derivation chain, full catalog certification
+(closed-form value, generator-family match, digit-extraction templates), and
+hexadecimal digits of pi from the spigot against an independent reference.
 """
 
 import argparse
@@ -11,6 +12,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 
+from hyperpi.bigfloat import pi_reference
 from hyperpi.catalog import load_catalog, match_to_theorem, verify_entry
 from hyperpi.dougall import (
     random_finite_params,
@@ -20,9 +22,13 @@ from hyperpi.dougall import (
     verify_dual_relation,
     verify_parity_form,
 )
-from hyperpi.engine import verify_bbp_equivalence
+from hyperpi.engine import bbp_hex_digits, verify_bbp_equivalence
+from hyperpi.errors import NoMatch
 from hyperpi.inversion import random_scheme, random_sequence, roundtrip_check
 from hyperpi.prng import SplitMix64
+
+SPIGOT_POSITIONS = (0, 1000, 20000)
+SPIGOT_COUNT = 16
 
 
 @dataclass
@@ -92,7 +98,10 @@ def run(config: VerificationConfig) -> int:
             continue
         match = match_to_theorem(entry)
         if entry.family_class == "BBP":
-            verify_bbp_equivalence(entry.spec, entry.lhs)
+            try:
+                verify_bbp_equivalence(entry.spec, entry.lhs)
+            except NoMatch:
+                failures.append(f"{entry.entry_id}:bbp")
         if match.mode not in ("exact", "numeric"):
             failures.append(f"{entry.entry_id}:match")
     all_ok &= stage(
@@ -101,6 +110,19 @@ def run(config: VerificationConfig) -> int:
     )
     if failures:
         print("   failures:", ", ".join(failures[:10]))
+
+    started = time.perf_counter()
+    reference = pi_reference(4 * (max(SPIGOT_POSITIONS) + SPIGOT_COUNT) + 256)
+    wrong = [
+        p for p in SPIGOT_POSITIONS
+        if bbp_hex_digits(p, SPIGOT_COUNT) != reference.hex_fraction_digits(p, SPIGOT_COUNT)
+    ]
+    all_ok &= stage(
+        "hex-digit spigot", not wrong, time.perf_counter() - started,
+        f"positions {', '.join(map(str, SPIGOT_POSITIONS))} vs reference",
+    )
+    if wrong:
+        print("   wrong digits at positions:", ", ".join(map(str, wrong)))
 
     print("all stages passed" if all_ok else "SOME STAGES FAILED")
     return 0 if all_ok else 2

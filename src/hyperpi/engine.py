@@ -10,7 +10,9 @@ Four capabilities, all built on exact rational arithmetic:
   internally, exactly as ``from_fraction`` does, and errs by at most 9/16 ulp.
 * :func:`compute_pi_via` -- solve a verified series/closed-form pair for pi.
 * :func:`bbp_hex_digits` -- hexadecimal digits of pi at an arbitrary offset
-  without computing earlier digits (modular spigot).
+  without computing earlier digits: a spigot over Bellard's base-2**10
+  formula, one modular power per term, with a retry margin counted from
+  the terms it sums.
 * :func:`verify_bbp_equivalence` -- exact reduction of a base-16 entry to
   one of the two classic digit-extraction sum templates.
 """
@@ -50,6 +52,19 @@ SLOTS_PI = (Fraction(4), Fraction(0), Fraction(0), Fraction(-2),
 SLOTS_TWO_PI = (Fraction(0), Fraction(8), Fraction(4), Fraction(4),
                 Fraction(0), Fraction(0), Fraction(-1), Fraction(0))
 
+# Bellard's formula (F. Bellard, 1997) as one rational summand:
+#   pi = 2**-6 * sum_n (-1)**n * 2**(-10*n) * P(n)/M(n),
+#   M(n) = (4n+1)(4n+3)(10n+1)(10n+3)(10n+5)(10n+7)(10n+9),
+#   P(n)/M(n) = -2**5/(4n+1) - 1/(4n+3) + 2**8/(10n+1) - 2**6/(10n+3)
+#               - 2**2/(10n+5) - 2**2/(10n+7) + 1/(10n+9).
+# Coefficients from low to high degree.  All are positive, so P(n) > 0 and
+# M(n) > 0 for every n >= 0.
+_BELLARD_M = (2835, 65790, 570360, 2480240, 5950000, 7980000, 5600000, 1600000)
+_BELLARD_P = (570042, 6543234, 29980024, 70652400, 90764000, 60500000, 16400000)
+
+# The spigot's error margin is about 0.4 * position ulps, so even at this
+# reach it stays far below the 96 guard bits of the first attempt; the cost,
+# linear in the position, is the practical limit long before.
 _MAX_SPIGOT_REACH = 1 << 48
 
 
@@ -212,28 +227,43 @@ def compute_pi_via(spec: SeriesSpec, lhs: ConstExpr, digits: int) -> BigFloat:
 # ----------------------------------------------------------------------
 
 
-def _spigot_slot_sum(position: int, j: int, frac_bits: int) -> int:
-    """``2**frac_bits * sum_k 16^(position-k)/(8k+j)`` modulo 1, truncated."""
-    acc = 0
-    for k in range(position + 1):
-        modulus = 8 * k + j
-        acc += (pow(16, position - k, modulus) << frac_bits) // modulus
-    k = position + 1
-    while True:
-        shift = frac_bits - 4 * (k - position)
-        if shift < 0:
-            break
-        acc += (1 << shift) // (8 * k + j)
-        k += 1
-    return acc
+def _spigot_fraction(position: int, frac_bits: int) -> tuple[int, int]:
+    """Fixed-point fractional part of ``16**position * pi`` and the number of
+    terms summed, which bounds its error in ulps (see below).
 
-
-def _spigot_fraction(position: int, frac_bits: int) -> int:
-    """Fixed-point fractional part of ``16**position * pi``."""
+    With ``4*position - 6 = 10*q + c0``, term ``n`` of Bellard's sum is
+    ``(-1)**n * 2**(10*(q-n) + c0) * P(n)/M(n)``.  For ``n <= q`` only its
+    fractional part counts, ``(1024**(q-n) * 2**c0 * P(n) mod M(n)) / M(n)``:
+    one modular power modulo ``M(n)``.  Later terms are plain shifts.
+    """
+    m0, m1, m2, m3, m4, m5, m6, m7 = _BELLARD_M
+    p0, p1, p2, p3, p4, p5, p6 = _BELLARD_P
+    exponent = 4 * position - 6
+    q, c0 = divmod(exponent, 10)
+    # Drift bound.  Each floor division below errs by less than one ulp, and
+    # so does the sum of the omitted terms: for every n >= 0,
+    # |P(n)/M(n)| <= 2**5/(4n+1) + 1/(4n+3) + 2**8/(10n+1) + 2**6/(10n+3)
+    #             + 2**2/(10n+5) + 2**2/(10n+7) + 1/(10n+9) < 312 < 2**9,
+    # so in ulps term n is below 2**(exponent - 10*n + 9 + frac_bits).  The
+    # loop stops at the first n where that exponent is negative, so the tail
+    # is below 2**-1 * (1 + 2**-10 + 2**-20 + ...) < 1.  With ``terms`` terms
+    # summed the result is within ``terms + 1`` ulps of the exact value,
+    # modulo 2**frac_bits.
+    last = (exponent + 9 + frac_bits) // 10
     total = 0
-    for j, coeff in ((1, 4), (4, -2), (5, -1), (6, -1)):
-        total += coeff * _spigot_slot_sum(position, j, frac_bits)
-    return total % (1 << frac_bits)
+    for n in range(last + 1):
+        m = ((((((m7 * n + m6) * n + m5) * n + m4) * n + m3) * n + m2) * n + m1) * n + m0
+        p = (((((p6 * n + p5) * n + p4) * n + p3) * n + p2) * n + p1) * n + p0
+        if n <= q:
+            term = ((pow(1024, q - n, m) << c0) * p % m << frac_bits) // m
+        else:
+            shift = exponent - 10 * n + frac_bits
+            term = (p << shift) // m if shift >= 0 else p // (m << -shift)
+        if n & 1:
+            total -= term
+        else:
+            total += term
+    return total % (1 << frac_bits), last + 1
 
 
 def bbp_hex_digits(position: int, count: int) -> str:
@@ -241,8 +271,11 @@ def bbp_hex_digits(position: int, count: int) -> str:
 
     ``position`` is the 0-based offset of the first returned digit, so
     ``bbp_hex_digits(0, 16)`` is ``"243F6A8885A308D3"``.  Earlier digits are
-    never computed.  The reach is capped where the spigot's guard bits stop
-    dominating the accumulated one-ulp truncation errors.
+    never computed: the digits come from Bellard's base-2**10 formula, one
+    modular power per term.  The sum is within ``terms + 1`` ulps of the
+    exact value (proved in :func:`_spigot_fraction`); digits are returned
+    only when no error that small can carry into them, and otherwise the
+    sum is redone with 64 more guard bits, up to eight times.
     """
     if not 1 <= count <= 16:
         raise RangeError(f"digit count must be between 1 and 16, got {count}")
@@ -256,12 +289,12 @@ def bbp_hex_digits(position: int, count: int) -> str:
     for _ in range(8):
         frac_bits = 4 * count + extra
         guard_bits = extra
-        value = _spigot_fraction(position, frac_bits)
+        value, terms = _spigot_fraction(position, frac_bits)
         guard = value & ((1 << guard_bits) - 1)
-        # Every truncated division is short by less than one ulp; bound the
-        # total drift and retry with more guard bits when a carry could
-        # still flip the requested digits.
-        margin = 16 * (position + frac_bits) + 4096
+        # The value is within terms + 1 ulps of the exact fraction, so the
+        # digits above the guard bits are exact unless a carry of that size
+        # could still flip them; retry with more guard bits when it could.
+        margin = terms + 1
         if margin <= guard < (1 << guard_bits) - margin:
             return format(value >> guard_bits, f"0{count}X")
         extra += 64

@@ -1,9 +1,13 @@
 """Series summation, pi computation, hex-digit spigot, template equivalence."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hyperpi import engine
 from hyperpi.bigfloat import BigFloat, pi_reference
 from hyperpi.constexpr import parse_const_expr
 from hyperpi.engine import (
@@ -150,16 +154,127 @@ def test_spigot_overlap_self_consistency():
         assert a[4:] == b[:8], f"overlap mismatch at {pos}"
 
 
-def test_spigot_matches_reference_window():
-    ref = pi_reference(4 * 600 + 256)
-    for pos in (0, 250, 500):
-        assert bbp_hex_digits(pos, 16) == ref.hex_fraction_digits(pos, 16)
-
-
 def test_spigot_range_errors():
     for bad in ((0, 0), (0, 17), (-1, 4), (2**48, 1)):
         with pytest.raises(RangeError):
             bbp_hex_digits(*bad)
+
+
+# Bellard's seven slots: (weight, a, b) for weight / (a*n + b)
+BELLARD_SLOTS = ((-32, 4, 1), (-1, 4, 3), (256, 10, 1), (-64, 10, 3),
+                 (-4, 10, 5), (-4, 10, 7), (1, 10, 9))
+
+
+def bellard_summand(n):
+    return sum(F(w, a * n + b) for w, a, b in BELLARD_SLOTS)
+
+
+def poly_at(coeffs, n):
+    return sum(c * n**i for i, c in enumerate(coeffs))
+
+
+def test_bellard_constants_match_seven_slot_sum():
+    for n in range(51):
+        m = poly_at(engine._BELLARD_M, n)
+        assert m == math.prod(a * n + b for _, a, b in BELLARD_SLOTS), n
+        assert F(poly_at(engine._BELLARD_P, n), m) == bellard_summand(n), n
+    # the summand bound the drift proof rests on, largest at n = 0
+    assert sum(F(abs(w), b) for w, _, b in BELLARD_SLOTS) < 2**9
+    # and the sum itself is pi
+    pi_head = sum(F(-1) ** n / F(2) ** (10 * n + 6) * bellard_summand(n) for n in range(30))
+    ref = pi_reference(320)
+    assert abs(pi_head - F(ref.man) * F(2) ** ref.exp) < F(1, 2**290)
+
+
+def circular_distance(a, b, modulus):
+    d = (a - b) % modulus
+    return min(d, modulus - d)
+
+
+def test_spigot_drift_within_proven_bound():
+    ref = pi_reference(4 * 64 + 160 + 64)
+    for frac_bits in (24, 100, 160):
+        one = 1 << frac_bits
+        for position in range(65):
+            value, terms = engine._spigot_fraction(position, frac_bits)
+            assert 0 <= value < one
+            # the omitted tail starts where 2**(exponent + 9) ulps, the
+            # bound on each term, is below one ulp
+            assert 4 * position - 6 - 10 * terms + 9 + frac_bits < 0
+            # the same truncated sum, exactly
+            exact = sum(
+                F(-1) ** n * F(2) ** (4 * position - 6 - 10 * n) * bellard_summand(n)
+                for n in range(terms)
+            )
+            exact_scaled = (exact - math.floor(exact)) * one
+            assert circular_distance(value, exact_scaled, one) < terms, (position, frac_bits)
+            # and the whole bound, tail included, against pi itself
+            true_scaled = F(ref.man) * F(2) ** (ref.exp + 4 * position + frac_bits)
+            assert circular_distance(value, true_scaled, one) < terms + 1, (position, frac_bits)
+
+
+def test_spigot_raises_when_guard_stays_inside_margin(monkeypatch):
+    attempts = []
+
+    def inside_margin(position, frac_bits):
+        attempts.append(frac_bits)
+        return 7, 7  # guard 7 is below the margin 7 + 1
+
+    monkeypatch.setattr(engine, "_spigot_fraction", inside_margin)
+    with pytest.raises(DomainError):
+        bbp_hex_digits(123, 4)
+    assert attempts == [16 + 96 + 64 * i for i in range(8)]
+
+
+def test_spigot_accepts_guard_exactly_at_margin(monkeypatch):
+    count, terms = 4, 7
+    margin = terms + 1
+
+    def with_guard(guard_for_width):
+        def spigot_fraction(position, frac_bits):
+            guard_bits = frac_bits - 4 * count
+            return (0xBEEF << guard_bits) | guard_for_width(1 << guard_bits), terms
+        return spigot_fraction
+
+    # both ends of the accepted window [margin, 2**guard_bits - margin)
+    for accepted in (lambda width: margin, lambda width: width - margin - 1):
+        monkeypatch.setattr(engine, "_spigot_fraction", with_guard(accepted))
+        assert bbp_hex_digits(123, count) == "BEEF"
+    for rejected in (lambda width: margin - 1, lambda width: width - margin):
+        monkeypatch.setattr(engine, "_spigot_fraction", with_guard(rejected))
+        with pytest.raises(DomainError):
+            bbp_hex_digits(123, count)
+
+
+WINDOW_REACH = 2 * 10**4
+
+
+@pytest.fixture(scope="module")
+def window_reference():
+    return pi_reference(4 * (WINDOW_REACH + 16) + 256)
+
+
+def _at_fixed_positions(test):
+    # positions 0-9 cover every residue of 4p - 6 mod 10 and both negative
+    # exponents (p = 0, 1)
+    for position in range(10):
+        for count in (1, 16):
+            test = example(position=position, count=count)(test)
+    for position in (250, 500, WINDOW_REACH):
+        test = example(position=position, count=16)(test)
+    return test
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    position=st.integers(min_value=0, max_value=WINDOW_REACH),
+    count=st.integers(min_value=1, max_value=16),
+)
+@_at_fixed_positions
+def test_spigot_matches_reference_at_random_positions(window_reference, position, count):
+    assert bbp_hex_digits(position, count) == window_reference.hex_fraction_digits(
+        position, count
+    )
 
 
 def test_rational_summand_reconstructs_terms(catalog_by_id):
