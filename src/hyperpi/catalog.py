@@ -47,17 +47,9 @@ from hyperpi.bigfloat import BigFloat
 from hyperpi.constexpr import (
     ConstExpr,
     eval_const_expr,
-    gamma_leaves,
+    monomial,
     parse_const_expr,
     parse_rational_string,
-    pi_structure,
-    GammaLeaf,
-    PiLeaf,
-    PowerNode,
-    ProductNode,
-    RationalLeaf,
-    SqrtNode,
-    SumNode,
 )
 from hyperpi.dougall import WellPoisedParams, normalize_theorem_series, theorem_terms
 from hyperpi.engine import (
@@ -172,67 +164,27 @@ def _int_field(value: object, what: str) -> int:
     return value
 
 
-def _pi_exponent_allowing_gamma(expr: ConstExpr) -> int:
-    """Net pi exponent of a product-shaped tree that may hold gamma leaves."""
-    if isinstance(expr, (RationalLeaf, GammaLeaf)):
-        return 0
-    if isinstance(expr, PiLeaf):
-        return 1
-    if isinstance(expr, PowerNode):
-        return expr.exponent * _pi_exponent_allowing_gamma(expr.child)
-    if isinstance(expr, ProductNode):
-        return sum(_pi_exponent_allowing_gamma(child) for child in expr.children)
-    if isinstance(expr, (SqrtNode, SumNode)):
-        if _contains_pi(expr):
-            raise SchemaError("pi inside a square root or sum in a closed form")
-        return 0
-    raise SchemaError(f"unsupported closed-form node {expr!r}")
-
-
-def _contains_pi(expr: ConstExpr) -> bool:
-    if isinstance(expr, PiLeaf):
-        return True
-    if isinstance(expr, (SqrtNode, PowerNode)):
-        return _contains_pi(expr.child)
-    if isinstance(expr, (SumNode, ProductNode)):
-        return any(_contains_pi(child) for child in expr.children)
-    return False
-
-
 def _check_class_shape(entry_id: str, family_class: str, lhs: ConstExpr) -> None:
     pi_exp, gamma_exp = CLASS_SHAPES[family_class]
-    gammas = gamma_leaves(lhs)
+    try:
+        form = monomial(lhs)
+    except UnsupportedLhs as exc:
+        raise SchemaError(f"entry {entry_id}: {exc}") from exc
     if gamma_exp is None:
-        if gammas:
+        if form.gammas:
             raise SchemaError(
                 f"entry {entry_id}: class {family_class} must not contain gamma factors"
             )
-        try:
-            found, _ = pi_structure(lhs)
-        except UnsupportedLhs as exc:
-            raise SchemaError(f"entry {entry_id}: malformed closed form: {exc}") from exc
-        if found != pi_exp:
-            raise SchemaError(
-                f"entry {entry_id}: class {family_class} needs pi exponent {pi_exp}, "
-                f"closed form has {found}"
-            )
-        return
-    if len(gammas) != 1:
+    elif form.gammas not in [((arg, gamma_exp),) for arg in _GAMMA_ARGS]:
+        found = " * ".join(f"Gamma({arg})^{exp}" for arg, exp in form.gammas) or "none"
         raise SchemaError(
-            f"entry {entry_id}: class {family_class} needs exactly one gamma factor, "
-            f"found {len(gammas)}"
+            f"entry {entry_id}: class {family_class} needs one gamma factor at 1/3 or "
+            f"2/3 with exponent {gamma_exp}, found {found}"
         )
-    arg, exponent = gammas[0]
-    if arg not in _GAMMA_ARGS or exponent != gamma_exp:
-        raise SchemaError(
-            f"entry {entry_id}: class {family_class} needs a gamma factor at 1/3 or "
-            f"2/3 with exponent {gamma_exp}, found Gamma({arg})^{exponent}"
-        )
-    found = _pi_exponent_allowing_gamma(lhs)
-    if found != pi_exp:
+    if form.pi_exponent != pi_exp:
         raise SchemaError(
             f"entry {entry_id}: class {family_class} needs pi exponent {pi_exp}, "
-            f"closed form has {found}"
+            f"closed form has {form.pi_exponent}"
         )
 
 

@@ -47,8 +47,6 @@ from hyperpi.dougall import (
     theorem_gamma_args,
     verify_chain,
     verify_dougall,
-    verify_dual_relation,
-    verify_parity_form,
 )
 from hyperpi.engine import (
     bbp_hex_digits,
@@ -185,15 +183,6 @@ def _cmd_verify_chain(args: argparse.Namespace) -> int:
     failures = []
     for _ in range(args.trials):
         params = random_parity_params(rng, args.nmax, for_chain=True)
-        for degree in range(args.nmax + 1):
-            if not verify_parity_form(params, degree).passed:
-                failures.append(
-                    {"params": _params_str(params), "n": degree, "stage": "parity"}
-                )
-            if not verify_dual_relation(params, degree).passed:
-                failures.append(
-                    {"params": _params_str(params), "n": degree, "stage": "dual"}
-                )
         for message in verify_chain(params, args.nmax):
             failures.append({"params": _params_str(params), "detail": message})
     passed = not failures

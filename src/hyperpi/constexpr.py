@@ -20,6 +20,20 @@ Leaves: ``{"rat": "p/q"}``, ``{"pi": e}`` (integer exponent e),
 Operators: ``{"op": "add"|"sub"|"mul"|"div", "args": [<subtree>, ...]}``.
 No floating-point numbers may appear anywhere.
 
+Monomial form
+-------------
+
+Every supported closed form is one monomial, algebraic * pi**e *
+prod Gamma(a)**g: pi and gamma leaves may appear only as factors of the
+product, raised to integer powers, never inside a sum or a square root.
+:func:`monomial` is the one walker that takes a tree apart in this shape.
+It returns the pi exponent, the gamma factors as (argument, exponent)
+pairs, the algebraic residue (the same tree with every pi and gamma leaf
+replaced by the rational 1) and the residue's exact rational value, or
+None when the residue holds a square root.  Catalog validation, solving
+for pi and the digit-extraction equivalence all read the closed form
+through it.
+
 Evaluation error
 ----------------
 
@@ -33,6 +47,7 @@ in catalogs the overall constant satisfies ``c <= 10``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -200,62 +215,73 @@ def node_count(expr: ConstExpr) -> int:
     raise SchemaError(f"unknown node {expr!r}")
 
 
-def gamma_leaves(expr: ConstExpr) -> list[tuple[Fraction, int]]:
-    """All gamma factors as (argument, exponent) pairs, in tree order."""
-    out: list[tuple[Fraction, int]] = []
+@dataclass(frozen=True)
+class Monomial:
+    """A closed form as ``residue * pi**pi_exponent * prod Gamma(arg)**exp``."""
 
-    def walk(node: ConstExpr, power: int) -> None:
-        if isinstance(node, GammaLeaf):
-            out.append((node.arg, power))
-        elif isinstance(node, PowerNode):
-            walk(node.child, power * node.exponent)
-        elif isinstance(node, SqrtNode):
-            walk(node.child, power)  # exponent halving is not representable;
-            # a gamma under sqrt is still reported (callers treat it as present)
-        elif isinstance(node, (SumNode, ProductNode)):
-            for child in node.children:
-                walk(child, power)
-
-    walk(expr, 1)
-    return out
+    pi_exponent: int
+    gammas: tuple[tuple[Fraction, int], ...]  # (arg, exp) sorted by arg, exp != 0
+    residue: ConstExpr  # the tree with every pi and gamma leaf replaced by 1
+    rational: Fraction | None  # exact value of the residue; None under a sqrt
 
 
-def pi_structure(expr: ConstExpr) -> tuple[int, ConstExpr]:
-    """Split ``expr`` into ``algebraic * pi**e``.
+_ONE_LEAF = RationalLeaf(Fraction(1))
 
-    The returned algebraic factor contains neither pi nor gamma leaves.
-    Raises :class:`UnsupportedLhs` when the expression has gamma factors or
-    when pi occurs inside a sum or a square root.
+
+def monomial(expr: ConstExpr) -> Monomial:
+    """Split ``expr`` into its pi power, its gamma factors and the algebraic
+    residue, in one pass over the tree.
+
+    The residue keeps the shape and node count of ``expr``.  Raises
+    :class:`UnsupportedLhs` when pi or a gamma leaf sits inside a sum or a
+    square root, where it is not a factor of the product.
     """
-    if isinstance(expr, RationalLeaf):
-        return 0, expr
-    if isinstance(expr, PiLeaf):
-        return 1, RationalLeaf(Fraction(1))
-    if isinstance(expr, GammaLeaf):
-        raise UnsupportedLhs("closed form contains a gamma factor")
-    if isinstance(expr, PowerNode):
-        e, alg = pi_structure(expr.child)
-        return e * expr.exponent, PowerNode(alg, expr.exponent)
-    if isinstance(expr, SqrtNode):
-        e, _ = pi_structure(expr.child)
-        if e != 0:
-            raise UnsupportedLhs("pi under a square root is not solvable here")
-        return 0, expr
-    if isinstance(expr, SumNode):
-        for child in expr.children:
-            e, _ = pi_structure(child)
-            if e != 0:
-                raise UnsupportedLhs("pi inside a sum is not solvable here")
-        return 0, expr
-    if isinstance(expr, ProductNode):
-        total = 0
-        factors = []
-        for child in expr.children:
-            e, alg = pi_structure(child)
-            total += e
-            factors.append(alg)
-        return total, ProductNode(tuple(factors))
-    raise SchemaError(f"unknown node {expr!r}")
+    pi_exponent = 0
+    gammas: dict[Fraction, int] = {}
+
+    def walk(node: ConstExpr, power: int, inside: str | None):
+        """Residue of ``node`` and its exact value; ``power`` is the exponent
+        the enclosing powers put on ``node``, ``inside`` the enclosing sum or
+        square root, if any."""
+        nonlocal pi_exponent
+        if isinstance(node, RationalLeaf):
+            return node, node.value
+        if isinstance(node, (PiLeaf, GammaLeaf)):
+            if inside is not None:
+                what = "pi" if isinstance(node, PiLeaf) else f"Gamma({node.arg})"
+                raise UnsupportedLhs(
+                    f"{what} inside a {inside} is not a factor of the closed form"
+                )
+            if isinstance(node, PiLeaf):
+                pi_exponent += power
+            else:
+                gammas[node.arg] = gammas.get(node.arg, 0) + power
+            return _ONE_LEAF, _ONE_LEAF.value
+        if isinstance(node, PowerNode):
+            residue, value = walk(node.child, power * node.exponent, inside)
+            if value is not None:
+                value = value**node.exponent if value or node.exponent >= 0 else None
+            return PowerNode(residue, node.exponent), value
+        if isinstance(node, SqrtNode):
+            residue, _ = walk(node.child, power, "square root")
+            return SqrtNode(residue), None
+        if isinstance(node, SumNode):
+            parts = [walk(child, power, "sum") for child in node.children]
+            values = [value for _, value in parts]
+            known = not any(v is None for v in values)
+            total = sum(values, Fraction(0)) if known else None
+            return SumNode(tuple(residue for residue, _ in parts)), total
+        if isinstance(node, ProductNode):
+            parts = [walk(child, power, inside) for child in node.children]
+            values = [value for _, value in parts]
+            known = not any(v is None for v in values)
+            product = math.prod(values, start=Fraction(1)) if known else None
+            return ProductNode(tuple(residue for residue, _ in parts)), product
+        raise SchemaError(f"unknown node {node!r}")
+
+    residue, rational = walk(expr, 1, None)
+    factors = tuple(sorted((arg, exp) for arg, exp in gammas.items() if exp != 0))
+    return Monomial(pi_exponent, factors, residue, rational)
 
 
 # ----------------------------------------------------------------------

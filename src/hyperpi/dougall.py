@@ -805,8 +805,6 @@ def random_parity_params(
             for n in range(n_max + 1):
                 verify_parity_form(params, n)
                 verify_dual_relation(params, n)
-                shifted = params.shifted(Fraction(n // 2), Fraction(n - n // 2))
-                closed_form_quotient(shifted, n)
         except (ZeroDenominator, ZeroDivisionError):
             continue
         if for_chain and not _chain_admissible(params, n_max):

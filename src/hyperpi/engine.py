@@ -24,15 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from hyperpi.bigfloat import BigFloat, sqrt as bigfloat_sqrt
-from hyperpi.constexpr import (
-    ConstExpr,
-    PowerNode,
-    ProductNode,
-    RationalLeaf,
-    SumNode,
-    eval_const_expr,
-    pi_structure,
-)
+from hyperpi.constexpr import ConstExpr, eval_const_expr, monomial
 from hyperpi.errors import DomainError, NoMatch, RangeError, UnsupportedLhs, ZeroTerm
 from hyperpi.factorials import (
     RationalFunctionOfK,
@@ -172,16 +164,6 @@ def sum_series_naive(spec: SeriesSpec, terms: int) -> Fraction:
     return total
 
 
-def series_tail_bound(spec: SeriesSpec, k_from: int) -> Fraction:
-    """Crude rigorous-in-practice bound on ``sum_{k >= k_from} |t(k)|``.
-
-    Valid once consecutive-term ratios have settled below 1/2, which for
-    base-16 specs with low-degree weights happens within the first few
-    terms; callers always use it with ``k_from`` beyond a 20-term margin.
-    """
-    return 2 * (abs(term_eval(spec, k_from)) + abs(term_eval(spec, k_from + 1)))
-
-
 def convergence_rate(spec: SeriesSpec, k: int) -> Fraction:
     """Exact ratio t(k+1)/t(k) of consecutive terms."""
     t_k = term_eval(spec, k)
@@ -204,11 +186,14 @@ def compute_pi_via(spec: SeriesSpec, lhs: ConstExpr, digits: int) -> BigFloat:
     """
     prec = precision_for_digits(digits)
     wp = prec + 32
-    exponent, algebraic = pi_structure(lhs)
+    form = monomial(lhs)
+    if form.gammas:
+        raise UnsupportedLhs("closed form contains a gamma factor")
+    exponent = form.pi_exponent
     if exponent not in (-2, -1, 1, 2):
         raise UnsupportedLhs(f"cannot solve for pi from pi-exponent {exponent}")
     series_value = sum_series(spec, terms_for_digits(digits, spec.base), wp)
-    algebraic_value = eval_const_expr(algebraic, wp)
+    algebraic_value = eval_const_expr(form.residue, wp)
     if series_value.is_zero() or algebraic_value.is_zero():
         raise DomainError("degenerate series/closed-form pair while solving for pi")
     if exponent > 0:
@@ -343,33 +328,6 @@ def series_rational_summand(spec: SeriesSpec) -> RationalFunctionOfK:
     return RationalFunctionOfK.make(numerator, denominator)
 
 
-def _as_rational(expr: ConstExpr) -> Fraction | None:
-    if isinstance(expr, RationalLeaf):
-        return expr.value
-    if isinstance(expr, PowerNode):
-        inner = _as_rational(expr.child)
-        if inner is None or (inner == 0 and expr.exponent < 0):
-            return None
-        return inner ** expr.exponent
-    if isinstance(expr, ProductNode):
-        out = Fraction(1)
-        for child in expr.children:
-            inner = _as_rational(child)
-            if inner is None:
-                return None
-            out *= inner
-        return out
-    if isinstance(expr, SumNode):
-        out = Fraction(0)
-        for child in expr.children:
-            inner = _as_rational(child)
-            if inner is None:
-                return None
-            out += inner
-        return out
-    return None
-
-
 @dataclass(frozen=True)
 class BbpEquivalence:
     """Certificate that a base-16 series is a classic digit-extraction sum."""
@@ -394,11 +352,11 @@ def verify_bbp_equivalence(spec: SeriesSpec, lhs: ConstExpr) -> BbpEquivalence:
     """
     if spec.base != 16:
         raise NoMatch(f"digit-extraction reduction requires base 16, got {spec.base}")
-    exponent, algebraic = pi_structure(lhs)
-    if exponent != 1:
-        raise NoMatch(f"closed form has pi-exponent {exponent}, expected 1")
-    lhs_coefficient = _as_rational(algebraic)
-    if lhs_coefficient is None:
+    closed = monomial(lhs)
+    if closed.pi_exponent != 1:
+        raise NoMatch(f"closed form has pi-exponent {closed.pi_exponent}, expected 1")
+    lhs_coefficient = closed.rational
+    if closed.gammas or lhs_coefficient is None:
         raise NoMatch("closed form is not a rational multiple of pi")
     form = partial_fractions(series_rational_summand(spec))
     if any(coeff != 0 for coeff in form.poly):

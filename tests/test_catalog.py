@@ -195,6 +195,35 @@ def test_gamma_class_requires_gamma_leaf(raw_doc, tmp_path):
         load_catalog(write_doc(tmp_path, doc, "gamma-missing.json"))
 
 
+GAMMA_2_3_INV_CUBE = {"gamma": "2/3", "exp": -3}
+
+
+@pytest.mark.parametrize(
+    "lhs",
+    [
+        # Gamma under a square root: its true exponent is -3/2, not -3
+        {"op": "mul", "args": [
+            {"rat": "98/3"}, {"pi": 2}, {"sqrt": GAMMA_2_3_INV_CUBE},
+        ]},
+        # Gamma inside a sum: not a monomial at all
+        {"op": "mul", "args": [
+            {"pi": 2}, {"op": "add", "args": [{"rat": "98/3"}, GAMMA_2_3_INV_CUBE]},
+        ]},
+        # pi under a square root next to a valid gamma factor
+        {"op": "mul", "args": [
+            {"rat": "98/3"}, {"sqrt": {"pi": 4}}, GAMMA_2_3_INV_CUBE,
+        ]},
+    ],
+    ids=["gamma-under-sqrt", "gamma-in-sum", "pi-under-sqrt"],
+)
+def test_gamma_class_rejects_non_monomial_closed_forms(raw_doc, tmp_path, lhs):
+    entry = copy.deepcopy(next(e for e in raw_doc["entries"] if e["id"] == "s3.3-ex1"))
+    entry["lhs"] = lhs
+    path = write_doc(tmp_path, {"version": 1, "entries": [entry]})
+    with pytest.raises(SchemaError, match="s3.3-ex1"):
+        load_catalog(path)
+
+
 def test_verify_entry_samples(catalog_by_id):
     for eid in ("s3.1-ex1", "s3.3-ex1", "s3.4-ex1", "s3.5-ex1", "s3.7-ex1"):
         check = verify_entry(catalog_by_id[eid], 60)

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from hyperpi import dougall
 from hyperpi.cli import main
 
 
@@ -54,6 +55,20 @@ def test_verify_chain_ok(capsys):
     assert "PASS" in out
 
 
+def test_verify_chain_failure_exits_2(capsys, monkeypatch):
+    exact = dougall.parity_closed_form
+    monkeypatch.setattr(
+        dougall, "parity_closed_form", lambda params, n: exact(params, n) + 1
+    )
+    code, out, _ = run(
+        capsys, "verify", "chain", "--trials", "1", "--nmax", "2", "--seed", "3",
+        "--format", "json",
+    )
+    assert code == 2
+    rows = json.loads(out)["counterexamples"]
+    assert any(row["detail"].startswith("parity form failed") for row in rows)
+
+
 def test_verify_catalog_single_entry(capsys):
     code, out, _ = run(
         capsys, "verify", "catalog", "--id", "s3.1-ex1", "--digits", "40"
@@ -66,6 +81,21 @@ def test_verify_catalog_unknown_id(capsys):
     code, _, err = run(capsys, "verify", "catalog", "--id", "nope")
     assert code == 1
     assert "unknown catalog entry id" in err
+
+
+def test_verify_catalog_jobs_do_not_change_the_report(capsys):
+    reports = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(
+            capsys, "verify", "catalog", "--digits", "100", "--jobs", jobs,
+            "--format", "json",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["parameters"].pop("jobs") == int(jobs)
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert len(reports[0]["results"]) == 100
 
 
 def test_missing_subcommand(capsys):

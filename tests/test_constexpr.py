@@ -12,11 +12,10 @@ from hyperpi.constexpr import (
     SqrtNode,
     eval_const_expr,
     format_rational,
-    gamma_leaves,
+    monomial,
     node_count,
     parse_const_expr,
     parse_rational_string,
-    pi_structure,
     serialize_const_expr,
 )
 from hyperpi.errors import SchemaError, UnsupportedLhs
@@ -109,28 +108,54 @@ def test_pi_structure_exponents():
         ({"op": "div", "args": [{"rat": "2"}, {"pi": 1}]}, -1),
     ]
     for doc, expected_exp in cases:
-        exponent, algebraic = pi_structure(parse_const_expr(doc))
-        assert exponent == expected_exp
-        assert not gamma_leaves(algebraic)
+        expr = parse_const_expr(doc)
+        form = monomial(expr)
+        assert form.pi_exponent == expected_exp
+        assert form.gammas == ()
+        # the residue is a pure rational tree of the same size, so it
+        # evaluates at the working precision the whole tree would get
+        assert monomial(form.residue).pi_exponent == 0
+        assert node_count(form.residue) == node_count(expr)
 
 
 def test_pi_structure_keeps_algebraic_factor():
     doc = {"op": "mul", "args": [{"rat": "3/4"}, {"pi": 1}, {"sqrt": {"rat": "3"}}]}
-    exponent, algebraic = pi_structure(parse_const_expr(doc))
-    assert exponent == 1
-    value = eval_const_expr(algebraic, 200).to_float()
+    form = monomial(parse_const_expr(doc))
+    assert form.pi_exponent == 1
+    value = eval_const_expr(form.residue, 200).to_float()
     assert abs(value - 0.75 * 3**0.5) < 1e-12
+    assert form.rational is None  # the residue holds a square root
+
+
+def test_monomial_rational_residue():
+    four_pi = parse_const_expr({"op": "mul", "args": [{"rat": "4"}, {"pi": 1}]})
+    two_over_pi = parse_const_expr({"op": "div", "args": [{"rat": "2"}, {"pi": 1}]})
+    assert monomial(four_pi).rational == 4
+    assert monomial(two_over_pi).rational == 2
+    assert monomial(parse_const_expr(INV_PI_SQ)).rational == 32
+    assert monomial(parse_const_expr({"sqrt": {"rat": "4"}})).rational is None
 
 
 def test_pi_structure_rejects_unreducible_shapes():
     bad_docs = [
         {"sqrt": {"pi": 1}},
         {"op": "add", "args": [{"pi": 1}, {"rat": "1"}]},
-        {"op": "mul", "args": [{"pi": 1}, {"gamma": "1/3", "exp": 3}]},
+        {"sqrt": {"gamma": "2/3", "exp": -3}},
+        {"op": "add", "args": [{"rat": "98/3"}, {"gamma": "2/3", "exp": -3}]},
+        # a gamma factor of a product that is itself a term of a sum
+        {"op": "sub", "args": [
+            {"rat": "1"},
+            {"op": "mul", "args": [{"rat": "2"}, {"gamma": "1/3", "exp": 1}]},
+        ]},
     ]
     for doc in bad_docs:
         with pytest.raises(UnsupportedLhs):
-            pi_structure(parse_const_expr(doc))
+            monomial(parse_const_expr(doc))
+    # a gamma factor of the product is part of the monomial, not an error
+    form = monomial(
+        parse_const_expr({"op": "mul", "args": [{"pi": 1}, {"gamma": "1/3", "exp": 3}]})
+    )
+    assert (form.pi_exponent, form.gammas, form.rational) == (1, ((Fraction(1, 3), 3),), 1)
 
 
 def test_gamma_leaves_collects_powers():
@@ -141,7 +166,12 @@ def test_gamma_leaves_collects_powers():
             {"rat": "5"},
         ],
     }
-    assert gamma_leaves(parse_const_expr(doc)) == [(Fraction(2, 3), -3)]
+    form = monomial(parse_const_expr(doc))
+    assert form.gammas == ((Fraction(2, 3), -3),)
+    assert (form.pi_exponent, form.rational) == (2, Fraction(1, 5))
+    # repeated leaves merge into one factor per argument
+    twice = {"op": "mul", "args": [{"gamma": "1/3", "exp": 1}, {"gamma": "1/3", "exp": 2}]}
+    assert monomial(parse_const_expr(twice)).gammas == ((Fraction(1, 3), 3),)
 
 
 def test_node_helpers():

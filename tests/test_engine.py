@@ -1,5 +1,6 @@
 """Series summation, pi computation, hex-digit spigot, template equivalence."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from hyperpi.engine import (
     convergence_rate,
     precision_for_digits,
     series_rational_summand,
-    series_tail_bound,
     sum_series,
     sum_series_fraction,
     sum_series_naive,
@@ -87,15 +87,6 @@ def test_term_budget_helpers():
         terms_for_digits(0, 16)
 
 
-def test_tail_bound_dominates_actual_tail(catalog_by_id):
-    for eid in ("s3.1-ex1", "s3.6-ex1", "s3.7-ex1"):
-        spec = catalog_by_id[eid].spec
-        k_from = max(spec.start, 10)
-        bound = series_tail_bound(spec, k_from)
-        actual = sum(term_eval(spec, k) for k in range(k_from, k_from + 120))
-        assert abs(actual) < bound
-
-
 def test_convergence_rate_matches_terms(catalog_by_id):
     spec = catalog_by_id["s3.1-ex1"].spec
     for k in (3, 50):
@@ -121,6 +112,25 @@ def test_compute_pi_across_classes(catalog_by_id):
         got = compute_pi_via(entry.spec, entry.lhs, digits).to_decimal_string(digits)
         # final digits may round differently; the shared prefix must agree
         assert got[: digits - 2] == reference[: digits - 2], eid
+
+
+# sha256 over f"{id}:{man}:{exp}:{prec};" of compute_pi_via at 1000 digits for
+# every pi-solvable catalog entry, in catalog order
+PI_VIA_1000_DIGEST = "89f9b804692d48a29c3067b7c6645b9ae6eea16d06e54288885e747dd1ecc12b"
+
+
+def test_compute_pi_bits_are_pinned(catalog_entries):
+    digest = hashlib.sha256()
+    solved = 0
+    for entry in catalog_entries:
+        try:
+            value = compute_pi_via(entry.spec, entry.lhs, 1000)
+        except UnsupportedLhs:
+            continue
+        solved += 1
+        digest.update(f"{entry.entry_id}:{value.man}:{value.exp}:{value.prec};".encode())
+    assert solved == 67
+    assert digest.hexdigest() == PI_VIA_1000_DIGEST
 
 
 def test_compute_pi_rejects_gamma_classes(catalog_by_id):
@@ -300,6 +310,12 @@ def test_bbp_equivalence_rejects_non_bbp_entries(catalog_by_id):
     entry = catalog_by_id["s3.1-ex1"]  # closed form carries pi^-2
     with pytest.raises(NoMatch):
         verify_bbp_equivalence(entry.spec, entry.lhs)
+    # pi times a gamma factor has the right pi exponent but no rational coefficient
+    gamma_lhs = parse_const_expr(
+        {"op": "mul", "args": [{"rat": "15"}, {"pi": 1}, {"gamma": "1/3", "exp": 3}]}
+    )
+    with pytest.raises(NoMatch):
+        verify_bbp_equivalence(catalog_by_id["s3.7-ex1"].spec, gamma_lhs)
 
 
 def test_bbp_equivalence_rejects_corrupted_weight(catalog_by_id):
