@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Compute decimal digits of pi through a catalog series and time the stages.
 
-The chosen entry's series is summed exactly by binary splitting, the closed
-form is solved for pi, and the digits are cross-checked against the internal
-arctangent reference.
+The chosen entry's series is summed by binary splitting, exact below the
+working precision plus 64 guard bits and truncated with a proven error bound
+above it; the sum is rounded from that bound when every value it allows
+rounds alike, and from the exact integer pair otherwise, so it has the bits
+of the exact partial sum.  The closed form is solved for pi, and the digits
+are cross-checked against the independent arctangent reference (exit 2 on a
+mismatch).
 """
 
 import argparse

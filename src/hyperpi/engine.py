@@ -3,11 +3,12 @@
 Four capabilities, all built on exact rational arithmetic:
 
 * :func:`sum_series` -- partial sums of a :class:`~hyperpi.factorials.SeriesSpec`
-  by integer binary splitting.  The splitting and everything folded into its
-  result are exact; the one rounding step is the conversion of the unreduced
-  integer pair to a :class:`~hyperpi.bigfloat.BigFloat`
-  (:meth:`~hyperpi.bigfloat.BigFloat.from_ratio`), which rounds twice
-  internally, exactly as ``from_fraction`` does, and errs by at most 9/16 ulp.
+  rounded to ``prec`` bits, bit for bit as ``from_fraction`` rounds the exact
+  sum (at most 9/16 ulp).  Integer binary splitting runs exactly below a
+  width of ``prec + SPLIT_GUARD_BITS`` bits and merges with truncated
+  products above it, carrying a proven error bound; the result is taken
+  from that interval only when every value in it rounds the same way, and
+  otherwise from the exact pair (:func:`sum_series_fraction` stays exact).
 * :func:`compute_pi_via` -- solve a verified series/closed-form pair for pi.
 * :func:`bbp_hex_digits` -- hexadecimal digits of pi at an arbitrary offset
   without computing earlier digits: a spigot over Bellard's base-2**10
@@ -22,8 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from hyperpi.bigfloat import BigFloat, sqrt as bigfloat_sqrt
+from hyperpi.bigfloat import BigFloat, _ratio_candidates, sqrt as bigfloat_sqrt
 from hyperpi.constexpr import ConstExpr, eval_const_expr, monomial
 from hyperpi.errors import DomainError, NoMatch, RangeError, UnsupportedLhs, ZeroTerm
 from hyperpi.factorials import (
@@ -34,7 +36,7 @@ from hyperpi.factorials import (
     poly_mul,
     term_eval,
 )
-from hyperpi.splitting import product_sum
+from hyperpi.splitting import Approx, product_sum, truncated_product_sum
 
 # Slot coefficients of the two classic base-16 digit-extraction sums:
 #   sum_n 16^-n * sum_j V_j/(8n+j)  equals  pi      for V = SLOTS_PI
@@ -59,6 +61,13 @@ _BELLARD_P = (570042, 6543234, 29980024, 70652400, 90764000, 60500000, 16400000)
 # linear in the position, is the practical limit long before.
 _MAX_SPIGOT_REACH = 1 << 48
 
+# Bits beyond the target precision that sum_series keeps in its truncated
+# merges.  Each merge adds a few units to the error bound, so after the
+# ~log2(terms) merge levels the interval is some 2**-50 ulp wide and almost
+# never straddles a rounding boundary; a wider one falls back to the exact
+# pair, so this sets cost, not correctness.
+SPLIT_GUARD_BITS = 64
+
 
 def terms_for_digits(digits: int, base: int = 16) -> int:
     """Series length that leaves the truncation tail far below 10**-digits."""
@@ -79,21 +88,29 @@ def precision_for_digits(digits: int) -> int:
 # ----------------------------------------------------------------------
 
 
-def _series_ratio(spec: SeriesSpec, terms: int) -> tuple[int, int]:
-    """Exact ``additive + sign * sum`` over the first ``terms`` terms, as an
-    unreduced pair ``(num, den)`` of integers with ``den > 0``.
+class _SeriesSetup(NamedTuple):
+    """The splitting inputs of a series and the map from its (T, B) pair to
+    the value ``additive + sign * sum``."""
 
-    Runs the whole computation in big integers via binary splitting.  The
-    per-step ratio of consecutive terms is a pure product of linear factors,
-    so the weight sequence carries the polynomial and the splitting never
-    divides by a (possibly zero) polynomial value.  Leaf weights are integer
-    Horner evaluations of ``poly * lcm(denominators)``; the lead factor, the
-    sign and the additive constant fold into the pair without a gcd.
+    weight: Callable[[int], int]
+    alpha: Callable[[int], int]
+    beta: Callable[[int], int]
+    fold: Callable[[int, int], tuple[int, int]]
+
+
+def _series_setup(spec: SeriesSpec) -> _SeriesSetup:
+    """Integer splitting inputs for ``spec``.
+
+    The per-step ratio of consecutive terms is a pure product of linear
+    factors, so the weight sequence carries the polynomial and the splitting
+    never divides by a (possibly zero) polynomial value.  Leaf weights are
+    integer Horner evaluations of ``poly * lcm(denominators)``.  ``fold(t,
+    b)`` turns a pair with ``t/b = T/B`` into an unreduced pair ``(num,
+    den)``, ``den > 0``, for ``additive + sign * lead * t / (lcm * b)``
+    without a gcd; the value is monotone in ``t/b``.
     """
     spec.validate()
     additive = Fraction(spec.additive)
-    if terms <= 0:
-        return additive.numerator, additive.denominator
     s = spec.start
     lead_num = Fraction(1)
     lead_den = Fraction(spec.base) ** s
@@ -130,15 +147,29 @@ def _series_ratio(spec: SeriesSpec, terms: int) -> tuple[int, int]:
             out *= n + (s + i) * d
         return out
 
-    _, big_b, big_t = product_sum(weight, alpha, beta, 0, terms)
-    num = spec.sign * lead.numerator * int(big_t)
-    den = lead.denominator * poly_lcm * int(big_b)
-    num = additive.numerator * den + additive.denominator * num
-    den *= additive.denominator
-    # B < 0 when an odd number of its factors are, e.g. lower parameter -1/2 at k = 0.
-    if den < 0:
-        num, den = -num, -den
-    return num, den
+    def fold(t: int, b: int) -> tuple[int, int]:
+        num = spec.sign * lead.numerator * t
+        den = lead.denominator * poly_lcm * b
+        num = additive.numerator * den + additive.denominator * num
+        den *= additive.denominator
+        # B < 0 when an odd number of its factors are, e.g. lower parameter -1/2 at k = 0.
+        if den < 0:
+            num, den = -num, -den
+        return num, den
+
+    return _SeriesSetup(weight, alpha, beta, fold)
+
+
+def _series_ratio(spec: SeriesSpec, terms: int) -> tuple[int, int]:
+    """Exact ``additive + sign * sum`` over the first ``terms`` terms, as an
+    unreduced pair ``(num, den)`` of integers with ``den > 0``, by exact
+    binary splitting."""
+    setup = _series_setup(spec)
+    if terms <= 0:
+        additive = Fraction(spec.additive)
+        return additive.numerator, additive.denominator
+    _, big_b, big_t = product_sum(setup.weight, setup.alpha, setup.beta, 0, terms)
+    return setup.fold(int(big_t), int(big_b))
 
 
 def sum_series_fraction(spec: SeriesSpec, terms: int) -> Fraction:
@@ -146,12 +177,71 @@ def sum_series_fraction(spec: SeriesSpec, terms: int) -> Fraction:
     return Fraction(*_series_ratio(spec, terms))
 
 
-def sum_series(spec: SeriesSpec, terms: int, prec: int) -> BigFloat:
-    """Partial sum converted to ``prec`` bits with one division.
+def _ratio_at(t: Approx, b: Approx, upper: bool) -> tuple[int, int]:
+    """The lower or upper end of the interval for ``t/b`` as a pair of
+    integers; ``b``'s interval must lie above 0."""
+    t_m, t_x, t_e = t
+    b_m, b_x, b_e = b
+    t_end = t_m + t_e if upper else t_m - t_e
+    # t/b is smallest over the larger b when t >= 0, over the smaller when t < 0
+    b_end = b_m - b_e if (t_end >= 0) == upper else b_m + b_e
+    shift = t_x - b_x
+    if shift >= 0:
+        return t_end << shift, b_end
+    return t_end, b_end << -shift
 
-    Bit-identical to ``BigFloat.from_fraction(sum_series_fraction(spec,
-    terms), prec)``; the pair from the splitting is never reduced.
+
+def _certified_rounding(
+    low: tuple[int, int], high: tuple[int, int], prec: int
+) -> BigFloat | None:
+    """``from_ratio`` of every value between the pairs ``low`` and ``high``
+    (``den > 0``), when it is one and the same ``prec``-bit float; else None.
+
+    ``_ratio_candidates`` is monotone in |v| for each of its three results,
+    so equal results at both ends hold for the whole interval, and with
+    ``wide == narrow`` ``from_ratio`` needs no gcd to choose between them.
+    An interval that touches 0 is refused.
     """
+    (n1, d1), (n2, d2) = low, high
+    if n1 == 0 or n2 == 0 or (n1 < 0) != (n2 < 0):
+        return None
+    e1, wide1, narrow1 = _ratio_candidates(abs(n1), d1, prec)
+    e2, wide2, narrow2 = _ratio_candidates(abs(n2), d2, prec)
+    if e1 != e2 or not wide1 == narrow1 == wide2 == narrow2:
+        return None
+    return wide1.neg() if n1 < 0 else wide1
+
+
+def sum_series(spec: SeriesSpec, terms: int, prec: int) -> BigFloat:
+    """Partial sum rounded to ``prec`` bits, bit-identical to
+    ``BigFloat.from_fraction(sum_series_fraction(spec, terms), prec)``.
+
+    The sum is split by :func:`~hyperpi.splitting.truncated_product_sum`
+    at a width of ``prec + SPLIT_GUARD_BITS`` bits: exact splitting on
+    subranges below that width, truncated merges above it, with a proven
+    error bound on B and T.  The bound gives an interval for the value;
+    when every value in it rounds to the same float by the rule of
+    :meth:`~hyperpi.bigfloat.BigFloat.from_ratio`, with no gcd needed to
+    choose between its two candidates, that float is the result.  Otherwise
+    (the interval touches 0, straddles a rounding boundary or lies near a
+    midpoint) the exact pair of :func:`_series_ratio` is converted instead,
+    as it is when no merge truncated.  Either way the error is at most
+    9/16 ulp of the exact partial sum.
+    """
+    setup = _series_setup(spec)
+    if terms > 0:
+        b, t = truncated_product_sum(
+            setup.weight, setup.alpha, setup.beta, 0, terms, prec + SPLIT_GUARD_BITS
+        )
+        if b[0] < 0:
+            b, t = (-b[0], b[1], b[2]), (-t[0], t[1], t[2])
+        if b[0] > b[2]:  # B's interval excludes 0, as it always does when exact
+            low = setup.fold(*_ratio_at(t, b, False))
+            if t[2] == 0 and b[2] == 0:  # no merge truncated: low is the exact pair
+                return BigFloat.from_ratio(*low, prec)
+            out = _certified_rounding(low, setup.fold(*_ratio_at(t, b, True)), prec)
+            if out is not None:
+                return out
     return BigFloat.from_ratio(*_series_ratio(spec, terms), prec)
 
 

@@ -4,11 +4,18 @@ Evaluates sums of the form
 
     S = sum_{j=lo}^{hi-1} w(j) * prod_{i=lo}^{j-1} alpha(i) / beta(i)
 
-entirely in (big) integers.  The recursion keeps three accumulators per
-range: the alpha-product A, the beta-product B and a numerator T with
-S = T / B.  Balanced splitting keeps intermediate operands near-minimal in
-size so the dominant cost is a handful of large multiplications instead of
-quadratically many small ones.
+in (big) integers.  The recursion keeps three accumulators per range: the
+alpha-product A, the beta-product B and a numerator T with S = T / B.
+
+:func:`product_sum` computes them exactly; balanced splitting keeps
+intermediate operands near-minimal in size, so the dominant cost is a
+handful of large multiplications.  For a sum needed only to ``width``
+bits, :func:`truncated_product_sum` runs the exact splitting on subranges
+whose operands stay below ``width`` bits and merges the subranges with
+products truncated to ``width`` bits.  It returns B and T each as a
+mantissa, a binary exponent and an integer error bound, proved next to
+the merge, so the caller can tell whether the rounding it needs is
+certain and fall back to the exact pair when it is not.
 
 When gmpy2 is importable its mpz type is used for the multiplications
 (asymptotically fast); otherwise plain Python integers are used and results
@@ -25,6 +32,8 @@ except ImportError:  # pragma: no cover
     _mpz = int
 
 Intish = int  # both int and gmpy2.mpz flow through these helpers
+# (m, x, e): an approximation m * 2**x of a value X with |X - m * 2**x| <= e * 2**x
+Approx = tuple[Intish, int, Intish]
 
 
 def product_sum(
@@ -58,6 +67,76 @@ def product_sum(
         b_left * b_right,
         t_left * b_right + a_left * t_right,
     )
+
+
+def _mul(p: Approx, q: Approx) -> Approx:
+    m1, x1, e1 = p
+    m2, x2, e2 = q
+    return m1 * m2, x1 + x2, abs(m1) * e2 + abs(m2) * e1 + e1 * e2
+
+
+def _add(p: Approx, q: Approx) -> Approx:
+    m1, x1, e1 = p
+    m2, x2, e2 = q
+    if x1 < x2:
+        return m1 + (m2 << (x2 - x1)), x1, e1 + (e2 << (x2 - x1))
+    return (m1 << (x1 - x2)) + m2, x2, (e1 << (x1 - x2)) + e2
+
+
+def _truncate(p: Approx, width: int) -> Approx:
+    m, x, e = p
+    s = abs(m).bit_length() - width
+    if s <= 0:
+        return p
+    return m >> s, x + s, -(-e >> s) + 1
+
+
+def truncated_product_sum(
+    weight: Callable[[int], int],
+    alpha: Callable[[int], int],
+    beta: Callable[[int], int],
+    lo: int,
+    hi: int,
+    width: int,
+) -> tuple[Approx, Approx]:
+    """B and T of :func:`product_sum` over [lo, hi), each as an
+    :data:`Approx` ``(m, x, e)`` with ``|X - m * 2**x| <= e * 2**x``.
+
+    A subrange is split exactly by :func:`product_sum` once its length
+    times the larger bit length of ``alpha`` and ``beta`` at its two ends
+    is at most ``width``.  Larger ranges merge their halves with products
+    truncated to ``width`` bits.  When no merge truncates, both results
+    are exact (``e == 0``).
+    """
+
+    def split(lo: int, hi: int, need_a: bool) -> tuple[Approx | None, Approx, Approx]:
+        if hi - lo <= 1 or (hi - lo) * max(
+            abs(alpha(lo)).bit_length(), abs(beta(lo)).bit_length(),
+            abs(alpha(hi - 1)).bit_length(), abs(beta(hi - 1)).bit_length(),
+        ) <= width:
+            a, b, t = product_sum(weight, alpha, beta, lo, hi)
+            return (a, 0, 0), (b, 0, 0), (t, 0, 0)
+        mid = (lo + hi) // 2
+        a_left, b_left, t_left = split(lo, mid, True)
+        a_right, b_right, t_right = split(mid, hi, need_a)
+        # Error bound of a merge.  With X = (m1 + d1) * 2**x1 and
+        # Y = (m2 + d2) * 2**x2, |d1| <= e1, |d2| <= e2,
+        #     X*Y - m1*m2 * 2**(x1+x2) = (m1*d2 + m2*d1 + d1*d2) * 2**(x1+x2),
+        # at most |m1|*e2 + |m2|*e1 + e1*e2 units of 2**(x1+x2) (_mul).  A sum
+        # rewrites the operand with the larger exponent at the smaller one by
+        # shifting its mantissa and bound left, exactly, and adds the bounds
+        # (_add).  Truncating to `width` bits keeps m >> s = m/2**s - f with
+        # 0 <= f < 1, so in units of 2**(x+s) the error is below
+        # f + e/2**s < ceil(e/2**s) + 1 (_truncate).  Every step keeps
+        # |X - m * 2**x| <= e * 2**x.  The A product is needed only by a left
+        # half, so the right spine skips it.
+        b = _truncate(_mul(b_left, b_right), width)
+        t = _truncate(_add(_mul(t_left, b_right), _mul(a_left, t_right)), width)
+        a = _truncate(_mul(a_left, a_right), width) if need_a else None
+        return a, b, t
+
+    _, b, t = split(lo, hi, False)
+    return b, t
 
 
 def alternating_arctan_sum(inv_arg: int, terms: int) -> tuple[Intish, Intish]:

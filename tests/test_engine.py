@@ -28,6 +28,7 @@ from hyperpi.engine import (
 from hyperpi.errors import DomainError, NoMatch, RangeError, UnsupportedLhs, ZeroTerm
 from hyperpi.factorials import SeriesSpec, term_eval
 from hyperpi.prng import SplitMix64
+from hyperpi.splitting import product_sum, truncated_product_sum
 
 F = Fraction
 
@@ -131,6 +132,21 @@ def test_compute_pi_bits_are_pinned(catalog_entries):
         digest.update(f"{entry.entry_id}:{value.man}:{value.exp}:{value.prec};".encode())
     assert solved == 67
     assert digest.hexdigest() == PI_VIA_1000_DIGEST
+
+
+# sha256 over f"{id}:{man:x}:{exp}:{prec};" of compute_pi_via at 10**4 digits
+# for one entry per pi exponent (1, -1, 2, -2), where sum_series truncates
+PI_VIA_10000_ENTRIES = ("s3.1-ex1", "s3.5-ex16", "s3.6-ex15", "s3.2-ex1")
+PI_VIA_10000_DIGEST = "e9061cca8b3a04d6717add8d7172bcb3fafa4b8211bd35e07a64bb3f143352ae"
+
+
+def test_compute_pi_bits_are_pinned_at_ten_thousand_digits(catalog_by_id):
+    digest = hashlib.sha256()
+    for eid in PI_VIA_10000_ENTRIES:
+        entry = catalog_by_id[eid]
+        value = compute_pi_via(entry.spec, entry.lhs, 10000)
+        digest.update(f"{eid}:{value.man:x}:{value.exp}:{value.prec};".encode())
+    assert digest.hexdigest() == PI_VIA_10000_DIGEST
 
 
 def test_compute_pi_rejects_gamma_classes(catalog_by_id):
@@ -334,11 +350,71 @@ def test_bbp_equivalence_rejects_corrupted_weight(catalog_by_id):
 
 
 def test_sum_series_matches_fraction_path(catalog_entries):
-    # one division from the unreduced splitting pair gives exactly the bits
-    # of rounding the reduced exact fraction
+    # truncated splitting with a certified rounding, or one division from the
+    # exact pair, gives exactly the bits of rounding the reduced exact fraction;
+    # (851, 3450) truncates deeply on every entry
     specs = [entry.spec for entry in catalog_entries] + [NEGATIVE_LOWER, SHIFTED]
     for spec in specs:
-        for terms, prec in ((1, 53), (23, 200), (120, 700)):
+        for terms, prec in ((1, 53), (23, 200), (120, 700), (851, 3450)):
             got = sum_series(spec, terms, prec)
             want = BigFloat.from_fraction(sum_series_fraction(spec, terms), prec)
             assert (got.man, got.exp, got.prec) == (want.man, want.exp, want.prec)
+    setup = engine._series_setup(catalog_entries[0].spec)
+    b, t = truncated_product_sum(
+        setup.weight, setup.alpha, setup.beta, 0, 851, 3450 + engine.SPLIT_GUARD_BITS
+    )
+    assert b[1] > 0 and t[1] > 0 and b[2] > 0 and t[2] > 0
+
+
+def test_sum_series_fallback_gives_the_same_bits(catalog_entries, monkeypatch):
+    fallbacks = []
+    exact_ratio = engine._series_ratio
+
+    def counted_ratio(spec, terms):
+        fallbacks.append(terms)
+        return exact_ratio(spec, terms)
+
+    monkeypatch.setattr(engine, "_certified_rounding", lambda low, high, prec: None)
+    monkeypatch.setattr(engine, "_series_ratio", counted_ratio)
+    for spec in [entry.spec for entry in catalog_entries[::9]] + [NEGATIVE_LOWER, SHIFTED]:
+        for terms, prec in ((120, 300), (851, 3450)):
+            got = sum_series(spec, terms, prec)
+            want = BigFloat.from_fraction(Fraction(*exact_ratio(spec, terms)), prec)
+            assert (got.man, got.exp, got.prec) == (want.man, want.exp, want.prec)
+    assert len(fallbacks) == 2 * (len(catalog_entries[::9]) + 2)
+
+
+_params = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@st.composite
+def _series_specs(draw):
+    """Random specs: negative upper and lower parameters (sign-changing
+    terms), a start past 0, an additive constant and either sign."""
+    lower = draw(st.lists(
+        _params.filter(lambda x: x.denominator > 1 or x > 0), min_size=1, max_size=3))
+    return SeriesSpec(
+        upper=tuple(draw(st.lists(_params, min_size=1, max_size=3))),
+        lower=tuple(lower),
+        poly=tuple(draw(st.lists(_params, min_size=1, max_size=3)
+                        .filter(lambda p: any(p)))),
+        base=draw(st.integers(2, 300)),
+        start=draw(st.integers(0, 6)),
+        additive=draw(_params),
+        sign=draw(st.sampled_from((1, -1))),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series_specs(), st.integers(1, 2000), st.integers(8, 64))
+@example(NEGATIVE_LOWER, 2000, 8)
+@example(SHIFTED, 2000, 8)
+def test_truncated_splitting_bounds_hold(spec, terms, width):
+    # the exact B and T lie inside the intervals the truncated merges report;
+    # long sums at a tiny width drive the bounds past the mantissas, where
+    # every term of the product bound counts
+    setup = engine._series_setup(spec)
+    _, exact_b, exact_t = product_sum(setup.weight, setup.alpha, setup.beta, 0, terms)
+    got = truncated_product_sum(setup.weight, setup.alpha, setup.beta, 0, terms, width)
+    for exact, (man, exp, err) in zip((exact_b, exact_t), got):
+        assert abs(exact - (man << exp)) <= err << exp
