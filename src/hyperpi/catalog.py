@@ -1,5 +1,5 @@
 """Catalog of base-16 series with closed forms: loading, strict schema
-validation, high-precision verification, and matching against the two
+validation, high-precision verification, and exact matching against the two
 infinite-series generator families.
 
 File format
@@ -31,6 +31,14 @@ factor at argument 1/3 or 2/3).
 ``anomalies.json`` is a sidecar list for entries that are knowingly kept in
 a deviating state; every item must carry ``"status": "anomaly"`` and is
 reported, never silently repaired.
+
+Provenance
+----------
+
+:func:`match_to_theorem` proves each entry an exact rational multiple of
+its stated generator family, termwise; the additive constant stands in for
+the family terms below index ``max(start, 1)``, so an entry that folds its
+k = 0 term into the constant matches by the same rule.
 """
 
 from __future__ import annotations
@@ -51,13 +59,8 @@ from hyperpi.constexpr import (
     parse_const_expr,
     parse_rational_string,
 )
-from hyperpi.dougall import WellPoisedParams, normalize_theorem_series, theorem_terms
-from hyperpi.engine import (
-    precision_for_digits,
-    sum_series,
-    sum_series_fraction,
-    terms_for_digits,
-)
+from hyperpi.dougall import CHECK_WINDOW, WellPoisedParams, theorem_terms
+from hyperpi.engine import precision_for_digits, sum_series, terms_for_digits
 from hyperpi.errors import NoMatch, NoNonzeroTerm, SchemaError, UnsupportedLhs
 from hyperpi.factorials import SeriesSpec, term_values
 
@@ -119,7 +122,7 @@ class TheoremMatch:
 
     entry_id: str
     tag: str
-    mode: str  # "exact" (termwise) or "numeric" (total-value ratio)
+    mode: str  # always "exact": the match is a termwise proof
     scale: Fraction
 
 
@@ -314,24 +317,18 @@ def verify_entry(entry: CatalogEntry, digits: int) -> EntryCheck:
 # matching an entry to the generator families
 # ----------------------------------------------------------------------
 
-_EXACT_LIMIT = 50
-_NUMERIC_DIGITS = 60
-_NUMERIC_TOLERANCE = Fraction(1, 10**50)
-_SCALE_DENOMINATOR_LIMIT = 10**12
-
-
 def match_to_theorem(entry: CatalogEntry) -> TheoremMatch:
-    """Identify the entry with its stated generator family.
+    """Prove the entry an exact rational multiple of its stated family.
 
-    Exact mode proves termwise proportionality: one rational scale with
-    ``entry_term(k) == scale * family_term(k)`` for every index through
-    ``_EXACT_LIMIT`` and the additive constant equal to ``scale`` times the
-    family terms below the entry's start index.  Entries whose published
-    form was restructured (nonzero start or additive constant) may instead
-    match in numeric mode: the total values of both series agree under one
-    small rational ratio to fifty digits.  Raises :class:`NoMatch` when
-    neither applies and :class:`NoNonzeroTerm` when the comparison window
-    contains no usable term.
+    With ``cut = max(start, 1)``, one rational ``scale`` must satisfy
+    ``entry_term(k) == scale * family_term(k)`` for every k from ``cut``
+    through :data:`~hyperpi.dougall.CHECK_WINDOW`, and the head must agree:
+    the additive constant plus the entry terms below ``cut`` must equal
+    ``scale`` times the family terms below ``cut``.  ``scale`` comes from
+    the first index at which both terms are nonzero.  Raises
+    :class:`NoMatch` when an index has exactly one zero term, a term is off
+    the scale or the head disagrees, and :class:`NoNonzeroTerm` when the
+    window holds no nonzero pair.
 
     Both term sequences come from running products
     (:func:`~hyperpi.factorials.term_values` and
@@ -340,58 +337,41 @@ def match_to_theorem(entry: CatalogEntry) -> TheoremMatch:
     :class:`~hyperpi.errors.InvariantViolation` on a difference.
     """
     spec = entry.spec
-    params = entry.params
     tag = entry.theorem
-    if spec.start > _EXACT_LIMIT:
+    cut = max(spec.start, 1)
+    if cut > CHECK_WINDOW:
         raise NoNonzeroTerm(
-            f"entry {entry.entry_id}: no nonzero term below index {_EXACT_LIMIT}"
+            f"entry {entry.entry_id}: no term at or below index {CHECK_WINDOW}"
         )
-    entry_terms = term_values(spec, spec.start, _EXACT_LIMIT)
-    family_terms = theorem_terms(params, tag, _EXACT_LIMIT)
+    entry_terms = term_values(spec, spec.start, CHECK_WINDOW)
+    family_terms = theorem_terms(entry.params, tag, CHECK_WINDOW)
     scale: Fraction | None = None
-    exact_ok = True
-    saw_pair = False
-    for k, entry_term in enumerate(entry_terms, spec.start):
+    for k in range(cut, CHECK_WINDOW + 1):
+        entry_term = entry_terms[k - spec.start]
         family_term = family_terms[k]
         if scale is None:
             if entry_term == 0 and family_term == 0:
                 continue
             if entry_term == 0 or family_term == 0:
-                exact_ok = False
-                break
+                raise NoMatch(
+                    f"entry {entry.entry_id}: at k={k} exactly one of the entry "
+                    f"and family {tag} terms is zero"
+                )
             scale = entry_term / family_term
-            saw_pair = True
         elif entry_term != scale * family_term:
-            exact_ok = False
-            break
-    if exact_ok and scale is None:
+            raise NoMatch(
+                f"entry {entry.entry_id}: term at k={k} is not {scale} times "
+                f"the family {tag} term"
+            )
+    if scale is None:
         raise NoNonzeroTerm(
-            f"entry {entry.entry_id}: no nonzero term below index {_EXACT_LIMIT}"
+            f"entry {entry.entry_id}: no nonzero term pair at indices "
+            f"{cut}..{CHECK_WINDOW}"
         )
-    if exact_ok and saw_pair:
-        head = sum(family_terms[: spec.start], Fraction(0))
-        if spec.additive == scale * head:
-            return TheoremMatch(entry.entry_id, tag, "exact", scale)
-        exact_ok = False
-    if spec.start == 0 and spec.additive == 0:
+    head = spec.additive + sum(entry_terms[: cut - spec.start], Fraction(0))
+    if head != scale * sum(family_terms[:cut], Fraction(0)):
         raise NoMatch(
-            f"entry {entry.entry_id}: terms are not a rational multiple of "
-            f"family {tag} terms at the stated parameters"
+            f"entry {entry.entry_id}: additive constant and terms below k={cut} "
+            f"are not {scale} times the family {tag} terms below it"
         )
-    # Restructured entries (shifted start or folded-in constant) are compared
-    # by total value: both series must agree under one small rational ratio.
-    family_spec = normalize_theorem_series(params, tag)
-    terms = terms_for_digits(_NUMERIC_DIGITS, spec.base)
-    entry_total = sum_series_fraction(spec, terms)
-    family_total = sum_series_fraction(family_spec, terms)
-    if family_total == 0:
-        raise NoMatch(f"entry {entry.entry_id}: family {tag} sum vanishes")
-    ratio = (entry_total / family_total).limit_denominator(_SCALE_DENOMINATOR_LIMIT)
-    if ratio == 0:
-        raise NoMatch(f"entry {entry.entry_id}: total-value ratio is zero")
-    if abs(entry_total - ratio * family_total) >= _NUMERIC_TOLERANCE:
-        raise NoMatch(
-            f"entry {entry.entry_id}: totals do not stand in a small rational "
-            f"ratio to family {tag} (best candidate {ratio})"
-        )
-    return TheoremMatch(entry.entry_id, tag, "numeric", ratio)
+    return TheoremMatch(entry.entry_id, tag, "exact", scale)

@@ -76,6 +76,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(minimum: int):
+    """argparse ``type=`` for an integer no smaller than ``minimum``."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
+
+
 def _rat(value: Fraction) -> str:
     return format_rational(value)
 
@@ -397,6 +409,11 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     if args.id not in index:
         raise UsageError(f"unknown catalog entry id {args.id!r}")
     entry = index[args.id]
+    if args.k < entry.spec.start:
+        raise UsageError(
+            f"--k must be at least the entry's start index {entry.spec.start}, "
+            f"got {args.k}"
+        )
     ratio = convergence_rate(entry.spec, args.k)
     target = Fraction(1, entry.spec.base)
     deviation = abs(ratio - target) / target
@@ -436,32 +453,32 @@ def build_parser() -> _Parser:
     vsub = verify.add_subparsers(dest="target")
 
     vd = vsub.add_parser("dougall", help="terminating identity, random trials")
-    vd.add_argument("--trials", type=int, default=200)
-    vd.add_argument("--nmax", type=int, default=20)
+    vd.add_argument("--trials", type=_at_least(1), default=200)
+    vd.add_argument("--nmax", type=_at_least(0), default=20)
     vd.add_argument("--seed", type=int, default=0)
-    vd.add_argument("--max-coeff", type=int, default=10)
+    vd.add_argument("--max-coeff", type=_at_least(1), default=10)
     common(vd)
     vd.set_defaults(handler=_cmd_verify_dougall)
 
     vi = vsub.add_parser("inversion", help="inverse-pair round trips")
     vi.add_argument("--pairs", default="plain,extended")
-    vi.add_argument("--trials", type=int, default=50)
-    vi.add_argument("--nmax", type=int, default=12)
+    vi.add_argument("--trials", type=_at_least(1), default=50)
+    vi.add_argument("--nmax", type=_at_least(0), default=12)
     vi.add_argument("--seed", type=int, default=0)
     common(vi)
     vi.set_defaults(handler=_cmd_verify_inversion)
 
     vc = vsub.add_parser("chain", help="parity form, dual expansion, inverse-pair chain")
-    vc.add_argument("--trials", type=int, default=10)
-    vc.add_argument("--nmax", type=int, default=6)
+    vc.add_argument("--trials", type=_at_least(1), default=10)
+    vc.add_argument("--nmax", type=_at_least(0), default=6)
     vc.add_argument("--seed", type=int, default=0)
     common(vc)
     vc.set_defaults(handler=_cmd_verify_chain)
 
     vcat = vsub.add_parser("catalog", help="catalog entries against closed forms")
     vcat.add_argument("--id", default=None)
-    vcat.add_argument("--digits", type=int, default=100)
-    vcat.add_argument("--jobs", type=int, default=1)
+    vcat.add_argument("--digits", type=_at_least(1), default=100)
+    vcat.add_argument("--jobs", type=_at_least(1), default=1)
     vcat.add_argument("--catalog", default=None, help="path to an alternative catalog")
     vcat.add_argument("--anomalies", default=None, help="path to an anomaly sidecar")
     vcat.add_argument("--verbose", action="store_true")
@@ -471,14 +488,14 @@ def build_parser() -> _Parser:
     derive = sub.add_parser("derive", help="instantiate a generator family")
     derive.add_argument("--theorem", choices=("A", "B"), required=True)
     derive.add_argument("--params", required=True, help="a,b,c,d as rationals")
-    derive.add_argument("--terms", type=int, default=60)
-    derive.add_argument("--digits", type=int, default=40)
+    derive.add_argument("--terms", type=_at_least(1), default=60)
+    derive.add_argument("--digits", type=_at_least(1), default=40)
     common(derive)
     derive.set_defaults(handler=_cmd_derive)
 
     pi_cmd = sub.add_parser("pi", help="decimal digits of pi via a catalog entry")
     pi_cmd.add_argument("--entry", required=True)
-    pi_cmd.add_argument("--digits", type=int, default=50)
+    pi_cmd.add_argument("--digits", type=_at_least(1), default=50)
     pi_cmd.add_argument("--catalog", default=None)
     common(pi_cmd)
     pi_cmd.set_defaults(handler=_cmd_pi)

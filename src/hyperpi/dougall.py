@@ -52,6 +52,11 @@ from hyperpi.prng import SplitMix64
 
 _HALF = Fraction(1, 2)
 
+#: Last index of the exact termwise checks: :func:`normalize_theorem_series`
+#: proves its rewrite and :func:`hyperpi.catalog.match_to_theorem` its
+#: proportionality for every k through this index.
+CHECK_WINDOW = 50
+
 
 @dataclass(frozen=True)
 class WellPoisedParams:
@@ -639,17 +644,17 @@ def _family_b_weight(params: WellPoisedParams) -> tuple[Fraction, ...]:
     return poly_interpolate(points)
 
 
-def normalize_theorem_series(params: WellPoisedParams, tag: str, check_terms: int = 50) -> SeriesSpec:
+def normalize_theorem_series(params: WellPoisedParams, tag: str) -> SeriesSpec:
     """Rewrite a generator family as a flat base-16 series description.
 
     The rewrite is proven on the spot: every term of the returned
-    description from its start index up to ``check_terms`` must equal the
-    corresponding family term exactly, and a nonzero start index must be
-    compensated exactly by the additive constant.  Any discrepancy raises
-    :class:`NormalizationMismatch`.  Both sides are generated as running
-    products (:func:`~hyperpi.factorials.term_values` and
-    :func:`theorem_terms`), each checked at ``check_terms`` against its
-    definitional formula (:func:`~hyperpi.factorials.term_eval` and
+    description from its start index through :data:`CHECK_WINDOW` must
+    equal the corresponding family term exactly, and a nonzero start index
+    must be compensated exactly by the additive constant.  Any discrepancy
+    raises :class:`NormalizationMismatch`.  Both sides are generated as
+    running products (:func:`~hyperpi.factorials.term_values` and
+    :func:`theorem_terms`), each checked at :data:`CHECK_WINDOW` against
+    its definitional formula (:func:`~hyperpi.factorials.term_eval` and
     :func:`theorem_term`).
     """
     a, b, c, d = params.as_tuple()
@@ -713,8 +718,8 @@ def normalize_theorem_series(params: WellPoisedParams, tag: str, check_terms: in
     else:
         raise ValueError(f"unknown generator family tag {tag!r}")
 
-    family_terms = theorem_terms(params, tag, check_terms)
-    spec_terms = term_values(spec, spec.start, check_terms)
+    family_terms = theorem_terms(params, tag, CHECK_WINDOW)
+    spec_terms = term_values(spec, spec.start, CHECK_WINDOW)
     for k, term in enumerate(spec_terms, spec.start):
         if term != family_terms[k]:
             raise NormalizationMismatch(

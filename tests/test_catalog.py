@@ -27,7 +27,8 @@ EXPECTED_CLASS_COUNTS = {
 }
 
 # (match mode, scale) of every packaged entry, as match_to_theorem reports
-# them; s3.7-ex9 is stored with a folded-in constant and matches by value
+# them; s3.7-ex9, stored with its k = 0 term folded into the additive
+# constant, matches exactly through the head rule
 EXPECTED_MATCHES = {
     "s3.1-ex1": ("exact", "32"), "s3.1-ex2": ("exact", "32"),
     "s3.1-ex3": ("exact", "32/3"), "s3.1-ex4": ("exact", "32"),
@@ -77,7 +78,7 @@ EXPECTED_MATCHES = {
     "s3.7-ex2": ("exact", "128/3"), "s3.7-ex3": ("exact", "-16"),
     "s3.7-ex4": ("exact", "16/3"), "s3.7-ex5": ("exact", "16/3"),
     "s3.7-ex6": ("exact", "16/3"), "s3.7-ex7": ("exact", "16/3"),
-    "s3.7-ex8": ("exact", "16"), "s3.7-ex9": ("numeric", "-16"),
+    "s3.7-ex8": ("exact", "16"), "s3.7-ex9": ("exact", "-16"),
     "s3.7-ex10": ("exact", "128/3"),
 }
 
@@ -260,14 +261,32 @@ def test_match_modes_and_scales_are_pinned(catalog_entries):
     assert got == EXPECTED_MATCHES
 
 
-def test_match_numeric_fallback_for_restructured_entry(catalog_by_id):
-    # the one catalog entry stored with a folded-in additive constant cannot
-    # match termwise; its totals stand in a rational ratio instead
+def test_match_head_rule_absorbs_folded_constant(catalog_by_id):
+    # s3.7-ex9 sums from k = 0 with an additive constant: its terms are -16
+    # times the family-B terms for k >= 1, and 16 plus its k = 0 term is -16
+    # times the family's k = 0 term
     entry = catalog_by_id["s3.7-ex9"]
-    assert entry.spec.additive != 0
+    assert entry.spec.start == 0 and entry.spec.additive == 16
     match = match_to_theorem(entry)
-    assert match.mode == "numeric"
-    assert match.scale != 0
+    assert (match.mode, match.scale) == ("exact", Fraction(-16))
+
+
+@pytest.mark.parametrize(
+    "entry_id,field,value",
+    [
+        ("s3.7-ex9", "additive", "17"),
+        ("s3.1-ex1", "additive", "1"),
+        ("s3.2-ex4", "start", 0),
+    ],
+    ids=["folded-constant-off-by-one", "constant-added", "start-moved-to-zero"],
+)
+def test_match_head_rule_rejects_wrong_head(raw_doc, tmp_path, entry_id, field, value):
+    # the terms for k >= 1 still match; only the head equation can fail
+    entry = copy.deepcopy(next(e for e in raw_doc["entries"] if e["id"] == entry_id))
+    entry[field] = value
+    broken = load_catalog(write_doc(tmp_path, {"version": 1, "entries": [entry]}))[0]
+    with pytest.raises(NoMatch, match="below k=1"):
+        match_to_theorem(broken)
 
 
 def test_match_rejects_corrupted_terms(catalog_by_id, raw_doc, tmp_path):
@@ -281,8 +300,8 @@ def test_match_rejects_corrupted_terms(catalog_by_id, raw_doc, tmp_path):
 
 
 def test_match_rejects_wrong_theorem_tag(catalog_by_id, raw_doc, tmp_path):
-    # flip the tag on a plain (non-restructured) entry: termwise matching
-    # fails and no numeric fallback is available
+    # flip the tag on a plain entry: its terms are no rational multiple of
+    # the other family's, so the termwise rule fails
     doc = copy.deepcopy(raw_doc)
     target = next(e for e in doc["entries"] if e["id"] == "s3.6-ex1")
     assert target["theorem"] == "B"

@@ -98,6 +98,41 @@ def test_verify_catalog_jobs_do_not_change_the_report(capsys):
     assert len(reports[0]["results"]) == 100
 
 
+BAD_COUNTS = [
+    ("verify", "dougall", "--nmax", "-1"),
+    ("verify", "dougall", "--max-coeff", "0"),
+    ("verify", "dougall", "--trials", "-3"),
+    ("verify", "chain", "--nmax", "-1"),
+    ("verify", "inversion", "--nmax", "-1"),
+    ("verify", "catalog", "--digits", "0"),
+    ("verify", "catalog", "--jobs", "0"),
+    ("verify", "catalog", "--jobs", "-2"),
+    ("pi", "--entry", "s3.1-ex1", "--digits", "0"),
+    ("derive", "--theorem", "A", "--params", "1/2,1/2,1/2,1/2", "--digits", "0"),
+    ("derive", "--theorem", "A", "--params", "1/2,1/2,1/2,1/2", "--terms", "0"),
+    ("rate", "--id", "s3.1-ex1", "--k", "-1"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_COUNTS, ids=[" ".join(argv) for argv in BAD_COUNTS])
+def test_bad_counts_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "usage error" in err
+    assert "Traceback" not in out + err
+
+
+# sha256 of the full catalog report at 100 digits: every entry's verdict,
+# error exponent, match mode, scale and BBP family
+CATALOG_REPORT_DIGEST = "ae19e7c8729f75a23f377fc96e55e3ca7642202ce8bf60b54a6e6d7578e82623"
+
+
+def test_catalog_report_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "catalog", "--digits", "100", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_REPORT_DIGEST
+
+
 def test_missing_subcommand(capsys):
     assert run(capsys)[0] == 1
     assert run(capsys, "verify")[0] == 1
