@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 
@@ -162,6 +161,8 @@ def _cmd_verify_dougall(args: argparse.Namespace) -> int:
 
 def _cmd_verify_inversion(args: argparse.Namespace) -> int:
     pairs = [p.strip() for p in args.pairs.split(",") if p.strip()]
+    if not pairs:
+        raise UsageError(f"--pairs names no inverse pair: {args.pairs!r} (use plain, extended)")
     for pair in pairs:
         if pair not in ("plain", "extended"):
             raise UsageError(f"unknown inverse pair {pair!r} (use plain, extended)")
@@ -264,6 +265,9 @@ def _cmd_verify_catalog(args: argparse.Namespace) -> int:
     else:
         chosen = [entry.entry_id for entry in entries]
     if args.jobs > 1:
+        # imported here: a serial run never pays for it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(
                 pool.map(

@@ -17,6 +17,17 @@ covers, for a parameter quadruple (a, b, c, d):
   are four-factor gamma quotients; :func:`normalize_theorem_series` turns
   either family into a flat :class:`~hyperpi.factorials.SeriesSpec` in base
   16 and proves the rewrite exact term by term.
+
+The finite identities run on integers.  The quadruple is written over its
+common denominator q (:attr:`WellPoisedParams.scaled`), so every linear form
+such as 1+a-b-c or b+c+d-a-n is an integer X over q, and a rising factorial
+(X/q)_m is prod (X + iq) over q^m.  The powers of q cancel wherever upper
+and lower forms are equally many: six over six in the Dougall sum's term
+ratio, four over four in its closed quotient and in the dual quotient, and
+5k + 2 over 5k + 2 in the k-th dual summand.  Each identity is then an
+integer loop that yields two unreduced pairs, compared once by
+cross-multiplication (:class:`IdentityCheck`); fractions are built only for
+reports.  The samplers test admissibility on the same integers.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from hyperpi.bigfloat import BigFloat
@@ -38,7 +50,6 @@ from hyperpi.factorials import (
     binomial,
     poch_quotient,
     poch_step,
-    pochhammer,
     poly_divmod,
     poly_eval,
     poly_interpolate,
@@ -47,7 +58,7 @@ from hyperpi.factorials import (
     term_values,
 )
 from hyperpi.gammafn import gamma_quotient
-from hyperpi.inversion import InversionScheme, forward_extended
+from hyperpi.inversion import InversionScheme, forward_extended, inverse_extended_terms
 from hyperpi.prng import SplitMix64
 
 _HALF = Fraction(1, 2)
@@ -77,17 +88,64 @@ class WellPoisedParams:
     def shifted(self, db: Fraction, dd: Fraction) -> "WellPoisedParams":
         return WellPoisedParams(self.a, self.b + db, self.c, self.d + dd)
 
+    @cached_property
+    def scaled(self) -> tuple[int, int, int, int, int]:
+        """(q, a q, b q, c q, d q) over the least common denominator q."""
+        q = math.lcm(*(x.denominator for x in self.as_tuple()))
+        return (q, *(x.numerator * (q // x.denominator) for x in self.as_tuple()))
+
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """Outcome of one exact identity instance."""
+    """Outcome of one exact identity instance.
 
-    lhs: Fraction
-    rhs: Fraction
+    Each side is an unreduced integer pair (numerator, denominator) with a
+    nonzero denominator.  ``passed`` compares the pairs by one
+    cross-multiplication; ``lhs`` and ``rhs`` reduce them to fractions, for
+    reports.
+    """
+
+    lhs_pair: tuple[int, int]
+    rhs_pair: tuple[int, int]
+
+    @property
+    def lhs(self) -> Fraction:
+        return Fraction(*self.lhs_pair)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(*self.rhs_pair)
 
     @property
     def passed(self) -> bool:
-        return self.lhs == self.rhs
+        (p, q), (r, s) = self.lhs_pair, self.rhs_pair
+        return p * s == r * q
+
+
+def _rising(x: int, q: int, m: int) -> int:
+    """Numerator of the rising factorial (x/q)_m, whose denominator is q**m."""
+    out = 1
+    for factor in range(x, x + m * q, q):
+        out *= factor
+    return out
+
+
+def _rising_quotient(
+    upper: Sequence[int], lower: Sequence[int], q: int, m: int
+) -> tuple[int, int]:
+    """prod (u/q)_m over prod (l/q)_m as an unreduced pair.
+
+    Upper and lower forms are equally many, so the powers of q cancel.
+    Raises :class:`ZeroDenominator` when a lower rising factorial vanishes.
+    """
+    num = den = 1
+    for u in upper:
+        num *= _rising(u, q, m)
+    for low in lower:
+        den *= _rising(low, q, m)
+    if den == 0:
+        raise ZeroDenominator(f"lower rising factorial vanished at n={m}")
+    return num, den
 
 
 # ----------------------------------------------------------------------
@@ -95,56 +153,63 @@ class IdentityCheck:
 # ----------------------------------------------------------------------
 
 
-def closed_form_quotient(params: WellPoisedParams, n: int) -> Fraction:
-    """The closed rising-factorial quotient equal to the terminating sum."""
-    a, b, c, d = params.as_tuple()
-    return poch_quotient(
-        (1 + a, 1 + a - b - c, 1 + a - b - d, 1 + a - c - d),
-        (1 + a - b, 1 + a - c, 1 + a - d, 1 + a - b - c - d),
-        n,
-    )
+def _closed_forms(
+    q: int, a: int, b: int, c: int, d: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Numerators over q of the closed quotient's forms: (1+a, 1+a-b-c,
+    1+a-b-d, 1+a-c-d) over (1+a-b, 1+a-c, 1+a-d, 1+a-b-c-d)."""
+    s = q + a
+    return (s, s - b - c, s - b - d, s - c - d), (s - b, s - c, s - d, s - b - c - d)
+
+
+def _dougall_pairs(params: WellPoisedParams, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Degree-n very-well-poised sum and the closed quotient equal to it, as
+    unreduced pairs from one loop over k.
+
+    The terminating fifth numerator parameter e = 1 + 2a + n - b - c - d is
+    chosen so the closed form applies.  Over the common denominator q of the
+    parameters both the sum's term ratio (six upper forms over six lower)
+    and the closed quotient (four over four) are free of q, so the step
+    from k to k + 1 multiplies integers only: the running term by
+    prod (U + kq) / prod (L + kq), the sum kept over the running
+    denominator.  Raises :class:`ZeroDenominator` when a denominator of the
+    sum vanishes; the closed quotient's denominator may be zero.
+    """
+    q, a, b, c, d = params.scaled
+    if a == 0:
+        raise ZeroLeadParameter("the leading parameter must be nonzero")
+    nq = n * q
+    e, neg_n = q + 2 * a + nq - b - c - d, -nq
+    low1, low2, low3 = q + a - b, q + a - c, q + a - d
+    low4, low5 = b + c + d - a - nq, q + a + nq
+    (u0, u1, u2, u3), (v0, v1, v2, v3) = _closed_forms(q, a, b, c, d)
+    # sum = acc / (den * a); term k is (a + 2kq) / a * num / den
+    acc = a
+    num = den = cnum = cden = 1
+    for kq in range(0, nq, q):
+        lo = (q + kq) * (low1 + kq) * (low2 + kq) * (low3 + kq) * (low4 + kq) * (low5 + kq)
+        if lo == 0:
+            raise ZeroDenominator(f"series denominator vanished at k={kq // q + 1}")
+        num *= (a + kq) * (b + kq) * (c + kq) * (d + kq) * (e + kq) * (neg_n + kq)
+        den *= lo
+        acc = acc * lo + (a + 2 * (kq + q)) * num
+        cnum *= (u0 + kq) * (u1 + kq) * (u2 + kq) * (u3 + kq)
+        cden *= (v0 + kq) * (v1 + kq) * (v2 + kq) * (v3 + kq)
+    return (acc, den * a), (cnum, cden)
 
 
 def wellpoised_sum(params: WellPoisedParams, n: int) -> Fraction:
     """Degree-n very-well-poised sum with the terminating fifth numerator
-    parameter chosen so the closed form applies.
-
-    The sum is kept as one unreduced integer pair: with every parameter
-    written p/q, the step from term k to term k + 1 multiplies the running
-    numerator by prod (p_u + k q_u) prod q_l and the running denominator by
-    prod q_u prod (p_l + k q_l), and the pair is reduced once at the end.
-    """
-    a, b, c, d = params.as_tuple()
-    if a == 0:
-        raise ZeroLeadParameter("the leading parameter must be nonzero")
-    e = 1 + 2 * a + n - b - c - d
-    upper = (a, b, c, d, e, Fraction(-n))
-    lower = (Fraction(1), 1 + a - b, 1 + a - c, 1 + a - d, b + c + d - a - n, 1 + a + n)
-    upper_pq = [(u.numerator, u.denominator) for u in upper]
-    lower_pq = [(low.numerator, low.denominator) for low in lower]
-    pa, qa = a.numerator, a.denominator
-    # sum = acc / (den * pa); term k is (pa + 2k qa) / pa * num / den
-    acc = pa
-    num = den = 1
-    for k in range(n):
-        up = lo = 1
-        for p, q in upper_pq:
-            up *= p + k * q
-            lo *= q
-        for p, q in lower_pq:
-            lo *= p + k * q
-            up *= q
-        if lo == 0:
-            raise ZeroDenominator(f"series denominator vanished at k={k + 1}")
-        num *= up
-        den *= lo
-        acc = acc * lo + (pa + 2 * (k + 1) * qa) * num
-    return Fraction(acc, den * pa)
+    parameter chosen so the closed form applies."""
+    return Fraction(*_dougall_pairs(params, n)[0])
 
 
 def verify_dougall(params: WellPoisedParams, n: int) -> IdentityCheck:
     """Exact check: terminating sum against the closed quotient."""
-    return IdentityCheck(wellpoised_sum(params, n), closed_form_quotient(params, n))
+    total, closed = _dougall_pairs(params, n)
+    if closed[1] == 0:
+        raise ZeroDenominator(f"lower rising factorial vanished at n={n}")
+    return IdentityCheck(total, closed)
 
 
 # ----------------------------------------------------------------------
@@ -154,20 +219,29 @@ def verify_dougall(params: WellPoisedParams, n: int) -> IdentityCheck:
 
 def parity_closed_form(params: WellPoisedParams, n: int) -> Fraction:
     """Three-bracket factorization of the parity-shifted closed quotient."""
-    a, b, c, d = params.as_tuple()
-    half_down = n // 2
-    half_up = n - half_down
-    return (
-        poch_quotient((1 + a - c - d, b + c - a), (1 + a - d, b - a), half_down)
-        * poch_quotient((1 + a, b + d - a), (1 + a - c, b + c + d - a), n)
-        * poch_quotient((1 + a - b - c, c + d - a), (1 + a - b, d - a), half_up)
-    )
+    q, a, b, c, d = params.scaled
+    down, up = n // 2, n - n // 2
+    num1, den1 = _rising_quotient((q + a - c - d, b + c - a), (q + a - d, b - a), q, down)
+    num2, den2 = _rising_quotient((q + a, b + d - a), (q + a - c, b + c + d - a), q, n)
+    num3, den3 = _rising_quotient((q + a - b - c, c + d - a), (q + a - b, d - a), q, up)
+    return Fraction(num1 * num2 * num3, den1 * den2 * den3)
+
+
+def _shifted_closed_pair(params: WellPoisedParams, n: int) -> tuple[int, int]:
+    """The closed quotient at (b + floor(n/2), d + ceil(n/2)) as a pair."""
+    q, a, b, c, d = params.scaled
+    forms = _closed_forms(q, a, b + n // 2 * q, c, d + (n - n // 2) * q)
+    return _rising_quotient(*forms, q, n)
 
 
 def verify_parity_form(params: WellPoisedParams, n: int) -> IdentityCheck:
-    """Closed quotient at (b + floor(n/2), d + ceil(n/2)) vs the bracket product."""
-    shifted = params.shifted(Fraction(n // 2), Fraction(n - n // 2))
-    return IdentityCheck(closed_form_quotient(shifted, n), parity_closed_form(params, n))
+    """Closed quotient at (b + floor(n/2), d + ceil(n/2)) vs the bracket product.
+
+    The bracket side comes through :func:`parity_closed_form`, reduced once.
+    """
+    closed = _shifted_closed_pair(params, n)
+    brackets = parity_closed_form(params, n)
+    return IdentityCheck(closed, (brackets.numerator, brackets.denominator))
 
 
 # ----------------------------------------------------------------------
@@ -175,76 +249,81 @@ def verify_parity_form(params: WellPoisedParams, n: int) -> IdentityCheck:
 # ----------------------------------------------------------------------
 
 
-def dual_quotient(params: WellPoisedParams, n: int) -> Fraction:
-    """Left-hand quotient of the dual expansion at degree n."""
-    a, b, c, d = params.as_tuple()
-    return poch_quotient(
-        (b, c, d, 1 + 2 * a - b - c - d),
-        (1 + a - b, 1 + a - c, 1 + a - d, b + c + d - a),
+def _dual_quotient_pair(params: WellPoisedParams, n: int) -> tuple[int, int]:
+    q, a, b, c, d = params.scaled
+    return _rising_quotient(
+        (b, c, d, q + 2 * a - b - c - d),
+        (q + a - b, q + a - c, q + a - d, b + c + d - a),
+        q,
         n,
     )
 
 
-def dual_summand(params: WellPoisedParams, n: int, k: int) -> Fraction:
-    """Signed k-th term of the dual expansion (k = 0..n).
+def dual_quotient(params: WellPoisedParams, n: int) -> Fraction:
+    """Left-hand quotient of the dual expansion at degree n."""
+    return Fraction(*_dual_quotient_pair(params, n))
+
+
+def _dual_expansion(
+    params: WellPoisedParams, n: int
+) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+    """The signed terms k = 0..n of the dual expansion and their total, as
+    unreduced pairs.
 
     Even k contributes positively, odd k negatively; the two parities carry
-    structurally different weights.
+    structurally different weights.  With j = floor(k/2) and i = ceil(k/2),
+    term k is
+
+        (-1)^k C(n,k) w_k (a+n)_k (b+d-a)_k E_j G_i / (den_k),
+        E_m = (1+a-c-d)_m (b)_m (b+c-a)_m,  G_m = (1+a-b-c)_m (d)_m (c+d-a)_m,
+        den_k = (1+a-d)_j (1+a-b)_i (b+n)_i (b-a-n)_i (d+n)_(j+1)
+                (d-a-n)_(j+1) (1+a-c)_k (b+c+d-a)_k,
+
+    with w_k = (d+3j)(d-a-j) for even k and (b+3j+1)(b-a-j-1) for odd k.
+    Each side has 5k + 2 linear factors, so over the common denominator q
+    the term is a quotient of integers.  From k to k + 1 the rising
+    products gain one factor each, and E or G three, so they are stepped,
+    and the total is kept over the running denominator.
     """
-    a, b, c, d = params.as_tuple()
-    common_e = poch_quotient((1 + a - c - d, b, b + c - a), (1 + a - d,), k // 2)
-    if k % 2 == 0:
-        j = k // 2
-        num = (
-            binomial(n, k)
-            * (d + 3 * j)
-            * (d - a - j)
-            * pochhammer(a + n, 2 * j)
-            * common_e
-            * poch_quotient((1 + a - b - c, d, c + d - a), (1 + a - b,), j)
-            * pochhammer(b + d - a, 2 * j)
-        )
-        den = (
-            pochhammer(b + n, j)
-            * pochhammer(b - a - n, j)
-            * pochhammer(d + n, j + 1)
-            * pochhammer(d - a - n, j + 1)
-            * pochhammer(1 + a - c, 2 * j)
-            * pochhammer(b + c + d - a, 2 * j)
-        )
+    q, a, b, c, d = params.scaled
+    nq = n * q
+    num, den = 1, (d + nq) * (d - a - nq)
+    acc = 0
+    terms = []
+    for k in range(n + 1):
+        step = 1
+        if k:
+            kq = (k - 1) * q
+            num *= (a + nq + kq) * (b + d - a + kq)
+            step = (q + a - c + kq) * (b + c + d - a + kq)
+            iq = (k - 1) // 2 * q
+            if k % 2:  # i grows
+                num *= (q + a - b - c + iq) * (d + iq) * (c + d - a + iq)
+                step *= (q + a - b + iq) * (b + nq + iq) * (b - a - nq + iq)
+            else:  # j grows
+                num *= (q + a - c - d + iq) * (b + iq) * (b + c - a + iq)
+                step *= (q + a - d + iq) * (d + nq + iq + q) * (d - a - nq + iq + q)
+            den *= step
         if den == 0:
             raise ZeroDenominator(f"dual summand denominator vanished at n={n}, k={k}")
-        return num / den
-    j = (k - 1) // 2
-    num = (
-        binomial(n, k)
-        * (b + 3 * j + 1)
-        * (b - a - j - 1)
-        * pochhammer(a + n, 2 * j + 1)
-        * common_e
-        * poch_quotient((1 + a - b - c, d, c + d - a), (1 + a - b,), j + 1)
-        * pochhammer(b + d - a, 2 * j + 1)
-    )
-    den = (
-        pochhammer(b + n, j + 1)
-        * pochhammer(b - a - n, j + 1)
-        * pochhammer(d + n, j + 1)
-        * pochhammer(d - a - n, j + 1)
-        * pochhammer(1 + a - c, 2 * j + 1)
-        * pochhammer(b + c + d - a, 2 * j + 1)
-    )
-    if den == 0:
-        raise ZeroDenominator(f"dual summand denominator vanished at n={n}, k={k}")
-    return -num / den
+        jq = k // 2 * q
+        if k % 2:
+            weight = -(b + 3 * jq + q) * (b - a - jq - q)
+        else:
+            weight = (d + 3 * jq) * (d - a - jq)
+        term = binomial(n, k) * weight * num
+        terms.append((term, den))
+        acc = acc * step + term
+    return terms, (acc, den)
 
 
 def dual_expansion_sum(params: WellPoisedParams, n: int) -> Fraction:
-    return sum((dual_summand(params, n, k) for k in range(n + 1)), Fraction(0))
+    return Fraction(*_dual_expansion(params, n)[1])
 
 
 def verify_dual_relation(params: WellPoisedParams, n: int) -> IdentityCheck:
     """Exact check: dual quotient against its binomial expansion."""
-    return IdentityCheck(dual_quotient(params, n), dual_expansion_sum(params, n))
+    return IdentityCheck(_dual_quotient_pair(params, n), _dual_expansion(params, n)[1])
 
 
 # ----------------------------------------------------------------------
@@ -269,27 +348,6 @@ def assignment_scheme(params: WellPoisedParams, n_max: int) -> InversionScheme:
     return InversionScheme(tuple(a_vals), (Fraction(1),) * (n_max + 1), lam=a)
 
 
-def assignment_g(params: WellPoisedParams, k: int) -> Fraction:
-    """g-sequence of the assignment: the dual quotient times (a)_k / a."""
-    a = params.a
-    if a == 0:
-        raise ZeroLeadParameter("the leading parameter must be nonzero")
-    return dual_quotient(params, k) * pochhammer(a, k) / a
-
-
-def assignment_f(params: WellPoisedParams, n: int, scheme: InversionScheme) -> Fraction:
-    """f-sequence of the assignment: the parity-shifted closed form scaled
-    by the scheme's triangular products."""
-    a = params.a
-    shifted = params.shifted(Fraction(n // 2), Fraction(n - n // 2))
-    return (
-        closed_form_quotient(shifted, n)
-        * scheme.phi(a, n)
-        * scheme.phi(Fraction(0), n)
-        / (a + n)
-    )
-
-
 def verify_chain(params: WellPoisedParams, n_max: int) -> list[str]:
     """Exact cross-checks linking closed form, inversion and dual expansion.
 
@@ -299,12 +357,31 @@ def verify_chain(params: WellPoisedParams, n_max: int) -> list[str]:
     2. the extended forward transform of g reproduces f,
     3. each dual summand equals the corresponding inverse-transform term,
     4. the dual expansion totals the dual quotient.
+
+    The assignment is g(k) = dual quotient * (a)_k / a and f(n) = the
+    parity-shifted closed quotient * phi(a; n) phi(0; n) / (a + n).  Over
+    the common denominator q, (a)_k is an integer over q**k and a + n one
+    over q; the g values are reduced once, as the transform's input, and
+    everything else is compared as unreduced pairs.
     """
-    a = params.a
+    q, a = params.scaled[:2]
+    if a == 0:
+        raise ZeroLeadParameter("the leading parameter must be nonzero")
     failures: list[str] = []
     scheme = assignment_scheme(params, n_max)
-    g_vals = [assignment_g(params, k) for k in range(n_max + 1)]
-    f_vals = [assignment_f(params, n, scheme) for n in range(n_max + 1)]
+    phi_a, phi_0 = scheme.phi_prefix(params.a), scheme.phi_prefix(0)
+    g_vals = []
+    f_pairs = []
+    for n in range(n_max + 1):
+        num, den = _dual_quotient_pair(params, n)
+        g_vals.append(Fraction(num * _rising(a, q, n) * q, den * q**n * a))
+        if a + n * q == 0:
+            raise ZeroDenominator(f"a + n vanished at n={n}")
+        num, den = _shifted_closed_pair(params, n)
+        f_pairs.append((
+            num * phi_a[0][n] * phi_0[0][n] * q,
+            den * phi_a[1][n] * phi_0[1][n] * (a + n * q),
+        ))
 
     for n in range(n_max + 1):
         chk = verify_parity_form(params, n)
@@ -312,36 +389,22 @@ def verify_chain(params: WellPoisedParams, n_max: int) -> list[str]:
             failures.append(f"parity form failed at n={n}: {chk.lhs} != {chk.rhs}")
 
     for n in range(n_max + 1):
-        got = forward_extended(scheme, lambda k: g_vals[k], n)
-        if got != f_vals[n]:
-            failures.append(f"forward transform at n={n}: {got} != {f_vals[n]}")
+        got = forward_extended(scheme, g_vals.__getitem__, n)
+        chk = IdentityCheck((got.numerator, got.denominator), f_pairs[n])
+        if not chk.passed:
+            failures.append(f"forward transform at n={n}: {got} != {chk.rhs}")
 
+    # Term k of the extended inverse transform of f at n, times a / (a)_n.
+    # (a)_n is nonzero here: for an integer a in [1 - n, 0], a + m vanishes
+    # at m = -a < n, which raised above.
     for n in range(n_max + 1):
-        poch_a_n = pochhammer(a, n)
-        if poch_a_n == 0:
-            failures.append(f"(a)_n vanished at n={n}")
-            continue
-        for k in range(n + 1):
-            a_k = scheme.a_of(k)
-            weight = (a_k + a + k) * (a_k - k)
-            den = scheme.phi(a + n, k + 1) * scheme.phi(Fraction(-n), k + 1)
-            if den == 0:
-                failures.append(f"phi denominator vanished at n={n}, k={k}")
-                continue
-            term = (
-                Fraction(-1) ** k
-                * binomial(n, k)
-                * weight
-                / den
-                * pochhammer(a + k, n)
-                * f_vals[k]
-                * a
-                / poch_a_n
-            )
-            want = dual_summand(params, n, k)
-            if term != want:
+        scale = (a * q**n, q * _rising(a, q, n))
+        summands = _dual_expansion(params, n)[0]
+        for k, (num, den) in enumerate(inverse_extended_terms(scheme, f_pairs, n)):
+            chk = IdentityCheck((num * scale[0], den * scale[1]), summands[k])
+            if not chk.passed:
                 failures.append(
-                    f"summand mapping at n={n}, k={k}: {term} != {want}"
+                    f"summand mapping at n={n}, k={k}: {chk.lhs} != {chk.rhs}"
                 )
 
     for n in range(n_max + 1):
@@ -770,31 +833,28 @@ def random_finite_params(
 
 
 def _finite_params_admissible(params: WellPoisedParams, n_max: int) -> bool:
-    a, b, c, d = params.as_tuple()
+    q, a, b, c, d = params.scaled
     if a == 0:
         return False
-    lowers = (1 + a - b, 1 + a - c, 1 + a - d, 1 + a - b - c - d)
-    for low in lowers:
-        if _hits_zero(low, n_max):
+    for low in _closed_forms(q, a, b, c, d)[1]:
+        if _hits_zero(low, q, n_max):
             return False
     # Over n = 0..n_max, the lower parameters b+c+d-a-n and 1+a+n of the
     # degree-n sum vanish within n steps exactly when b+c+d-a is an integer
     # in [0, n_max] or 1+a is an integer in [-2 n_max, 0].
-    return not (_hits_zero(a - b - c - d, n_max) or _hits_zero(1 + a, 2 * n_max))
+    return not (_hits_zero(a - b - c - d, q, n_max) or _hits_zero(q + a, q, 2 * n_max))
 
 
-def _hits_zero(x: Fraction, span: int) -> bool:
-    """True when (x)_k = 0 for some 1 <= k <= span + 1."""
-    if x.denominator != 1:
-        return False
-    return -span <= x <= 0
+def _hits_zero(x: int, q: int, span: int) -> bool:
+    """True when (x/q)_k = 0 for some 1 <= k <= span + 1."""
+    return x % q == 0 and -span * q <= x <= 0
 
 
 def random_parity_params(
     rng: SplitMix64, n_max: int, max_coeff: int = 10, for_chain: bool = False
 ) -> WellPoisedParams:
     """Random parameters admissible for the parity form and dual expansion
-    up to degree ``n_max`` (rejection sampled by direct evaluation).
+    up to degree ``n_max`` (rejection sampled).
 
     With ``for_chain=True`` the scheme denominators of the inverse-pair
     assignment are additionally required to be nonzero.
@@ -806,29 +866,34 @@ def random_parity_params(
             rng.fraction(max_coeff, max_coeff),
             rng.fraction(max_coeff, max_coeff),
         )
-        try:
-            for n in range(n_max + 1):
-                verify_parity_form(params, n)
-                verify_dual_relation(params, n)
-        except (ZeroDenominator, ZeroDivisionError):
-            continue
-        if for_chain and not _chain_admissible(params, n_max):
-            continue
-        return params
+        if _parity_params_admissible(params, n_max, for_chain):
+            return params
 
 
-def _chain_admissible(params: WellPoisedParams, n_max: int) -> bool:
-    a = params.a
-    scheme = assignment_scheme(params, n_max)
+def _parity_params_admissible(params: WellPoisedParams, n_max: int, for_chain: bool) -> bool:
+    """True when no lower rising factorial of :func:`verify_parity_form`,
+    :func:`verify_dual_relation` (and, for the chain, of the assignment's
+    scheme and transforms) vanishes at any degree n <= n_max.
+
+    (x)_m vanishes when x is an integer in [1 - m, 0], so each form is
+    tested with span m - 1 at the largest index m it is raised to.
+    """
+    q, a, b, c, d = params.scaled
     for n in range(n_max + 1):
-        if a + n == 0 or pochhammer(a, n) == 0:
-            return False
-        for k in range(n + 1):
-            if scheme.phi(a + n, k + 1) == 0 or scheme.phi(Fraction(-n), k + 1) == 0:
+        nq, down, up = n * q, n // 2, n - n // 2
+        forms = (
+            # closed quotient at (b + down, d + up); dual quotient; brackets
+            (q + a - b - down * q, n), (q + a - c, n), (q + a - d - up * q, n),
+            (q + a - b - c - d - nq, n), (q + a - b, n), (q + a - d, n),
+            (b + c + d - a, n), (b - a, down), (d - a, up),
+            # dual summands k = 0..n; the scheme's phi(a + n; .), phi(-n; .)
+            (b + nq, up), (b - a - nq, up), (d + nq, down + 1), (d - a - nq, down + 1),
+        )
+        for x, m in forms:
+            if _hits_zero(x, q, m - 1):
                 return False
-            if pochhammer(a + n, k + 1) == 0 or pochhammer(a + k, n) == 0:
-                return False
-    return True
+    # the chain divides by a + n and by (a + n)_(k+1) for k <= n <= n_max
+    return not (for_chain and _hits_zero(a, q, 2 * n_max))
 
 
 _VALID_DENOMS = (2, 3, 4, 6, 12)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from hyperpi.errors import (
     DomainError,
@@ -87,30 +87,6 @@ def poch_step(upper: Sequence[Fraction], lower: Sequence[Fraction], n: int) -> F
         num *= low.denominator
     if den == 0:
         raise ZeroDenominator(f"lower rising factorial vanished at n={n + 1}")
-    return Fraction(num, den)
-
-
-def phi_eval(
-    a_of: Callable[[int], Fraction],
-    b_of: Callable[[int], Fraction],
-    x: Fraction,
-    n: int,
-) -> Fraction:
-    """The triangular product phi(x; n) = prod_{j=0}^{n-1} (a_j + x * b_j).
-
-    phi(x; 0) = 1 by convention.  Each factor is an integer numerator over
-    the product of the denominators of a_j, x and b_j; the numerators and
-    denominators are multiplied as integers and reduced once.
-    """
-    if n < 0:
-        raise DomainError("phi requires a nonnegative length")
-    px, qx = x.numerator, x.denominator
-    num = den = 1
-    for j in range(n):
-        a, b = a_of(j), b_of(j)
-        qa, qb = a.denominator, b.denominator
-        num *= a.numerator * qx * qb + px * b.numerator * qa
-        den *= qa * qx * qb
     return Fraction(num, den)
 
 

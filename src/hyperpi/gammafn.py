@@ -51,11 +51,15 @@ def spouge_shape(prec: int) -> int:
 def _bracket_cancellation_bits(z: float, a: int) -> int:
     """Guard bits for the alternating Spouge bracket sum.
 
-    The summands peak near ``sqrt(a) * exp(a)`` while the bracket itself is
-    only ``Gamma(z+1) * (z+a)**-(z+1/2) * exp(z+a)``; the base-2 gap between
-    the two is the number of leading bits lost to cancellation.
+    The largest summand |c_k| / (z+k) (near k = 0.22 a, about exp(1.28 a))
+    far exceeds the bracket itself, ``Gamma(z+1) * (z+a)**-(z+1/2) *
+    exp(z+a)``; the base-2 gap between the two is the number of leading bits
+    lost to cancellation.
     """
-    log2_max_term = 0.5 * math.log2(max(a - 1, 2)) + (a - 1) / math.log(2) - math.log2(z + 1)
+    log2_max_term = max(
+        (k - 0.5) * math.log2(a - k) + (a - k - math.lgamma(k)) / math.log(2) - math.log2(z + k)
+        for k in range(1, a)
+    )
     log2_bracket = (
         math.lgamma(z + 1) / math.log(2)
         - (z + 0.5) * math.log2(z + a)

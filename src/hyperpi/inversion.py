@@ -21,17 +21,35 @@ and the extended pair, with an extra free parameter ``lam``, is
 
 Round-trip checks apply one transform then the other and compare with the
 original sequence, exactly.
+
+Everything is integer arithmetic.  Each a_j, b_j pair is written over its
+common denominator q_j, and phi(x; .) at an evaluation point x = X/s is
+built once per scheme as a prefix product of the integer factors
+A_j s + X B_j, its denominators q_j s in a second prefix product.  At degree
+n the weight of input k then takes the form u_k / (c e_0 ... e_k): the
+denominators that do not depend on k gather in c, the ones that grow with k
+(phi(n; k+1), (lam+n)_{k+1}, phi(lam+n; k+1) phi(-n; k+1)) are nested
+products.  A transform value is one Horner pass over the inputs, written
+over their least common denominator, giving one unreduced pair that is
+reduced once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
-from hyperpi.errors import ZeroDenominator
-from hyperpi.factorials import binomial, phi_eval, pochhammer
+from hyperpi.errors import DomainError, ZeroDenominator
+from hyperpi.factorials import binomial
 from hyperpi.prng import SplitMix64
+
+Pair = tuple[int, int]  # unreduced (numerator, denominator)
+# Integer form of a transform at degree n: the weight of input k is
+# u[k] / (c * e[0] * ... * e[k]) for (u, e, c).
+Weights = tuple[list[int], list[int], int]
 
 
 @dataclass(frozen=True)
@@ -45,6 +63,7 @@ class InversionScheme:
     a_values: tuple[Fraction, ...]
     b_values: tuple[Fraction, ...]
     lam: Fraction = Fraction(0)
+    _prefixes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def a_of(self, j: int) -> Fraction:
         return self.a_values[j]
@@ -52,77 +71,150 @@ class InversionScheme:
     def b_of(self, j: int) -> Fraction:
         return self.b_values[j]
 
+    @cached_property
+    def scaled(self) -> list[tuple[int, int, int]]:
+        """(A_j, B_j, q_j) with a_j = A_j / q_j and b_j = B_j / q_j over
+        the least common denominator q_j of the pair."""
+        out = []
+        for a, b in zip(self.a_values, self.b_values):
+            q = math.lcm(a.denominator, b.denominator)
+            out.append((a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q))
+        return out
+
+    def phi_prefix(self, x: Fraction) -> tuple[list[int], list[int]]:
+        """phi(x; m) for every tabulated m as two integer prefix products.
+
+        With x = X/s, factor j is (A_j s + X B_j) / (q_j s): entry m of the
+        first list is the product of the numerators below m, of the second
+        the product of the denominators.  Built once per evaluation point.
+        """
+        prefix = self._prefixes.get(x)
+        if prefix is None:
+            big_x, s = x.numerator, x.denominator
+            nums, dens = [1], [1]
+            for a, b, q in self.scaled:
+                nums.append(nums[-1] * (a * s + big_x * b))
+                dens.append(dens[-1] * q * s)
+            prefix = self._prefixes[x] = (nums, dens)
+        return prefix
+
     def phi(self, x: Fraction, n: int) -> Fraction:
-        return phi_eval(self.a_of, self.b_of, Fraction(x), n)
+        """The triangular product phi(x; n) = prod_{j<n} (a_j + x b_j)."""
+        if n < 0:
+            raise DomainError("phi requires a nonnegative length")
+        nums, dens = self.phi_prefix(Fraction(x))
+        return Fraction(nums[n], dens[n])
 
 
 SequenceFn = Callable[[int], Fraction]
 
 
+def _forward_plain_weights(scheme: InversionScheme, n: int) -> Weights:
+    u = [(-1) ** k * binomial(n, k) * scheme.phi_prefix(k)[0][n] for k in range(n + 1)]
+    return u, [1] * (n + 1), scheme.phi_prefix(0)[1][n]
+
+
+def _inverse_plain_weights(scheme: InversionScheme, n: int) -> Weights:
+    # (a_k + k b_k) / phi(n; k+1) = (A_k + k B_k) q_0 ... q_(k-1) / prod_{j<=k} (A_j + n B_j)
+    q_prefix = scheme.phi_prefix(0)[1]
+    u, e = [], []
+    for k, (a, b, _) in enumerate(scheme.scaled[: n + 1]):
+        if a + n * b == 0:
+            raise ZeroDenominator(f"phi(n; k+1) vanished at n={n}, k={k}")
+        u.append((-1) ** k * binomial(n, k) * (a + k * b) * q_prefix[k])
+        e.append(a + n * b)
+    return u, e, 1
+
+
+def _forward_extended_weights(scheme: InversionScheme, n: int) -> Weights:
+    # phi(lam+k; n) phi(-k; n) (lam + 2k) / (lam+n)_(k+1), with lam = p/s:
+    # the phi denominators do not depend on k, and (lam + 2k) / (lam+n)_(k+1)
+    # is (p + 2ks) s^k / prod_{i<=k} (p + (n+i) s)
+    p, s = scheme.lam.numerator, scheme.lam.denominator
+    u, e = [], []
+    for k in range(n + 1):
+        if p + (n + k) * s == 0:
+            raise ZeroDenominator(f"(lam+n)_(k+1) vanished at n={n}, k={k}")
+        phis = scheme.phi_prefix(scheme.lam + k)[0][n] * scheme.phi_prefix(-k)[0][n]
+        u.append((-1) ** k * binomial(n, k) * phis * (p + 2 * k * s) * s**k)
+        e.append(p + (n + k) * s)
+    return u, e, scheme.phi_prefix(scheme.lam)[1][n] * scheme.phi_prefix(0)[1][n]
+
+
+def _inverse_extended_weights(scheme: InversionScheme, n: int) -> Weights:
+    # (a_k + (lam+k) b_k)(a_k - k b_k) / (phi(lam+n; k+1) phi(-n; k+1)) (lam+k)_n:
+    # the q_k and s of factor k cancel against those of the two phi, leaving
+    # the denominator prefixes below k, and (lam+k)_n is an integer over s^n
+    p, s = scheme.lam.numerator, scheme.lam.denominator
+    lam_dens, dens = scheme.phi_prefix(scheme.lam)[1], scheme.phi_prefix(0)[1]
+    u, e = [], []
+    for k, (a, b, _) in enumerate(scheme.scaled[: n + 1]):
+        factor = (a * s + (p + n * s) * b) * (a - n * b)
+        if factor == 0:
+            raise ZeroDenominator(f"phi products vanished at n={n}, k={k}")
+        rising = 1
+        for i in range(k, k + n):
+            rising *= p + i * s
+        u.append(
+            (-1) ** k * binomial(n, k) * (a * s + (p + k * s) * b) * (a - k * b)
+            * lam_dens[k] * dens[k] * rising
+        )
+        e.append(factor)
+    return u, e, s**n
+
+
+def _apply(weights: Weights, values: Sequence[Fraction]) -> Pair:
+    """sum_k u_k v_k / (c e_0 ... e_k) as one unreduced pair: the values
+    over their least common denominator, the sum by Horner's rule over the
+    nested denominators."""
+    u, e, c = weights
+    common = math.lcm(*(v.denominator for v in values))
+    acc, den = 0, c * common
+    for u_k, e_k, v in zip(u, e, values):
+        acc = acc * e_k + u_k * v.numerator * (common // v.denominator)
+        den *= e_k
+    return acc, den
+
+
+def _transform(weights: Weights, seq: SequenceFn) -> Fraction:
+    return Fraction(*_apply(weights, [seq(k) for k in range(len(weights[0]))]))
+
+
 def forward_plain(scheme: InversionScheme, g: SequenceFn, n: int) -> Fraction:
     """f(n) from g via the plain forward transform."""
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += (-1) ** k * binomial(n, k) * scheme.phi(Fraction(k), n) * g(k)
-    return total
+    return _transform(_forward_plain_weights(scheme, n), g)
 
 
 def inverse_plain(scheme: InversionScheme, f: SequenceFn, n: int) -> Fraction:
     """g(n) from f via the plain inverse transform."""
-    total = Fraction(0)
-    for k in range(n + 1):
-        weight = scheme.a_of(k) + k * scheme.b_of(k)
-        den = scheme.phi(Fraction(n), k + 1)
-        if den == 0:
-            raise ZeroDenominator(f"phi(n; k+1) vanished at n={n}, k={k}")
-        total += (-1) ** k * binomial(n, k) * weight / den * f(k)
-    return total
+    return _transform(_inverse_plain_weights(scheme, n), f)
 
 
 def forward_extended(scheme: InversionScheme, g: SequenceFn, n: int) -> Fraction:
     """f(n) from g via the extended forward transform."""
-    lam = scheme.lam
-    total = Fraction(0)
-    for k in range(n + 1):
-        den = pochhammer(lam + n, k + 1)
-        if den == 0:
-            raise ZeroDenominator(f"(lam+n)_(k+1) vanished at n={n}, k={k}")
-        total += (
-            (-1) ** k
-            * binomial(n, k)
-            * scheme.phi(lam + k, n)
-            * scheme.phi(Fraction(-k), n)
-            * (lam + 2 * k)
-            / den
-            * g(k)
-        )
-    return total
+    return _transform(_forward_extended_weights(scheme, n), g)
 
 
 def inverse_extended(scheme: InversionScheme, f: SequenceFn, n: int) -> Fraction:
     """g(n) from f via the extended inverse transform."""
-    lam = scheme.lam
-    total = Fraction(0)
-    for k in range(n + 1):
-        a_k, b_k = scheme.a_of(k), scheme.b_of(k)
-        weight = (a_k + (lam + k) * b_k) * (a_k - k * b_k)
-        den = scheme.phi(lam + n, k + 1) * scheme.phi(Fraction(-n), k + 1)
-        if den == 0:
-            raise ZeroDenominator(f"phi products vanished at n={n}, k={k}")
-        total += (
-            (-1) ** k
-            * binomial(n, k)
-            * weight
-            / den
-            * pochhammer(lam + k, n)
-            * f(k)
-        )
-    return total
+    return _transform(_inverse_extended_weights(scheme, n), f)
 
 
-def _tabulate(fn: SequenceFn, n_max: int) -> SequenceFn:
-    values = [fn(k) for k in range(n_max + 1)]
-    return lambda k: values[k]
+def inverse_extended_terms(scheme: InversionScheme, f: Sequence[Pair], n: int) -> list[Pair]:
+    """The n + 1 summands of the extended inverse transform at n, for f
+    given as unreduced pairs, each an unreduced pair."""
+    u, e, den = _inverse_extended_weights(scheme, n)
+    out = []
+    for u_k, e_k, (num_k, den_k) in zip(u, e, f):
+        den *= e_k
+        out.append((u_k * num_k, den * den_k))
+    return out
+
+
+_PAIRS = {
+    "plain": (_forward_plain_weights, _inverse_plain_weights),
+    "extended": (_forward_extended_weights, _inverse_extended_weights),
+}
 
 
 def roundtrip_check(
@@ -134,26 +226,23 @@ def roundtrip_check(
     """Exact round-trip failures (empty list when the pair inverts cleanly).
 
     Both composition orders are checked: forward-then-inverse recovers g,
-    and inverse-then-forward recovers g as well.
+    and inverse-then-forward recovers g as well.  The intermediate sequence
+    is reduced once per value; each recovered value stays an unreduced pair
+    and is compared with g by cross-multiplication.
     """
-    g = lambda k: g_values[k]
-    failures: list[str] = []
-    if pair == "plain":
-        fwd, inv = forward_plain, inverse_plain
-    elif pair == "extended":
-        fwd, inv = forward_extended, inverse_extended
-    else:
+    if pair not in _PAIRS:
         raise ValueError(f"unknown pair {pair!r}")
-    f = _tabulate(lambda k: fwd(scheme, g, k), n_max)
-    for n in range(n_max + 1):
-        got = inv(scheme, f, n)
-        if got != g_values[n]:
-            failures.append(f"{pair}: inverse(forward(g))({n}) = {got} != {g_values[n]}")
-    h = _tabulate(lambda k: inv(scheme, g, k), n_max)
-    for n in range(n_max + 1):
-        got = fwd(scheme, h, n)
-        if got != g_values[n]:
-            failures.append(f"{pair}: forward(inverse(g))({n}) = {got} != {g_values[n]}")
+    fwd, inv = _PAIRS[pair]
+    failures: list[str] = []
+    for first, second, label in ((fwd, inv, "inverse(forward(g))"),
+                                 (inv, fwd, "forward(inverse(g))")):
+        middle = [Fraction(*_apply(first(scheme, n), g_values[: n + 1]))
+                  for n in range(n_max + 1)]
+        for n in range(n_max + 1):
+            num, den = _apply(second(scheme, n), middle[: n + 1])
+            want = g_values[n]
+            if num * want.denominator != want.numerator * den:
+                failures.append(f"{pair}: {label}({n}) = {Fraction(num, den)} != {want}")
     return failures
 
 
@@ -187,21 +276,16 @@ def random_scheme(
 
 
 def _scheme_admissible(scheme: InversionScheme, n_max: int, extended: bool) -> bool:
-    for n in range(n_max + 1):
-        for j in range(n_max + 1):
-            if scheme.a_of(j) + n * scheme.b_of(j) == 0:
-                return False
-    if extended:
-        lam = scheme.lam
+    p, s = scheme.lam.numerator, scheme.lam.denominator
+    for a, b, _ in scheme.scaled:
         for n in range(n_max + 1):
-            if pochhammer(lam + n, n_max + 1) == 0:
+            if a + n * b == 0:
                 return False
-            for j in range(n_max + 1):
-                if scheme.a_of(j) + (lam + n) * scheme.b_of(j) == 0:
-                    return False
-                if scheme.a_of(j) - n * scheme.b_of(j) == 0:
-                    return False
-    return True
+            # phi(lam+n; .) and phi(-n; .) stay nonzero
+            if extended and (a * s + (p + n * s) * b == 0 or a - n * b == 0):
+                return False
+    # (lam+n)_(n_max+1) stays nonzero for n <= n_max
+    return not extended or not any(p + i * s == 0 for i in range(2 * n_max + 1))
 
 
 def random_sequence(rng: SplitMix64, n_max: int, max_coeff: int = 20) -> tuple[Fraction, ...]:

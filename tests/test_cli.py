@@ -4,11 +4,18 @@ import copy
 import hashlib
 import importlib.resources
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
+import hyperpi
 from hyperpi import dougall
 from hyperpi.cli import main
+from hyperpi.constexpr import format_rational
+from hyperpi.dougall import WellPoisedParams
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +76,36 @@ def test_verify_chain_failure_exits_2(capsys, monkeypatch):
     assert any(row["detail"].startswith("parity form failed") for row in rows)
 
 
+def test_verify_dougall_failure_exits_2(capsys, monkeypatch):
+    # the closed quotient taken at b + 1: every trial of positive degree fails,
+    # and each counterexample shows both sides as reduced fractions
+    closed_forms = dougall._closed_forms
+    monkeypatch.setattr(
+        dougall, "_closed_forms", lambda q, a, b, c, d: closed_forms(q, a, b + q, c, d)
+    )
+    code, out, _ = run(
+        capsys, "verify", "dougall", "--trials", "4", "--nmax", "6", "--seed", "1",
+        "--format", "json",
+    )
+    assert code == 2
+    rows = json.loads(out)["counterexamples"]
+    assert rows
+    for row in rows:
+        params = WellPoisedParams.make(*(Fraction(x) for x in row["params"]))
+        check = dougall.verify_dougall(params, row["n"])
+        assert row["sum"] == format_rational(check.lhs) == str(check.lhs)
+        assert row["closed_form"] == format_rational(check.rhs) == str(check.rhs)
+        assert check.lhs == dougall.wellpoised_sum(params, row["n"]) != check.rhs
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # concurrent.futures is imported only by a catalog run with --jobs > 1
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hyperpi.__file__)))
+    probe = "import sys, hyperpi.cli; sys.exit('concurrent.futures' in sys.modules)"
+    subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                   check=True, timeout=60)
+
+
 def test_verify_catalog_single_entry(capsys):
     code, out, _ = run(
         capsys, "verify", "catalog", "--id", "s3.1-ex1", "--digits", "40"
@@ -104,6 +141,7 @@ BAD_COUNTS = [
     ("verify", "dougall", "--trials", "-3"),
     ("verify", "chain", "--nmax", "-1"),
     ("verify", "inversion", "--nmax", "-1"),
+    ("verify", "inversion", "--pairs", ","),
     ("verify", "catalog", "--digits", "0"),
     ("verify", "catalog", "--jobs", "0"),
     ("verify", "catalog", "--jobs", "-2"),

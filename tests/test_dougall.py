@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from hyperpi import dougall
 from hyperpi.bigfloat import BigFloat, agrees_to_bits
 from hyperpi.dougall import (
     WellPoisedParams,
     _finite_params_admissible,
+    _parity_params_admissible,
+    assignment_scheme,
     dual_expansion_sum,
     dual_limit_deviation,
     dual_quotient,
@@ -31,7 +34,7 @@ from hyperpi.dougall import (
 )
 from hyperpi.engine import sum_series, sum_series_fraction
 from hyperpi.errors import NormalizationMismatch, ZeroDenominator
-from hyperpi.factorials import term_eval
+from hyperpi.factorials import pochhammer, term_eval
 from hyperpi.gammafn import gamma_quotient
 from hyperpi.prng import SplitMix64
 
@@ -163,6 +166,84 @@ def test_finite_params_admissible_matches_per_degree_rule():
         )
 
 
+def _chain_admissible_reference(params, n_max):
+    """The chain's extra rule as first written: every divisor of
+    :func:`verify_chain` evaluated as a fraction."""
+    a = params.a
+    scheme = assignment_scheme(params, n_max)
+    for n in range(n_max + 1):
+        if a + n == 0 or pochhammer(a, n) == 0:
+            return False
+        for k in range(n + 1):
+            if scheme.phi(a + n, k + 1) == 0 or scheme.phi(F(-n), k + 1) == 0:
+                return False
+            if pochhammer(a + n, k + 1) == 0 or pochhammer(a + k, n) == 0:
+                return False
+    return True
+
+
+def _parity_params_admissible_reference(params, n_max, for_chain):
+    """The sampler's rule by evaluation: run both identities at every degree."""
+    try:
+        for n in range(n_max + 1):
+            verify_parity_form(params, n)
+            verify_dual_relation(params, n)
+    except ZeroDenominator:
+        return False
+    return not for_chain or _chain_admissible_reference(params, n_max)
+
+
+def test_parity_params_admissible_matches_evaluation_rule():
+    # every parameter an integer or half-integer, so that most lower forms of
+    # the parity and dual checks sit on or next to their integer rejection
+    # ranges; a runs over both of its ranges, [-2 n_max, 0] for the chain
+    a_values = [F(p, 2) for p in range(-26, 5) if p]
+    triples = [
+        (F(b, 2), F(c, 2), F(d, 2))
+        for b, c, d in ((1, 1, 1), (-3, 2, 5), (4, -1, -6), (0, 3, 2), (-8, -2, 7),
+                        (6, 0, -3), (2, -5, 0), (-1, 4, -4))
+    ]
+    rejected = accepted = 0
+    for n_max in (0, 3, 12):
+        for a in a_values:
+            for b, c, d in triples:
+                params = WellPoisedParams(a, b, c, d)
+                for for_chain in (False, True):
+                    want = _parity_params_admissible_reference(params, n_max, for_chain)
+                    assert _parity_params_admissible(params, n_max, for_chain) == want
+                    accepted += want
+                    rejected += not want
+    rng = SplitMix64(41)
+    for _ in range(2000):
+        params = WellPoisedParams(
+            rng.fraction(12, 2, nonzero=True), *(rng.fraction(12, 3) for _ in range(3))
+        )
+        n_max = rng.randint(0, 12)
+        for for_chain in (False, True):
+            want = _parity_params_admissible_reference(params, n_max, for_chain)
+            assert _parity_params_admissible(params, n_max, for_chain) == want
+            accepted += want
+            rejected += not want
+    assert accepted > 1000 and rejected > 1000
+
+
+def test_parity_sampler_streams_match_evaluation_rule():
+    # the seeded streams, and so the trials of verify chain, stay as they were
+    for seed in range(6):
+        for n_max in (2, 6, 12):
+            for for_chain in (False, True):
+                rng, reference = SplitMix64(seed), SplitMix64(seed)
+                for _ in range(3):
+                    while True:
+                        want = WellPoisedParams(
+                            reference.fraction(10, 10, nonzero=True),
+                            *(reference.fraction(10, 10) for _ in range(3)),
+                        )
+                        if _parity_params_admissible_reference(want, n_max, for_chain):
+                            break
+                    assert random_parity_params(rng, n_max, for_chain=for_chain) == want
+
+
 def test_parity_form_splits_the_sum():
     rng = SplitMix64(17)
     for _ in range(10):
@@ -183,6 +264,34 @@ def test_dual_relation():
     # the dual expansion agrees with its quotient on shifted parameters too
     params = P("5/4", "3/4", "1/2", "2/3").shifted(F(1, 3), F(-1, 6))
     assert dual_expansion_sum(params, 5) == dual_quotient(params, 5)
+
+
+def test_identity_checks_fail_on_a_wrong_side(monkeypatch):
+    # each side deliberately wrong by one parameter shift: the
+    # cross-multiplied comparison must see it
+    params = random_parity_params(SplitMix64(43), 8)
+    n = 7
+    for check in (verify_dougall, verify_parity_form, verify_dual_relation):
+        assert check(params, n).passed
+    closed_forms = dougall._closed_forms
+    monkeypatch.setattr(
+        dougall, "_closed_forms", lambda q, a, b, c, d: closed_forms(q, a, b + q, c, d)
+    )
+    wrong = verify_dougall(params, n)
+    assert wrong.passed is False
+    assert wrong.lhs == wellpoised_sum(params, n) != wrong.rhs
+    brackets = dougall.parity_closed_form
+    monkeypatch.setattr(
+        dougall, "parity_closed_form", lambda p, m: brackets(p.shifted(F(1, 3), F(0)), m)
+    )
+    assert verify_parity_form(params, n).passed is False
+    expansion = dougall._dual_expansion
+    monkeypatch.setattr(
+        dougall, "_dual_expansion", lambda p, m: expansion(p.shifted(F(0), F(1, 3)), m)
+    )
+    wrong = verify_dual_relation(params, n)
+    assert wrong.passed is False
+    assert wrong.lhs == dual_quotient(params, n)
 
 
 def test_chain_derivation_term_for_term():

@@ -14,7 +14,6 @@ from hyperpi.factorials import (
     SeriesSpec,
     binomial,
     partial_fractions,
-    phi_eval,
     poch_quotient,
     pochhammer,
     poly_divmod,
@@ -134,37 +133,6 @@ def test_poch_quotient_matches_stepwise_definition(upper, lower, n):
             poch_quotient(upper, lower, n)
     else:
         assert poch_quotient(upper, lower, n) == want
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.tuples(fractions_st, st.one_of(st.just(Fraction(0)), fractions_st)),
-             max_size=12),
-    st.one_of(fractions_st, st.integers(min_value=-12, max_value=12).map(Fraction)),
-    st.data(),
-)
-def test_phi_eval_matches_stepwise_definition(pairs, x, data):
-    a_vals = [a for a, _ in pairs]
-    b_vals = [b for _, b in pairs]
-    n = data.draw(st.integers(min_value=0, max_value=len(pairs)))
-    want = Fraction(1)
-    for j in range(n):
-        want *= a_vals[j] + x * b_vals[j]
-    got = phi_eval(a_vals.__getitem__, b_vals.__getitem__, x, n)
-    assert type(got) is Fraction
-    assert got == want
-
-
-def test_phi_eval_edge_cases():
-    a_vals = [Fraction(3, 2), Fraction(-1, 3), Fraction(2)]
-    b_vals = [Fraction(0), Fraction(1, 3), Fraction(-5, 4)]
-    assert phi_eval(a_vals.__getitem__, b_vals.__getitem__, Fraction(7, 5), 0) == 1
-    # b_0 = 0: the first factor is a_0 whatever x is
-    assert phi_eval(a_vals.__getitem__, b_vals.__getitem__, Fraction(-9, 7), 1) == Fraction(3, 2)
-    # a_1 + x b_1 = 0 at x = 1: the product vanishes
-    assert phi_eval(a_vals.__getitem__, b_vals.__getitem__, Fraction(1), 3) == 0
-    with pytest.raises(DomainError):
-        phi_eval(a_vals.__getitem__, b_vals.__getitem__, Fraction(1), -1)
 
 
 coeff_lists = st.lists(fractions_st, min_size=1, max_size=6)

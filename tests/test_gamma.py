@@ -1,5 +1,6 @@
 """Gamma function at rational arguments via the Spouge approximation."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -115,3 +116,27 @@ def test_asymptotic_normalization_improves_with_n():
         deviations.append(abs(ratio.to_float() - 1.0))
     assert deviations[0] > deviations[1] > deviations[2]
     assert deviations[2] < 1e-3
+
+
+def _exact(value: BigFloat) -> Fraction:
+    return Fraction(value.man) * Fraction(2) ** value.exp
+
+
+@pytest.mark.parametrize(
+    "x,digits",
+    [(Fraction(p, q), 100) for p, q in ((1, 3), (2, 3), (1, 4), (3, 4), (1, 5), (5, 8))]
+    + [(Fraction(1, 3), 300), (Fraction(5, 8), 300)],
+    ids=str,
+)
+def test_gamma_rational_matches_mpmath(x, digits):
+    # the stated bound: relative error below 2**(8 - prec), and so below
+    # 10**-digits at prec = digits * log2(10) + 8 bits; mpmath works 64 bits
+    # deeper, so its own error is far below the slack of 2**-(prec + 32)
+    mpmath = pytest.importorskip("mpmath")
+    prec = math.ceil(digits * math.log2(10)) + 8
+    with mpmath.workprec(prec + 64):
+        man, exp = mpmath.gamma(mpmath.mpf(x.numerator) / x.denominator).man_exp
+    reference = Fraction(man) * Fraction(2) ** exp
+    error = abs(_exact(gamma_rational(x, prec)) - reference)
+    assert error <= reference * (Fraction(1, 2 ** (prec - 8)) + Fraction(1, 2 ** (prec + 32)))
+    assert error < reference / 10**digits

@@ -1,8 +1,15 @@
 """Inverse pairs of finite series transforms."""
 
+from dataclasses import replace
 from fractions import Fraction
 
-from hyperpi.factorials import binomial, phi_eval
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyperpi import inversion
+from hyperpi.errors import DomainError
+from hyperpi.factorials import binomial
 from hyperpi.inversion import (
     InversionScheme,
     forward_extended,
@@ -14,6 +21,13 @@ from hyperpi.inversion import (
     roundtrip_check,
 )
 from hyperpi.prng import SplitMix64
+
+
+fractions_st = st.builds(
+    Fraction,
+    st.integers(min_value=-60, max_value=60),
+    st.integers(min_value=1, max_value=12),
+)
 
 
 def tabulated(values):
@@ -49,7 +63,10 @@ def test_phi_products_match_scheme():
     )
     for n in range(5):
         x = Fraction(n)
-        assert scheme.phi(x, n) == phi_eval(scheme.a_of, scheme.b_of, x, n)
+        want = Fraction(1)
+        for j in range(n):
+            want *= scheme.a_of(j) + x * scheme.b_of(j)
+        assert scheme.phi(x, n) == want
 
 
 def test_random_round_trips_both_pairs():
@@ -84,3 +101,56 @@ def test_extended_pair_explicit_round_trip():
     f = tabulated([forward_extended(scheme, g, n) for n in range(7)])
     for n in range(7):
         assert inverse_extended(scheme, f, n) == g(n)
+
+
+def test_round_trip_fails_against_a_shifted_inverse(monkeypatch):
+    # the inverse of a scheme whose lam is off by one cannot recover g; each
+    # recovered value is compared by cross-multiplication and reported reduced
+    rng = SplitMix64(13)
+    scheme = random_scheme(rng, 6, extended=True)
+    sequence = random_sequence(rng, 6)
+    assert roundtrip_check(scheme, sequence, 6, "extended") == []
+    forward, inverse = inversion._PAIRS["extended"]
+    monkeypatch.setitem(
+        inversion._PAIRS, "extended",
+        (forward, lambda s, n: inverse(replace(s, lam=s.lam + 1), n)),
+    )
+    failures = roundtrip_check(scheme, sequence, 6, "extended")
+    assert failures
+    first = "extended: inverse(forward(g))(1) = "
+    assert failures[0].startswith(first)
+    got, want = failures[0][len(first):].split(" != ")
+    assert want == str(sequence[1])
+    assert got == str(Fraction(got)) and Fraction(got) != sequence[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(fractions_st, st.one_of(st.just(Fraction(0)), fractions_st)),
+             max_size=12),
+    st.one_of(fractions_st, st.integers(min_value=-12, max_value=12).map(Fraction)),
+    st.data(),
+)
+def test_phi_matches_stepwise_definition(pairs, x, data):
+    a_vals = [a for a, _ in pairs]
+    b_vals = [b for _, b in pairs]
+    n = data.draw(st.integers(min_value=0, max_value=len(pairs)))
+    want = Fraction(1)
+    for j in range(n):
+        want *= a_vals[j] + x * b_vals[j]
+    got = InversionScheme(tuple(a_vals), tuple(b_vals)).phi(x, n)
+    assert type(got) is Fraction
+    assert got == want
+
+
+def test_phi_edge_cases():
+    a_vals = [Fraction(3, 2), Fraction(-1, 3), Fraction(2)]
+    b_vals = [Fraction(0), Fraction(1, 3), Fraction(-5, 4)]
+    scheme = InversionScheme(tuple(a_vals), tuple(b_vals))
+    assert scheme.phi(Fraction(7, 5), 0) == 1
+    # b_0 = 0: the first factor is a_0 whatever x is
+    assert scheme.phi(Fraction(-9, 7), 1) == Fraction(3, 2)
+    # a_1 + x b_1 = 0 at x = 1: the product vanishes
+    assert scheme.phi(Fraction(1), 3) == 0
+    with pytest.raises(DomainError):
+        scheme.phi(Fraction(1), -1)
