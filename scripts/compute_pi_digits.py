@@ -3,11 +3,12 @@
 
 The chosen entry's series is summed by binary splitting, exact below the
 working precision plus 64 guard bits and truncated with a proven error bound
-above it; the sum is rounded from that bound when every value it allows
-rounds alike, and from the exact integer pair otherwise, so it has the bits
-of the exact partial sum.  The closed form is solved for pi, and the digits
-are cross-checked against the independent arctangent reference (exit 2 on a
-mismatch).
+above it.  Both ends of that bound are correctly rounded; when they agree,
+so does the exact partial sum, and only when they differ is the exact
+integer pair split and rounded instead.  Either way the sum is the exact
+partial sum correctly rounded.  The closed form is solved for pi, and the
+digits are cross-checked against the independent arctangent reference
+(exit 2 on a mismatch).
 """
 
 import argparse

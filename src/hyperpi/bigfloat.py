@@ -5,12 +5,11 @@ representing the exact dyadic rational ``man * 2**exp``.  Nonzero mantissas
 are normalized to exactly ``prec`` bits, i.e. ``2**(prec-1) <= |man| <
 2**prec``.  ``normalize``, ``add``, ``mul`` and ``mul_int`` form the exact
 result and round it once to the target precision using round-half-to-even.
-``div``, ``from_fraction`` and ``from_ratio`` round twice: a guard-extended
-quotient is first rounded to the nearest integer (ties away from zero) and
-then rounded half-to-even to ``prec`` bits.  They can miss the nearest
-value, but their error stays below one unit in the last place (at most 9/16
-ulp for the two conversions, ``1/2 + 2**-9`` ulp for ``div``), well inside
-the documented budget of ``2**(1-prec)`` per operation.
+Quotients follow the same rule: :meth:`BigFloat.from_ratio` rounds
+``num / den`` to the nearest ``prec``-bit value, ties to even, so it is at
+most 1/2 ulp off and its bits depend only on the value, never on the
+representation of the pair.  ``from_fraction`` and ``div`` are that one
+rounding.
 
 Elementary functions (sqrt, exp, ln, integer powers, sin of pi times a
 rational) work in fixed-point integer arithmetic with guard bits taken from
@@ -140,37 +139,18 @@ class BigFloat:
 
     @staticmethod
     def from_fraction(value: Fraction, prec: int) -> "BigFloat":
-        """``value`` rounded to ``prec`` bits, in two steps.
-
-        With D the bit-length difference of the reduced numerator and
-        denominator, the quotient is first rounded to the nearest integer,
-        ties away from zero, at ``prec + 3 - D`` fraction bits (a
-        ``prec + 3`` or ``prec + 4`` bit integer), and that integer is then
-        rounded half-to-even to ``prec`` bits.  The result is within 9/16
-        ulp of ``value`` but is not always the nearest ``prec``-bit value.
-        """
-        num, den = value.numerator, value.denominator
-        if num == 0:
-            return BigFloat.zero(prec)
-        shift = prec + 3 - (abs(num).bit_length() - den.bit_length())
-        if shift >= 0:
-            q = div_nearest(num << shift, den)
-        else:
-            q = div_nearest(num, den << (-shift))
-        return BigFloat.normalize(q, -shift, prec)
+        """``value`` correctly rounded to ``prec`` bits (:meth:`from_ratio`)."""
+        return BigFloat.from_ratio(value.numerator, value.denominator, prec)
 
     @staticmethod
     def from_ratio(num: int, den: int, prec: int) -> "BigFloat":
-        """``from_fraction(Fraction(num, den), prec)``, bit for bit, without
-        reducing the pair.
+        """``num / den`` correctly rounded to ``prec`` bits: the nearest
+        ``prec``-bit value, ties to even, at most 1/2 ulp away.
 
-        The rounding of :meth:`from_fraction` depends on the bit lengths of
-        the reduced pair, which differ by e or e + 1 with
-        e = floor(log2 |num/den|).  One ``divmod`` yields the result for
-        both cases (:func:`_ratio_candidates`); only when they differ,
-        because the value lies close to a rounding midpoint, is the pair
-        reduced by a gcd to tell which case applies.  Same error bound:
-        9/16 ulp.
+        The exponent comes from the value, e = floor(log2 |num/den|), so the
+        pair need not be reduced and a common factor never changes the
+        result.  One ``divmod`` gives the ``prec``-bit quotient
+        ``floor(|num/den| * 2**(prec-1-e))`` and the remainder that rounds it.
         """
         if den == 0:
             raise ZeroDivisionError("from_ratio with a zero denominator")
@@ -178,14 +158,18 @@ class BigFloat:
             return BigFloat.zero(prec)
         negative = (num < 0) != (den < 0)
         num, den = abs(int(num)), abs(int(den))
-        e, wide, narrow = _ratio_candidates(num, den, prec)
-        if wide == narrow:
-            out = wide
+        e = num.bit_length() - den.bit_length()
+        if (num >> e if e >= 0 else num << -e) < den:  # (num >> e) < den iff num < den * 2**e
+            e -= 1
+        shift = prec - 1 - e
+        if shift >= 0:
+            num <<= shift
         else:
-            g = math.gcd(num, den)
-            reduced_d = (num // g).bit_length() - (den // g).bit_length()
-            out = wide if reduced_d == e else narrow
-        return out.neg() if negative else out
+            den <<= -shift
+        q, r = divmod(_mpz(num), _mpz(den))
+        if 2 * r > den or (2 * r == den and q & 1):
+            q += 1  # a carry to 2**prec is renormalized below
+        return BigFloat.normalize(-q if negative else q, -shift, prec)
 
     @staticmethod
     def from_fixed(value: int, fbits: int, prec: int) -> "BigFloat":
@@ -312,16 +296,15 @@ class BigFloat:
         return BigFloat.normalize(man, self.exp + other.exp, p)
 
     def div(self, other: "BigFloat", prec: int | None = None) -> "BigFloat":
+        """``self / other`` correctly rounded: :meth:`from_ratio` of the
+        mantissas, shifted by the difference of the exponents."""
         p = self._target(other, prec)
         if other.man == 0:
             raise DomainError("division by zero")
         if self.man == 0:
             return BigFloat.zero(p)
-        shift = p + 8 + other.man.bit_length() - self.man.bit_length()
-        if shift < 0:
-            shift = 0
-        q = div_nearest(int(_mpz(self.man) << shift), int(_mpz(other.man)))
-        return BigFloat.normalize(q, self.exp - other.exp - shift, p)
+        q = BigFloat.from_ratio(self.man, other.man, p)
+        return BigFloat(q.man, q.exp + self.exp - other.exp, p)
 
     def mul_int(self, factor: int, prec: int | None = None) -> "BigFloat":
         p = prec if prec is not None else self.prec
@@ -351,35 +334,6 @@ class BigFloat:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BigFloat({self.to_float():.17g}, prec={self.prec})"
-
-
-def _ratio_candidates(num: int, den: int, prec: int) -> tuple[int, "BigFloat", "BigFloat"]:
-    """For ``num, den > 0`` with e = floor(log2(num/den)), the two results
-    :meth:`BigFloat.from_fraction` can give, from one ``divmod``.
-
-    Returns ``(e, wide, narrow)``: ``wide`` is the result when the reduced
-    pair's bit lengths differ by e (first rounding at ``prec + 3 - e``
-    fraction bits), ``narrow`` the result when they differ by e + 1 (one
-    bit coarser).  With ``q = floor(x)`` for ``x = num/den * 2**(prec+3-e)``,
-    the first roundings are ``floor(x + 1/2)`` and ``floor(x/2 + 1/2) =
-    floor((q + 1) / 2)``.
-    """
-    e = num.bit_length() - den.bit_length()
-    if (num >> e if e >= 0 else num << -e) < den:  # (num >> e) < den iff num < den * 2**e
-        e -= 1
-    shift = prec + 3 - e
-    if shift >= 0:
-        num <<= shift
-    else:
-        den <<= -shift
-    q, r = divmod(num, den)
-    wide = q + (2 * r >= den)
-    narrow = (q >> 1) + (q & 1)
-    return (
-        e,
-        BigFloat.normalize(wide, -shift, prec),
-        BigFloat.normalize(narrow, 1 - shift, prec),
-    )
 
 
 # ----------------------------------------------------------------------

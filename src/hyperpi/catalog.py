@@ -51,7 +51,6 @@ from fractions import Fraction
 from importlib import resources
 from typing import Iterable
 
-from hyperpi.bigfloat import BigFloat
 from hyperpi.constexpr import (
     ConstExpr,
     eval_const_expr,
@@ -307,8 +306,7 @@ def verify_entry(entry: CatalogEntry, digits: int) -> EntryCheck:
     difference = series_value.sub(closed_value, prec)
     if difference.is_zero():
         return EntryCheck(entry.entry_id, digits, terms, prec, True, None)
-    threshold = BigFloat.from_fraction(Fraction(1, 10**digits), 64)
-    passed = difference.abs() < threshold
+    passed = abs(difference.to_fraction()) < Fraction(1, 10**digits)
     error_exponent = math.floor(difference.magnitude_exponent() * math.log10(2))
     return EntryCheck(entry.entry_id, digits, terms, prec, passed, error_exponent)
 

@@ -3,12 +3,12 @@
 Four capabilities, all built on exact rational arithmetic:
 
 * :func:`sum_series` -- partial sums of a :class:`~hyperpi.factorials.SeriesSpec`
-  rounded to ``prec`` bits, bit for bit as ``from_fraction`` rounds the exact
-  sum (at most 9/16 ulp).  Integer binary splitting runs exactly below a
-  width of ``prec + SPLIT_GUARD_BITS`` bits and merges with truncated
-  products above it, carrying a proven error bound; the result is taken
-  from that interval only when every value in it rounds the same way, and
-  otherwise from the exact pair (:func:`sum_series_fraction` stays exact).
+  correctly rounded to ``prec`` bits (at most 1/2 ulp).  Integer binary
+  splitting runs exactly below a width of ``prec + SPLIT_GUARD_BITS`` bits
+  and merges with truncated products above it, carrying a proven error
+  bound; the result is the rounding both ends of that interval share, and
+  only an interval that straddles a rounding boundary is re-split exactly
+  (:func:`sum_series_fraction` stays exact).
 * :func:`compute_pi_via` -- solve a verified series/closed-form pair for pi.
 * :func:`bbp_hex_digits` -- hexadecimal digits of pi at an arbitrary offset
   without computing earlier digits: a spigot over Bellard's base-2**10
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from hyperpi.bigfloat import BigFloat, _ratio_candidates, sqrt as bigfloat_sqrt
+from hyperpi.bigfloat import BigFloat, sqrt as bigfloat_sqrt
 from hyperpi.constexpr import ConstExpr, eval_const_expr, monomial
 from hyperpi.errors import DomainError, NoMatch, RangeError, UnsupportedLhs, ZeroTerm
 from hyperpi.factorials import (
@@ -33,8 +33,10 @@ from hyperpi.factorials import (
     SeriesSpec,
     partial_fractions,
     pochhammer,
+    poly_eval,
     poly_mul,
     term_eval,
+    term_ratio,
 )
 from hyperpi.splitting import Approx, product_sum, truncated_product_sum
 
@@ -64,8 +66,8 @@ _MAX_SPIGOT_REACH = 1 << 48
 # Bits beyond the target precision that sum_series keeps in its truncated
 # merges.  Each merge adds a few units to the error bound, so after the
 # ~log2(terms) merge levels the interval is some 2**-50 ulp wide and almost
-# never straddles a rounding boundary; a wider one falls back to the exact
-# pair, so this sets cost, not correctness.
+# never straddles a rounding boundary; one that does falls back to the
+# exact pair, so this sets cost, not correctness.
 SPLIT_GUARD_BITS = 64
 
 
@@ -191,42 +193,22 @@ def _ratio_at(t: Approx, b: Approx, upper: bool) -> tuple[int, int]:
     return t_end, b_end << -shift
 
 
-def _certified_rounding(
-    low: tuple[int, int], high: tuple[int, int], prec: int
-) -> BigFloat | None:
-    """``from_ratio`` of every value between the pairs ``low`` and ``high``
-    (``den > 0``), when it is one and the same ``prec``-bit float; else None.
-
-    ``_ratio_candidates`` is monotone in |v| for each of its three results,
-    so equal results at both ends hold for the whole interval, and with
-    ``wide == narrow`` ``from_ratio`` needs no gcd to choose between them.
-    An interval that touches 0 is refused.
-    """
-    (n1, d1), (n2, d2) = low, high
-    if n1 == 0 or n2 == 0 or (n1 < 0) != (n2 < 0):
-        return None
-    e1, wide1, narrow1 = _ratio_candidates(abs(n1), d1, prec)
-    e2, wide2, narrow2 = _ratio_candidates(abs(n2), d2, prec)
-    if e1 != e2 or not wide1 == narrow1 == wide2 == narrow2:
-        return None
-    return wide1.neg() if n1 < 0 else wide1
-
-
 def sum_series(spec: SeriesSpec, terms: int, prec: int) -> BigFloat:
-    """Partial sum rounded to ``prec`` bits, bit-identical to
+    """Partial sum correctly rounded to ``prec`` bits, bit-identical to
     ``BigFloat.from_fraction(sum_series_fraction(spec, terms), prec)``.
 
     The sum is split by :func:`~hyperpi.splitting.truncated_product_sum`
     at a width of ``prec + SPLIT_GUARD_BITS`` bits: exact splitting on
     subranges below that width, truncated merges above it, with a proven
-    error bound on B and T.  The bound gives an interval for the value;
-    when every value in it rounds to the same float by the rule of
-    :meth:`~hyperpi.bigfloat.BigFloat.from_ratio`, with no gcd needed to
-    choose between its two candidates, that float is the result.  Otherwise
-    (the interval touches 0, straddles a rounding boundary or lies near a
-    midpoint) the exact pair of :func:`_series_ratio` is converted instead,
-    as it is when no merge truncated.  Either way the error is at most
-    9/16 ulp of the exact partial sum.
+    error bound on B and T.  The bound gives an interval for the value,
+    and both ends are rounded by :meth:`~hyperpi.bigfloat.BigFloat.from_ratio`.
+    Rounding to nearest is monotone, so when the two ends round alike every
+    value between them does too, the exact sum included, and that float is
+    the result; with no truncated merge both ends are the exact sum.  Only
+    when they differ (the interval straddles a rounding boundary, as every
+    interval across 0 does) is the exact pair of :func:`_series_ratio`
+    split and rounded instead.  Either way the error is at most 1/2 ulp of
+    the exact partial sum.
     """
     setup = _series_setup(spec)
     if terms > 0:
@@ -236,12 +218,9 @@ def sum_series(spec: SeriesSpec, terms: int, prec: int) -> BigFloat:
         if b[0] < 0:
             b, t = (-b[0], b[1], b[2]), (-t[0], t[1], t[2])
         if b[0] > b[2]:  # B's interval excludes 0, as it always does when exact
-            low = setup.fold(*_ratio_at(t, b, False))
-            if t[2] == 0 and b[2] == 0:  # no merge truncated: low is the exact pair
-                return BigFloat.from_ratio(*low, prec)
-            out = _certified_rounding(low, setup.fold(*_ratio_at(t, b, True)), prec)
-            if out is not None:
-                return out
+            low = BigFloat.from_ratio(*setup.fold(*_ratio_at(t, b, False)), prec)
+            if low == BigFloat.from_ratio(*setup.fold(*_ratio_at(t, b, True)), prec):
+                return low
     return BigFloat.from_ratio(*_series_ratio(spec, terms), prec)
 
 
@@ -255,11 +234,19 @@ def sum_series_naive(spec: SeriesSpec, terms: int) -> Fraction:
 
 
 def convergence_rate(spec: SeriesSpec, k: int) -> Fraction:
-    """Exact ratio t(k+1)/t(k) of consecutive terms."""
-    t_k = term_eval(spec, k)
-    if t_k == 0:
+    """Exact ratio t(k+1)/t(k) of consecutive terms, as :func:`term_ratio`
+    at ``k``; its cost does not grow with ``k``.
+
+    t(k) is zero, and :class:`ZeroTerm` is raised, exactly when poly(k) = 0
+    or an upper parameter is an integer in [1 - k, 0], a factor of (u)_k.
+    """
+    if k < spec.start:
+        raise DomainError(f"term index {k} below start index {spec.start}")
+    if poly_eval(spec.poly, Fraction(k)) == 0 or any(
+        u.denominator == 1 and 1 - k <= u <= 0 for u in spec.upper
+    ):
         raise ZeroTerm(f"term at k={k} is zero; the ratio there is undefined")
-    return term_eval(spec, k + 1) / t_k
+    return term_ratio(spec).eval_at(k)
 
 
 # ----------------------------------------------------------------------

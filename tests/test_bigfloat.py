@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hyperpi.bigfloat import (
     BigFloat,
-    _ratio_candidates,
     agrees_to_bits,
     div_nearest,
     exp,
@@ -48,10 +47,39 @@ def bits_of(x: BigFloat) -> tuple[int, int, int]:
     return x.man, x.exp, x.prec
 
 
+def floor_log2(value: Fraction) -> int:
+    """e with 2**e <= value < 2**(e + 1), for value > 0, from comparisons."""
+    e = value.numerator.bit_length() - value.denominator.bit_length()
+    while Fraction(2) ** e > value:
+        e -= 1
+    while Fraction(2) ** (e + 1) <= value:
+        e += 1
+    return e
+
+
+def assert_correctly_rounded(got: BigFloat, value: Fraction, prec: int) -> None:
+    """``got`` is ``value`` rounded to nearest at ``prec`` bits, ties to even."""
+    assert got.prec == prec
+    if value == 0:
+        assert got.man == 0
+        return
+    assert (got.man < 0) == (value < 0)
+    assert abs(got.man).bit_length() == prec
+    # ulp of value's binade; the result is an integer multiple of it (one
+    # binade up when the rounding carries)
+    ulp = Fraction(2) ** (floor_log2(abs(value)) + 1 - prec)
+    steps = got.to_fraction() / ulp
+    assert steps.denominator == 1
+    error = abs(got.to_fraction() - value)
+    assert error <= ulp / 2
+    if error == ulp / 2:
+        assert steps.numerator % 2 == 0
+
+
 nonzero = st.integers(min_value=-(2**160), max_value=2**160).filter(bool)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
     st.integers(min_value=-(2**200), max_value=2**200),
     nonzero,
@@ -60,55 +88,80 @@ nonzero = st.integers(min_value=-(2**160), max_value=2**160).filter(bool)
 )
 @example(0, 7, -3, 10)
 @example(-5, 3, -(2**70), 1)
-def test_from_ratio_matches_from_fraction(n, d, g, prec):
-    got = BigFloat.from_ratio(n * g, d * g, prec)
-    assert bits_of(got) == bits_of(BigFloat.from_fraction(Fraction(n, d), prec))
+@example(3, 2, 1, 1)  # 1.5 at one bit: a tie that carries into the next binade
+@example(-(2**60 - 1), 2**7, 3, 53)
+def test_from_ratio_is_correctly_rounded(n, d, g, prec):
+    got = BigFloat.from_ratio(n, d, prec)
+    assert_correctly_rounded(got, Fraction(n, d), prec)
+    assert bits_of(BigFloat.from_ratio(n * g, d * g, prec)) == bits_of(got)
+    assert bits_of(BigFloat.from_fraction(Fraction(n, d), prec)) == bits_of(got)
 
 
-def test_from_ratio_near_rounding_midpoints():
-    # v = (m + 1/2 + s * (1 + a/c) / 32) * 2**k sits 1/32 to 1/16 ulp from
-    # the midpoint between m and m + 1, on the side away from the even one.
-    # The first rounding at prec + 4 bits passes the midpoint, the one at
-    # prec + 3 bits lands on it and then goes to even: the two candidates
-    # differ, and only the reduced pair tells which one from_fraction gives.
-    rng = random.Random(2718)  # SplitMix64.randint spans at most 2**64 values
-    chose = set()
-    for _ in range(200):
-        prec = rng.randint(2, 160)
-        m = rng.randint(1 << (prec - 1), (1 << prec) - 2)
-        s = 1 if m % 2 == 0 else -1
-        c = rng.randint(2, 1 << rng.randint(2, 60))
-        a = rng.randint(1, c - 1)
-        num, den = (32 * m + 16) * c + s * (c + a), 32 * c
-        k = rng.randint(-200, 200)
-        if k >= 0:
-            num <<= k
-        else:
-            den <<= -k
-        e, wide, narrow = _ratio_candidates(num, den, prec)
-        assert bits_of(wide) != bits_of(narrow)
-        value = Fraction(num, den)
-        chose.add(value.numerator.bit_length() - value.denominator.bit_length() - e)
-        sign = rng.choice((1, -1))
-        g = rng.randint(1, 1 << 64) * rng.choice((1, -1))
-        got = BigFloat.from_ratio(sign * num * g, den * g, prec)
-        assert bits_of(got) == bits_of(BigFloat.from_fraction(sign * value, prec))
-    assert chose == {0, 1}  # both candidates are picked somewhere
+@st.composite
+def near_midpoints(draw):
+    """``(num, den, prec)`` with num/den = (m + 1/2 + delta) * 2**k: at
+    (delta = 0) or within 1/16 ulp of the midpoint between two
+    ``prec``-bit mantissas, on either side, either sign."""
+    prec = draw(st.integers(min_value=1, max_value=200))
+    m = draw(st.integers(min_value=1 << (prec - 1), max_value=(1 << prec) - 1))
+    c = draw(st.integers(min_value=1, max_value=1 << 60))
+    a = draw(st.integers(min_value=-(c // 16), max_value=c // 16))
+    num, den = (2 * m + 1) * c + 2 * a, 2 * c
+    k = draw(st.integers(min_value=-200, max_value=200))
+    if k >= 0:
+        num <<= k
+    else:
+        den <<= -k
+    return draw(st.sampled_from((1, -1))) * num, den, prec
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_midpoints(), nonzero)
+@example((11, 2, 3), 1)  # 5.5 at three bits: the tie goes to 6
+@example((-11, 2, 3), -7)
+def test_from_ratio_near_rounding_midpoints(case, g):
+    num, den, prec = case
+    got = BigFloat.from_ratio(num, den, prec)
+    assert_correctly_rounded(got, Fraction(num, den), prec)
+    assert bits_of(BigFloat.from_ratio(num * g, den * g, prec)) == bits_of(got)
 
 
 def test_from_ratio_first_rounding_ties():
-    # m * 2**k with m odd of prec + 5 bits makes the first rounding an exact
-    # tie (away from zero); low bits 01111 and 10001 put the second rounding
-    # on a tie as well or one step off it.
+    # m * 2**k with m of prec + 5 bits: low bits 10000 put the value exactly
+    # on a rounding midpoint, 01111 and 10001 one 1/32 ulp either side of it,
+    # 00001 and 11111 just past a representable value. Every case must come
+    # out correctly rounded (ties to even) whatever common factor the
+    # numerator and denominator carry.
     rng = random.Random(1414)
     for _ in range(100):
-        prec = rng.randint(2, 160)
+        prec = rng.randint(1, 160)
         top = rng.randint(1 << (prec - 1), (1 << prec) - 1)
-        mantissa = (top << 5) | rng.choice((1, 15, 17, 31))
+        mantissa = (top << 5) | rng.choice((1, 15, 16, 17, 31))
         value = rng.choice((1, -1)) * mantissa * Fraction(2) ** rng.randint(-200, 200)
+        got = BigFloat.from_ratio(value.numerator, value.denominator, prec)
+        assert_correctly_rounded(got, value, prec)
         g = rng.randint(1, 1 << 64) * rng.choice((1, -1))
-        got = BigFloat.from_ratio(value.numerator * g, value.denominator * g, prec)
-        assert bits_of(got) == bits_of(BigFloat.from_fraction(value, prec))
+        scaled = BigFloat.from_ratio(value.numerator * g, value.denominator * g, prec)
+        assert bits_of(scaled) == bits_of(got)
+        assert bits_of(BigFloat.from_fraction(value, prec)) == bits_of(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    nonzero,
+    st.integers(min_value=-300, max_value=300),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.integers(min_value=-300, max_value=300),
+    st.integers(min_value=1, max_value=200),
+    st.integers(min_value=1, max_value=200),
+)
+def test_div_is_from_ratio_of_the_exact_quotient(dm, de, nm, ne, operand_prec, prec):
+    x = BigFloat.normalize(nm, ne, operand_prec)
+    y = BigFloat.normalize(dm, de, operand_prec)
+    got = x.div(y, prec)
+    exact = x.to_fraction() / y.to_fraction()
+    assert bits_of(got) == bits_of(BigFloat.from_fraction(exact, prec))
+    assert_correctly_rounded(got, exact, prec)
 
 
 def test_from_ratio_rejects_zero_denominator():

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from hyperpi import catalog
+from hyperpi.bigfloat import BigFloat
 from hyperpi.catalog import (
     CLASS_SHAPES,
     catalog_index,
@@ -242,6 +244,23 @@ def test_verify_entry_error_bound_is_honest(catalog_by_id, raw_doc, tmp_path):
     check = verify_entry(broken, 50)
     assert not check.passed
     assert check.error_exponent is not None and check.error_exponent > -3
+
+
+@pytest.mark.parametrize("digits", (30, 50))
+def test_verify_entry_verdict_is_exact_at_the_bound(catalog_by_id, monkeypatch, digits):
+    # |difference| must stay strictly below 10**-digits: the first multiple of
+    # 2**-(4*digits + 50) at or above it fails, the one before it passes
+    scale = 2 ** (4 * digits + 50)
+    above = -(-scale // 10**digits)
+    monkeypatch.setattr(catalog, "eval_const_expr", lambda expr, prec: BigFloat.zero(prec))
+    for steps, passed in ((above, False), (above - 1, True)):
+        monkeypatch.setattr(
+            catalog, "sum_series",
+            lambda spec, terms, prec, steps=steps: BigFloat.from_ratio(steps, scale, prec),
+        )
+        check = verify_entry(catalog_by_id["s3.1-ex1"], digits)
+        assert check.passed is passed
+        assert check.error_exponent == -digits
 
 
 def test_match_samples(catalog_by_id):

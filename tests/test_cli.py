@@ -16,6 +16,7 @@ from hyperpi import dougall
 from hyperpi.cli import main
 from hyperpi.constexpr import format_rational
 from hyperpi.dougall import WellPoisedParams
+from hyperpi.factorials import term_ratio
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +163,7 @@ def test_bad_counts_are_usage_errors(capsys, argv):
 
 # sha256 of the full catalog report at 100 digits: every entry's verdict,
 # error exponent, match mode, scale and BBP family
-CATALOG_REPORT_DIGEST = "ae19e7c8729f75a23f377fc96e55e3ca7642202ce8bf60b54a6e6d7578e82623"
+CATALOG_REPORT_DIGEST = "d701d0ca1ff9bd8dc53f7725fc2a40c3c90378d0111666574bce380d6f184984"
 
 
 def test_catalog_report_is_pinned(capsys):
@@ -261,6 +262,16 @@ def test_rate_subcommand(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["relative_deviation"] < 0.02
+
+
+def test_rate_subcommand_far_out(capsys, catalog_by_id):
+    # one evaluation of the ratio as a rational function, however large k is
+    k = 10**6
+    code, out, _ = run(capsys, "rate", "--id", "s3.1-ex1", "--k", str(k), "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ratio"] == format_rational(term_ratio(catalog_by_id["s3.1-ex1"].spec).eval_at(k))
+    assert report["relative_deviation"] < 1e-5
 
 
 def test_derive_subcommand(capsys):

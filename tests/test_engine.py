@@ -99,6 +99,13 @@ def test_convergence_rate_zero_term():
     spec = SeriesSpec(upper=(F(1),), lower=(F(1),), poly=(F(0), F(1)), base=16)
     with pytest.raises(ZeroTerm):
         convergence_rate(spec, 0)  # poly(0) = 0 kills the first term
+    # (-2)_k = 0 from k = 3 on; t(2) != 0 = t(3)
+    spec = SeriesSpec(upper=(F(-2), F(1, 2)), lower=(F(1), F(3, 2)), poly=(F(1),), base=4)
+    assert convergence_rate(spec, 2) == 0 == term_eval(spec, 3)
+    for k in (3, 4, 50):
+        with pytest.raises(ZeroTerm):
+            convergence_rate(spec, k)
+    assert convergence_rate(spec, 1) == term_eval(spec, 2) / term_eval(spec, 1)
 
 
 def test_compute_pi_across_classes(catalog_by_id):
@@ -374,7 +381,9 @@ def test_sum_series_fallback_gives_the_same_bits(catalog_entries, monkeypatch):
         fallbacks.append(terms)
         return exact_ratio(spec, terms)
 
-    monkeypatch.setattr(engine, "_certified_rounding", lambda low, high, prec: None)
+    # merges truncated far below the target precision leave an interval many
+    # ulps wide, whose ends never round alike
+    monkeypatch.setattr(engine, "SPLIT_GUARD_BITS", -250)
     monkeypatch.setattr(engine, "_series_ratio", counted_ratio)
     for spec in [entry.spec for entry in catalog_entries[::9]] + [NEGATIVE_LOWER, SHIFTED]:
         for terms, prec in ((120, 300), (851, 3450)):
@@ -382,6 +391,23 @@ def test_sum_series_fallback_gives_the_same_bits(catalog_entries, monkeypatch):
             want = BigFloat.from_fraction(Fraction(*exact_ratio(spec, terms)), prec)
             assert (got.man, got.exp, got.prec) == (want.man, want.exp, want.prec)
     assert len(fallbacks) == 2 * (len(catalog_entries[::9]) + 2)
+
+
+def test_sum_series_never_resplits_the_catalog_at_1000_digits(catalog_entries, monkeypatch):
+    # a correctly rounded quotient depends only on the value, so the certified
+    # interval decides every catalog sum without the exact pair
+    resplits = []
+    exact_ratio = engine._series_ratio
+
+    def counted_ratio(spec, terms):
+        resplits.append(terms)
+        return exact_ratio(spec, terms)
+
+    monkeypatch.setattr(engine, "_series_ratio", counted_ratio)
+    prec = precision_for_digits(1000)
+    for entry in catalog_entries:
+        sum_series(entry.spec, terms_for_digits(1000, entry.spec.base), prec)
+    assert resplits == []
 
 
 _params = st.fractions(min_value=-40, max_value=40, max_denominator=12)
