@@ -561,6 +561,11 @@ def sin_pi(x: Fraction, prec: int) -> BigFloat:
     return BigFloat.from_fixed(sign * acc, wp, prec)
 
 
+def below_power_of_ten(value: BigFloat, digits: int) -> bool:
+    """True when ``|value| < 10**-digits``, compared exactly."""
+    return value.is_zero() or abs(value.to_fraction()) < Fraction(1, 10**digits)
+
+
 def agrees_to_bits(x: BigFloat, y: BigFloat) -> int:
     """Number of matching leading bits: floor(-log2(|x-y| / |x|)), capped.
 

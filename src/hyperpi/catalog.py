@@ -51,6 +51,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Iterable
 
+from hyperpi.bigfloat import below_power_of_ten
 from hyperpi.constexpr import (
     ConstExpr,
     eval_const_expr,
@@ -304,9 +305,9 @@ def verify_entry(entry: CatalogEntry, digits: int) -> EntryCheck:
     series_value = sum_series(entry.spec, terms, prec)
     closed_value = eval_const_expr(entry.lhs, prec)
     difference = series_value.sub(closed_value, prec)
+    passed = below_power_of_ten(difference, digits)
     if difference.is_zero():
-        return EntryCheck(entry.entry_id, digits, terms, prec, True, None)
-    passed = abs(difference.to_fraction()) < Fraction(1, 10**digits)
+        return EntryCheck(entry.entry_id, digits, terms, prec, passed, None)
     error_exponent = math.floor(difference.magnitude_exponent() * math.log10(2))
     return EntryCheck(entry.entry_id, digits, terms, prec, passed, error_exponent)
 

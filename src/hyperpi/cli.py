@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from hyperpi import __version__
+from hyperpi.bigfloat import below_power_of_ten
 from hyperpi.catalog import (
     catalog_index,
     load_anomalies,
@@ -330,13 +331,16 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     partial = sum_series(spec, args.terms, prec)
     closed_text = None
     agreement = None
+    passed = True  # with no closed value the series stands on its own
     try:
         closed = gamma_quotient(*theorem_gamma_args(params, args.theorem), prec)
-        closed_text = closed.to_decimal_string(args.digits)
-        difference = partial.sub(closed, prec).abs().to_float()
-        agreement = None if difference == 0.0 else difference
     except DomainError:
-        pass  # non-positive gamma argument: series stands on its own
+        pass  # non-positive gamma argument
+    else:
+        closed_text = closed.to_decimal_string(args.digits)
+        difference = partial.sub(closed, prec)
+        passed = below_power_of_ten(difference, args.digits)
+        agreement = difference.abs().to_float() or None  # None: zero or below floats
     head = [
         {"k": k, "term": _rat(term_eval(spec, k))}
         for k in range(spec.start, min(spec.start + 8, spec.start + args.terms))
@@ -345,7 +349,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
         "derive",
         {"theorem": args.theorem, "params": _params_str(params),
          "terms": args.terms, "digits": args.digits},
-        True,
+        passed,
         series={
             "upper": [_rat(u) for u in spec.upper],
             "lower": [_rat(v) for v in spec.lower],
@@ -375,8 +379,10 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     else:
         lines.append(f"  closed form value         = {closed_text}")
         lines.append(f"  |difference| ~ {agreement if agreement is not None else 0}")
+    if not passed:
+        lines.append(f"FAIL: |partial sum - closed form| is not below 10^-{args.digits}")
     _emit(args, report, lines)
-    return 0
+    return 0 if passed else 2
 
 
 def _cmd_pi(args: argparse.Namespace) -> int:

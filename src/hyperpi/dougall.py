@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from hyperpi.bigfloat import BigFloat
 from hyperpi.errors import (
@@ -816,24 +816,39 @@ def dual_limit_deviation(params: WellPoisedParams, n: int, prec: int = 220) -> f
 # ----------------------------------------------------------------------
 
 
+def _random_params(
+    rng: SplitMix64, max_coeff: int, admissible: Callable[[tuple[int, ...]], bool]
+) -> WellPoisedParams:
+    """Rejection-sample a, b, c, d as four :meth:`SplitMix64.fraction` draws
+    would (a nonzero), so the seeded streams are those of the fraction draws.
+
+    ``admissible`` sees the integer form (q, a q, b q, c q, d q) over the lcm
+    q of the drawn, unreduced denominators; fractions are built only for the
+    draw it accepts.
+    """
+    while True:
+        pairs = [rng.ratio(max_coeff, max_coeff, nonzero=True)]
+        pairs.extend(rng.ratio(max_coeff, max_coeff) for _ in range(3))
+        q = math.lcm(*(den for _, den in pairs))
+        if admissible((q, *(num * (q // den) for num, den in pairs))):
+            return WellPoisedParams(*(Fraction(num, den) for num, den in pairs))
+
+
 def random_finite_params(
     rng: SplitMix64, n_max: int, max_coeff: int = 10
 ) -> WellPoisedParams:
     """Random parameters with every denominator of the terminating
     identities nonzero up to degree ``n_max`` (rejection sampled)."""
-    while True:
-        params = WellPoisedParams(
-            rng.fraction(max_coeff, max_coeff, nonzero=True),
-            rng.fraction(max_coeff, max_coeff),
-            rng.fraction(max_coeff, max_coeff),
-            rng.fraction(max_coeff, max_coeff),
-        )
-        if _finite_params_admissible(params, n_max):
-            return params
+    return _random_params(
+        rng, max_coeff, lambda scaled: _finite_params_admissible(scaled, n_max)
+    )
 
 
-def _finite_params_admissible(params: WellPoisedParams, n_max: int) -> bool:
-    q, a, b, c, d = params.scaled
+def _finite_params_admissible(scaled: tuple[int, ...], n_max: int) -> bool:
+    """Admissibility of the parameters with integer form ``scaled`` =
+    (q, a q, b q, c q, d q) over any common denominator q: every test reads
+    a form divided by q, so it does not depend on which q."""
+    q, a, b, c, d = scaled
     if a == 0:
         return False
     for low in _closed_forms(q, a, b, c, d)[1]:
@@ -859,26 +874,21 @@ def random_parity_params(
     With ``for_chain=True`` the scheme denominators of the inverse-pair
     assignment are additionally required to be nonzero.
     """
-    while True:
-        params = WellPoisedParams(
-            rng.fraction(max_coeff, max_coeff, nonzero=True),
-            rng.fraction(max_coeff, max_coeff),
-            rng.fraction(max_coeff, max_coeff),
-            rng.fraction(max_coeff, max_coeff),
-        )
-        if _parity_params_admissible(params, n_max, for_chain):
-            return params
+    return _random_params(
+        rng, max_coeff, lambda scaled: _parity_params_admissible(scaled, n_max, for_chain)
+    )
 
 
-def _parity_params_admissible(params: WellPoisedParams, n_max: int, for_chain: bool) -> bool:
+def _parity_params_admissible(scaled: tuple[int, ...], n_max: int, for_chain: bool) -> bool:
     """True when no lower rising factorial of :func:`verify_parity_form`,
     :func:`verify_dual_relation` (and, for the chain, of the assignment's
-    scheme and transforms) vanishes at any degree n <= n_max.
+    scheme and transforms) vanishes at any degree n <= n_max, for the
+    parameters with integer form ``scaled`` over any common denominator q.
 
     (x)_m vanishes when x is an integer in [1 - m, 0], so each form is
     tested with span m - 1 at the largest index m it is raised to.
     """
-    q, a, b, c, d = params.scaled
+    q, a, b, c, d = scaled
     for n in range(n_max + 1):
         nq, down, up = n * q, n // 2, n - n // 2
         forms = (

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-_MASK = (1 << 64) - 1
+_TWO64 = 1 << 64
+_MASK = _TWO64 - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -41,31 +42,35 @@ class SplitMix64:
         if hi < lo:
             raise ValueError("empty range")
         span = hi - lo + 1
-        words = 1 if span <= 1 << 64 else -(-span.bit_length() // 64)
-        # Largest multiple of span not exceeding 2**(64 * words).
-        limit = (1 << 64 * words) - ((1 << 64 * words) % span)
+        if span <= _TWO64:
+            # Largest multiple of span not exceeding 2**64.
+            limit = _TWO64 - _TWO64 % span
+            while True:
+                r = self.next_u64()
+                if r < limit:
+                    return lo + r % span
+        words = -(-span.bit_length() // 64)
+        top = 1 << 64 * words
+        limit = top - top % span
         while True:
             r = 0
             for _ in range(words):
                 r = (r << 64) | self.next_u64()
             if r < limit:
-                return lo + (r % span)
+                return lo + r % span
 
-    def fraction(
-        self,
-        max_num: int,
-        max_den: int,
-        nonzero: bool = False,
-        allow_negative: bool = True,
-    ) -> Fraction:
-        """Random fraction with |numerator| <= max_num, 1 <= denominator <= max_den."""
+    def ratio(self, max_num: int, max_den: int, nonzero: bool = False) -> tuple[int, int]:
+        """Random unreduced pair (numerator, denominator) with |numerator| <=
+        max_num and 1 <= denominator <= max_den: the draws of :meth:`fraction`."""
         while True:
-            num = self.randint(-max_num if allow_negative else 0, max_num)
+            num = self.randint(-max_num, max_num)
             den = self.randint(1, max_den)
-            value = Fraction(num, den)
-            if nonzero and value == 0:
-                continue
-            return value
+            if not (nonzero and num == 0):
+                return num, den
+
+    def fraction(self, max_num: int, max_den: int, nonzero: bool = False) -> Fraction:
+        """Random fraction with |numerator| <= max_num, 1 <= denominator <= max_den."""
+        return Fraction(*self.ratio(max_num, max_den, nonzero))
 
     def choice(self, seq):
         """Uniformly pick an element of a non-empty sequence."""

@@ -172,6 +172,18 @@ def test_catalog_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_REPORT_DIGEST
 
 
+# sha256 of the full catalog report at 1000 digits, where the gamma-class
+# entries put the Spouge coefficients and evaluations at their largest
+CATALOG_REPORT_1000_DIGEST = "9ef87aced035bbdea23fc08015a41d7f7ece9631f29d0a0996701ad2c1ec8e49"
+
+
+def test_catalog_report_at_1000_digits_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "catalog", "--digits", "1000", "--format", "json")
+    assert code == 0
+    assert sum(row["verified"] for row in json.loads(out)["results"]) == 100
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_REPORT_1000_DIGEST
+
+
 def test_missing_subcommand(capsys):
     assert run(capsys)[0] == 1
     assert run(capsys, "verify")[0] == 1
@@ -272,6 +284,25 @@ def test_rate_subcommand_far_out(capsys, catalog_by_id):
     report = json.loads(out)
     assert report["ratio"] == format_rational(term_ratio(catalog_by_id["s3.1-ex1"].spec).eval_at(k))
     assert report["relative_deviation"] < 1e-5
+
+
+@pytest.mark.parametrize(
+    "terms,digits,code",
+    [(2, 30, 2), (12, 20, 2), (30, 20, 0), (60, 40, 0)],
+)
+def test_derive_passes_only_within_the_requested_digits(capsys, terms, digits, code):
+    # all four parameters 1/2: family A sums to a positive gamma quotient
+    got, out, _ = run(
+        capsys,
+        "derive", "--theorem", "A", "--params", "1/2,1/2,1/2,1/2",
+        "--terms", str(terms), "--digits", str(digits), "--format", "json",
+    )
+    report = json.loads(out)
+    assert got == code
+    assert report["passed"] is (code == 0)
+    assert report["closed_form"] is not None
+    difference = report["absolute_difference"] or 0.0
+    assert (difference < 10.0**-digits) is (code == 0)
 
 
 def test_derive_subcommand(capsys):

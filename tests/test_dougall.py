@@ -153,7 +153,7 @@ def test_finite_params_admissible_matches_per_degree_rule():
         for a in a_values:
             for s in s_values:
                 params = WellPoisedParams(a, b, c, s + a - b - c)
-                mismatches += _finite_params_admissible(params, n_max) != (
+                mismatches += _finite_params_admissible(params.scaled, n_max) != (
                     _finite_params_admissible_reference(params, n_max)
                 )
     assert mismatches == 0
@@ -161,9 +161,26 @@ def test_finite_params_admissible_matches_per_degree_rule():
     for _ in range(2000):
         params = WellPoisedParams(*(rng.fraction(12, 4) for _ in range(4)))
         n_max = rng.randint(0, 20)
-        assert _finite_params_admissible(params, n_max) == (
+        assert _finite_params_admissible(params.scaled, n_max) == (
             _finite_params_admissible_reference(params, n_max)
         )
+
+
+def test_finite_sampler_streams_match_per_degree_rule():
+    # the seeded streams, and so the trials of verify dougall, stay as they were
+    for seed in range(6):
+        for n_max, max_coeff in ((0, 10), (5, 10), (20, 10), (12, 3)):
+            rng, reference = SplitMix64(seed), SplitMix64(seed)
+            for _ in range(20):
+                while True:
+                    want = WellPoisedParams(
+                        reference.fraction(max_coeff, max_coeff, nonzero=True),
+                        *(reference.fraction(max_coeff, max_coeff) for _ in range(3)),
+                    )
+                    if _finite_params_admissible_reference(want, n_max):
+                        break
+                assert random_finite_params(rng, n_max, max_coeff) == want
+            assert rng.state == reference.state
 
 
 def _chain_admissible_reference(params, n_max):
@@ -210,7 +227,7 @@ def test_parity_params_admissible_matches_evaluation_rule():
                 params = WellPoisedParams(a, b, c, d)
                 for for_chain in (False, True):
                     want = _parity_params_admissible_reference(params, n_max, for_chain)
-                    assert _parity_params_admissible(params, n_max, for_chain) == want
+                    assert _parity_params_admissible(params.scaled, n_max, for_chain) == want
                     accepted += want
                     rejected += not want
     rng = SplitMix64(41)
@@ -221,7 +238,7 @@ def test_parity_params_admissible_matches_evaluation_rule():
         n_max = rng.randint(0, 12)
         for for_chain in (False, True):
             want = _parity_params_admissible_reference(params, n_max, for_chain)
-            assert _parity_params_admissible(params, n_max, for_chain) == want
+            assert _parity_params_admissible(params.scaled, n_max, for_chain) == want
             accepted += want
             rejected += not want
     assert accepted > 1000 and rejected > 1000
@@ -242,6 +259,7 @@ def test_parity_sampler_streams_match_evaluation_rule():
                         if _parity_params_admissible_reference(want, n_max, for_chain):
                             break
                     assert random_parity_params(rng, n_max, for_chain=for_chain) == want
+                assert rng.state == reference.state
 
 
 def test_parity_form_splits_the_sum():

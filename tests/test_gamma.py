@@ -1,6 +1,8 @@
 """Gamma function at rational arguments via the Spouge approximation."""
 
+import collections
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from hyperpi.bigfloat import (
     sin_pi,
     sqrt,
 )
+from hyperpi import gammafn
 from hyperpi.errors import DomainError
 from hyperpi.factorials import pochhammer
 from hyperpi.gammafn import gamma_quotient, gamma_rational
@@ -125,7 +128,9 @@ def _exact(value: BigFloat) -> Fraction:
 @pytest.mark.parametrize(
     "x,digits",
     [(Fraction(p, q), 100) for p, q in ((1, 3), (2, 3), (1, 4), (3, 4), (1, 5), (5, 8))]
-    + [(Fraction(1, 3), 300), (Fraction(5, 8), 300)],
+    + [(Fraction(1, 3), 300), (Fraction(5, 8), 300)]
+    # z = x - 1 = 25/2 and 61/6: large z cancels the most bracket bits
+    + [(Fraction(27, 2), 100), (Fraction(67, 6), 100), (Fraction(67, 6), 300)],
     ids=str,
 )
 def test_gamma_rational_matches_mpmath(x, digits):
@@ -140,3 +145,84 @@ def test_gamma_rational_matches_mpmath(x, digits):
     error = abs(_exact(gamma_rational(x, prec)) - reference)
     assert error <= reference * (Fraction(1, 2 ** (prec - 8)) + Fraction(1, 2 ** (prec + 32)))
     assert error < reference / 10**digits
+
+
+# z = x - 1 up to about 30 for denominators 2..10, the lifted range (0, 1)
+# included; the two precisions fall on different Spouge shapes
+CACHE_GRID = [
+    Fraction(m * q + r, q) for q in range(2, 11) for m, r in ((0, 1), (4, q - 1), (16, 3), (30, 1))
+]
+CACHE_PRECS = (120, 300)
+
+
+def _clear_gamma_caches():
+    gammafn._coeff_cache.clear()
+    gammafn._value_cache.clear()
+
+
+def _bits(value: BigFloat) -> tuple[int, int, int]:
+    return value.man, value.exp, value.prec
+
+
+def test_values_do_not_depend_on_cache_state_or_call_order():
+    keys = [(x, prec) for prec in CACHE_PRECS for x in CACHE_GRID]
+    cold = {}
+    for x, prec in keys:
+        _clear_gamma_caches()
+        cold[x, prec] = _bits(gamma_rational(x, prec))
+    _clear_gamma_caches()
+    in_order = {key: _bits(gamma_rational(*key)) for key in keys}
+    warm = {key: _bits(gamma_rational(*key)) for key in keys}
+    shuffled = list(keys)
+    random.Random(5).shuffle(shuffled)
+    _clear_gamma_caches()
+    reordered = {key: _bits(gamma_rational(*key)) for key in shuffled}
+    assert in_order == cold
+    assert warm == cold
+    assert reordered == cold
+
+
+def test_each_shape_builds_its_coefficients_once(monkeypatch):
+    builds = collections.Counter()
+    build = gammafn._build_spouge_coefficients
+
+    def counting_build(a):
+        builds[a] += 1
+        return build(a)
+
+    monkeypatch.setattr(gammafn, "_build_spouge_coefficients", counting_build)
+    _clear_gamma_caches()
+    for prec in CACHE_PRECS:
+        for x in CACHE_GRID:
+            gamma_rational(x, prec)
+        gamma_quotient(CACHE_GRID[:4], CACHE_GRID[-4:], prec)
+    assert len(builds) >= 2
+    assert set(builds.values()) == {1}
+
+
+@pytest.mark.parametrize("a", [6, 7, 20, 48, 116, 300])
+def test_float_cancellation_estimate_stays_under_the_integer_bound(a):
+    bound = gammafn._cancellation_bound(a)
+    for z in (0.0, 0.5, 1 / 3, 2.25, 12.5, 61 / 6, 30.1, 1e3, 1e6, 1e12):
+        assert gammafn._bracket_cancellation_bits(z, a) <= bound
+
+
+def test_shape_prec_limit_is_the_largest_precision_of_the_shape():
+    for a in (6, 7, 8, 48, 116, 1290):
+        limit = gammafn._shape_prec_limit(a)
+        assert gammafn.spouge_shape(limit) == a
+        assert gammafn.spouge_shape(limit + 1) == a + 1
+
+
+@pytest.mark.parametrize("a", [6, 48, 116])
+def test_coefficients_are_within_one_ulp_of_mpmath(a):
+    mpmath = pytest.importorskip("mpmath")
+    prec, coeffs = gammafn._build_spouge_coefficients(a)
+    with mpmath.workprec(prec + 64):
+        for k, c in enumerate(coeffs, start=1):
+            exact = (-1) ** (k - 1) * mpmath.mpf(a - k) ** (k - mpmath.mpf(1) / 2)
+            exact *= mpmath.exp(a - k) / mpmath.factorial(k - 1)
+            man, exp = exact.man_exp  # man is |mantissa|
+            reference = (-1) ** (k - 1) * Fraction(man) * Fraction(2) ** exp
+            assert c.prec == prec
+            assert abs(_exact(c) - reference) <= Fraction(2) ** c.exp
