@@ -41,14 +41,15 @@ def run(config: TableConfig) -> int:
             f"{eid:<12} {entry.family_class:<14} {entry.theorem:<6}" + "".join(cells)
         )
     print()
-    print("certification at increasing digit targets (error exponent 10^e):")
+    print("certification at increasing digit targets (error exponent 10^e;")
+    print("<ulp: series and closed form rounded alike at working precision):")
     print(f"{'entry':<12}" + "".join(f"  D={d:<12}" for d in config.digit_targets))
     for eid in config.entry_ids:
         entry = index[eid]
         cells = []
         for digits in config.digit_targets:
             check = verify_entry(entry, digits)
-            exponent = "exact" if check.error_exponent is None else str(check.error_exponent)
+            exponent = "<ulp" if check.error_exponent is None else str(check.error_exponent)
             flag = "" if check.passed else "!"
             terms = terms_for_digits(digits, entry.spec.base)
             cells.append(f"  {exponent:>7}/{terms}t{flag}")

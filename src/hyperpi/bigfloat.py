@@ -11,8 +11,8 @@ most 1/2 ulp off and its bits depend only on the value, never on the
 representation of the pair.  ``from_fraction`` and ``div`` are that one
 rounding.
 
-Elementary functions (sqrt, exp, ln, integer powers, sin of pi times a
-rational) work in fixed-point integer arithmetic with guard bits taken from
+Elementary functions (sqrt, exp, ln, integer and rational powers) work in
+fixed-point integer arithmetic with guard bits taken from
 :data:`GUARD_BITS`.
 
 The module also provides reference constants: pi via Machin's arctangent
@@ -423,10 +423,6 @@ def pi_reference(prec: int) -> BigFloat:
     return BigFloat.from_fixed(pi_fixed(prec + 8), prec + 8, prec)
 
 
-def ln2_reference(prec: int) -> BigFloat:
-    return BigFloat.from_fixed(ln2_fixed(prec + 8), prec + 8, prec)
-
-
 # ----------------------------------------------------------------------
 # elementary functions
 # ----------------------------------------------------------------------
@@ -536,44 +532,6 @@ def pow_fraction(x: BigFloat, exponent: Fraction, prec: int | None = None) -> Bi
     return exp(ln(x, wp).mul_fraction(exponent, wp), p)
 
 
-def sin_pi(x: Fraction, prec: int) -> BigFloat:
-    """``sin(pi * x)`` for rational ``x`` via symmetry reduction and Taylor series."""
-    r = x - 2 * (x // 2)  # x mod 2, in [0, 2)
-    sign = 1
-    if r >= 1:
-        sign = -1
-        r -= 1
-    if r > Fraction(1, 2):
-        r = 1 - r
-    if r == 0:
-        return BigFloat.zero(prec)
-    wp = prec + GUARD_BITS + 8
-    pi_f = pi_fixed(wp)
-    theta = div_nearest(pi_f * r.numerator, r.denominator)
-    theta_sq = round_shift(theta * theta, wp)
-    term = theta
-    acc = theta
-    i = 0
-    while term != 0:
-        term = -div_nearest(term * theta_sq, ((2 * i + 2) * (2 * i + 3)) << wp)
-        acc += term
-        i += 1
-    return BigFloat.from_fixed(sign * acc, wp, prec)
-
-
 def below_power_of_ten(value: BigFloat, digits: int) -> bool:
     """True when ``|value| < 10**-digits``, compared exactly."""
     return value.is_zero() or abs(value.to_fraction()) < Fraction(1, 10**digits)
-
-
-def agrees_to_bits(x: BigFloat, y: BigFloat) -> int:
-    """Number of matching leading bits: floor(-log2(|x-y| / |x|)), capped.
-
-    Returns a large sentinel (10**9) when the two values are exactly equal.
-    """
-    diff = x.sub(y, max(x.prec, y.prec) + 8)
-    if diff.man == 0:
-        return 10**9
-    if x.man == 0:
-        return max(0, -diff.magnitude_exponent())
-    return max(0, x.magnitude_exponent() - diff.magnitude_exponent())

@@ -113,7 +113,7 @@ class EntryCheck:
     terms: int
     precision: int
     passed: bool
-    error_exponent: int | None  # ~floor(log10 |difference|); None when exact
+    error_exponent: int | None  # ~floor(log10 |difference|); None: both sides rounded alike
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,6 @@ from hyperpi.engine import (
 from hyperpi.errors import (
     DomainError,
     HyperPiError,
-    NoMatch,
     RangeError,
     UsageError,
 )

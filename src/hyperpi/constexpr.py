@@ -1,6 +1,6 @@
 """Closed-form constant expressions: exact trees over pi, gamma values,
-square roots and rationals, with JSON (de)serialization and
-arbitrary-precision evaluation.
+square roots and rationals, parsed from JSON and evaluated at arbitrary
+precision.
 
 Tree node kinds
 ---------------
@@ -97,7 +97,7 @@ ConstExpr = Union[RationalLeaf, PiLeaf, GammaLeaf, SqrtNode, SumNode, ProductNod
 
 
 # ----------------------------------------------------------------------
-# parsing / serialization
+# parsing
 # ----------------------------------------------------------------------
 
 
@@ -164,38 +164,6 @@ def parse_const_expr(node: object) -> ConstExpr:
             return ProductNode((parsed[0], *rest))
         raise SchemaError(f"unknown operator {op!r}")
     raise SchemaError(f"unrecognized expression node with keys {sorted(keys)}")
-
-
-def serialize_const_expr(expr: ConstExpr) -> dict:
-    """Serialize a tree back to the JSON schema."""
-    if isinstance(expr, RationalLeaf):
-        return {"rat": format_rational(expr.value)}
-    if isinstance(expr, PiLeaf):
-        return {"pi": 1}
-    if isinstance(expr, GammaLeaf):
-        return {"gamma": format_rational(expr.arg), "exp": 1}
-    if isinstance(expr, PowerNode):
-        if isinstance(expr.child, PiLeaf):
-            return {"pi": expr.exponent}
-        if isinstance(expr.child, GammaLeaf):
-            return {"gamma": format_rational(expr.child.arg), "exp": expr.exponent}
-        inner = serialize_const_expr(expr.child)
-        if expr.exponent >= 0:
-            out = {"op": "mul", "args": [inner] * max(expr.exponent, 2)}
-            return inner if expr.exponent == 1 else out
-        if expr.exponent == -1:
-            return {"op": "div", "args": [{"rat": "1"}, inner]}
-        return {
-            "op": "div",
-            "args": [{"rat": "1"}, {"op": "mul", "args": [inner] * (-expr.exponent)}],
-        }
-    if isinstance(expr, SqrtNode):
-        return {"sqrt": serialize_const_expr(expr.child)}
-    if isinstance(expr, SumNode):
-        return {"op": "add", "args": [serialize_const_expr(c) for c in expr.children]}
-    if isinstance(expr, ProductNode):
-        return {"op": "mul", "args": [serialize_const_expr(c) for c in expr.children]}
-    raise SchemaError(f"cannot serialize {expr!r}")
 
 
 # ----------------------------------------------------------------------

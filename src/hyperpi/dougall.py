@@ -55,6 +55,7 @@ from hyperpi.factorials import (
     poly_interpolate,
     poly_scale,
     poly_trim,
+    rising,
     term_values,
 )
 from hyperpi.gammafn import gamma_quotient
@@ -84,9 +85,6 @@ class WellPoisedParams:
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
-
-    def shifted(self, db: Fraction, dd: Fraction) -> "WellPoisedParams":
-        return WellPoisedParams(self.a, self.b + db, self.c, self.d + dd)
 
     @cached_property
     def scaled(self) -> tuple[int, int, int, int, int]:
@@ -122,14 +120,6 @@ class IdentityCheck:
         return p * s == r * q
 
 
-def _rising(x: int, q: int, m: int) -> int:
-    """Numerator of the rising factorial (x/q)_m, whose denominator is q**m."""
-    out = 1
-    for factor in range(x, x + m * q, q):
-        out *= factor
-    return out
-
-
 def _rising_quotient(
     upper: Sequence[int], lower: Sequence[int], q: int, m: int
 ) -> tuple[int, int]:
@@ -140,9 +130,9 @@ def _rising_quotient(
     """
     num = den = 1
     for u in upper:
-        num *= _rising(u, q, m)
+        num *= rising(u, q, m)
     for low in lower:
-        den *= _rising(low, q, m)
+        den *= rising(low, q, m)
     if den == 0:
         raise ZeroDenominator(f"lower rising factorial vanished at n={m}")
     return num, den
@@ -196,12 +186,6 @@ def _dougall_pairs(params: WellPoisedParams, n: int) -> tuple[tuple[int, int], t
         cnum *= (u0 + kq) * (u1 + kq) * (u2 + kq) * (u3 + kq)
         cden *= (v0 + kq) * (v1 + kq) * (v2 + kq) * (v3 + kq)
     return (acc, den * a), (cnum, cden)
-
-
-def wellpoised_sum(params: WellPoisedParams, n: int) -> Fraction:
-    """Degree-n very-well-poised sum with the terminating fifth numerator
-    parameter chosen so the closed form applies."""
-    return Fraction(*_dougall_pairs(params, n)[0])
 
 
 def verify_dougall(params: WellPoisedParams, n: int) -> IdentityCheck:
@@ -259,11 +243,6 @@ def _dual_quotient_pair(params: WellPoisedParams, n: int) -> tuple[int, int]:
     )
 
 
-def dual_quotient(params: WellPoisedParams, n: int) -> Fraction:
-    """Left-hand quotient of the dual expansion at degree n."""
-    return Fraction(*_dual_quotient_pair(params, n))
-
-
 def _dual_expansion(
     params: WellPoisedParams, n: int
 ) -> tuple[list[tuple[int, int]], tuple[int, int]]:
@@ -315,10 +294,6 @@ def _dual_expansion(
         terms.append((term, den))
         acc = acc * step + term
     return terms, (acc, den)
-
-
-def dual_expansion_sum(params: WellPoisedParams, n: int) -> Fraction:
-    return Fraction(*_dual_expansion(params, n)[1])
 
 
 def verify_dual_relation(params: WellPoisedParams, n: int) -> IdentityCheck:
@@ -374,7 +349,7 @@ def verify_chain(params: WellPoisedParams, n_max: int) -> list[str]:
     f_pairs = []
     for n in range(n_max + 1):
         num, den = _dual_quotient_pair(params, n)
-        g_vals.append(Fraction(num * _rising(a, q, n) * q, den * q**n * a))
+        g_vals.append(Fraction(num * rising(a, q, n) * q, den * q**n * a))
         if a + n * q == 0:
             raise ZeroDenominator(f"a + n vanished at n={n}")
         num, den = _shifted_closed_pair(params, n)
@@ -398,7 +373,7 @@ def verify_chain(params: WellPoisedParams, n_max: int) -> list[str]:
     # (a)_n is nonzero here: for an integer a in [1 - n, 0], a + m vanishes
     # at m = -a < n, which raised above.
     for n in range(n_max + 1):
-        scale = (a * q**n, q * _rising(a, q, n))
+        scale = (a * q**n, q * rising(a, q, n))
         summands = _dual_expansion(params, n)[0]
         for k, (num, den) in enumerate(inverse_extended_terms(scheme, f_pairs, n)):
             chk = IdentityCheck((num * scale[0], den * scale[1]), summands[k])
@@ -556,39 +531,6 @@ def theorem_terms(params: WellPoisedParams, tag: str, k_last: int) -> list[Fract
             f"running family {tag} term at k={k_last} differs from theorem_term"
         )
     return out
-
-
-def theorem_b_literal_term(params: WellPoisedParams, k: int) -> Fraction:
-    """Family-B term in its single-braces literal shape (k >= 1 only).
-
-    This form divides by several linear factors and is therefore undefined
-    at parameter coincidences; it exists as an independent cross-check of
-    :func:`theorem_term` wherever those denominators are nonzero.
-    """
-    a, b, c, d = params.as_tuple()
-    if k < 1:
-        raise ZeroDenominator("the literal braces shape applies for k >= 1")
-    den_parts = (
-        (d + 3 * k),
-        (a - c - d + k),
-        (b - 1 + k),
-        (b + c - a - 1 + k),
-        (b + d - a - 1 + 2 * k),
-    )
-    for part in den_parts:
-        if part == 0:
-            raise ZeroDenominator("literal braces denominator vanished")
-    braces = 1 + Fraction(
-        2 * k * (b - 2 + 3 * k) * (a - b + k) * (a - c + 2 * k) * (b + c + d - a - 1 + 2 * k),
-        (d + 3 * k)
-        * (a - c - d + k)
-        * (b - 1 + k)
-        * (b + c - a - 1 + k)
-        * (b + d - a - 1 + 2 * k),
-    )
-    upper, lower = _family_b_skeleton(params)
-    weight = poch_quotient(upper, lower, k) / Fraction(16) ** k
-    return (a - d + k) * (d + 3 * k) * weight * braces
 
 
 def theorem_gamma_args(
@@ -795,23 +737,6 @@ def normalize_theorem_series(params: WellPoisedParams, tag: str) -> SeriesSpec:
 
 
 # ----------------------------------------------------------------------
-# asymptotic trend of the dual quotient
-# ----------------------------------------------------------------------
-
-
-def dual_limit_deviation(params: WellPoisedParams, n: int, prec: int = 220) -> float:
-    """|n^2 * dual quotient / gamma quotient - 1| at degree n.
-
-    The dual quotient decays like 1/n^2; scaled by n^2 it approaches the
-    same gamma quotient the limiting series sums to, with an O(1/n) error.
-    """
-    upper, lower = limit_gamma_args(params)
-    closed = gamma_quotient(upper, lower, prec)
-    scaled = BigFloat.from_fraction(dual_quotient(params, n) * n * n, prec)
-    return abs(scaled.div(closed, prec).to_float() - 1.0)
-
-
-# ----------------------------------------------------------------------
 # random parameter generation
 # ----------------------------------------------------------------------
 
@@ -866,7 +791,7 @@ def _hits_zero(x: int, q: int, span: int) -> bool:
 
 
 def random_parity_params(
-    rng: SplitMix64, n_max: int, max_coeff: int = 10, for_chain: bool = False
+    rng: SplitMix64, n_max: int, for_chain: bool = False
 ) -> WellPoisedParams:
     """Random parameters admissible for the parity form and dual expansion
     up to degree ``n_max`` (rejection sampled).
@@ -875,7 +800,7 @@ def random_parity_params(
     assignment are additionally required to be nonzero.
     """
     return _random_params(
-        rng, max_coeff, lambda scaled: _parity_params_admissible(scaled, n_max, for_chain)
+        rng, 10, lambda scaled: _parity_params_admissible(scaled, n_max, for_chain)
     )
 
 
@@ -909,14 +834,15 @@ def _parity_params_admissible(scaled: tuple[int, ...], n_max: int, for_chain: bo
 _VALID_DENOMS = (2, 3, 4, 6, 12)
 
 
-def random_valid_params(rng: SplitMix64, max_int: int = 2) -> WellPoisedParams:
-    """Random parameters in the positive-gamma-argument domain where both
+def random_valid_params(rng: SplitMix64) -> WellPoisedParams:
+    """Random parameters in (0, 3) over the denominators 2, 3, 4, 6 and 12,
+    rejection sampled into the positive-gamma-argument domain where both
     generator families converge to their gamma-quotient closed values."""
     while True:
         vals = []
         for _ in range(4):
             den = rng.choice(_VALID_DENOMS)
-            num = rng.randint(1, max_int * den + den - 1)
+            num = rng.randint(1, 3 * den - 1)
             vals.append(Fraction(num, den))
         params = WellPoisedParams(*vals)
         if params_valid_for_series(params):

@@ -35,7 +35,6 @@ from hyperpi.factorials import (
     pochhammer,
     poly_eval,
     poly_mul,
-    term_eval,
     term_ratio,
 )
 from hyperpi.splitting import Approx, product_sum, truncated_product_sum
@@ -222,15 +221,6 @@ def sum_series(spec: SeriesSpec, terms: int, prec: int) -> BigFloat:
             if low == BigFloat.from_ratio(*setup.fold(*_ratio_at(t, b, True)), prec):
                 return low
     return BigFloat.from_ratio(*_series_ratio(spec, terms), prec)
-
-
-def sum_series_naive(spec: SeriesSpec, terms: int) -> Fraction:
-    """Reference oracle: direct term-by-term exact summation."""
-    spec.validate()
-    total = Fraction(spec.additive)
-    for k in range(spec.start, spec.start + terms):
-        total += term_eval(spec, k)
-    return total
 
 
 def convergence_rate(spec: SeriesSpec, k: int) -> Fraction:

@@ -19,13 +19,21 @@ from hyperpi.errors import (
     ZeroDenominator,
 )
 
-Rat = Fraction
 Poly = tuple[Fraction, ...]  # ascending coefficients
 
 
 # ----------------------------------------------------------------------
 # Pochhammer symbols and factorial quotients
 # ----------------------------------------------------------------------
+
+
+def rising(x: int, q: int, m: int) -> int:
+    """Numerator of the rising factorial (x/q)_m, whose denominator is q**m:
+    the integer product x (x + q) ... (x + (m-1) q)."""
+    out = 1
+    for factor in range(x, x + m * q, q):
+        out *= factor
+    return out
 
 
 def pochhammer(x: Fraction, n: int) -> Fraction:
@@ -37,10 +45,7 @@ def pochhammer(x: Fraction, n: int) -> Fraction:
     if n < 0:
         raise DomainError("pochhammer requires a nonnegative index")
     p, q = x.numerator, x.denominator
-    num = 1
-    for i in range(n):
-        num *= p + i * q
-    return Fraction(num, q**n)
+    return Fraction(rising(p, q, n), q**n)
 
 
 def binomial(n: int, k: int) -> int:
@@ -88,22 +93,6 @@ def poch_step(upper: Sequence[Fraction], lower: Sequence[Fraction], n: int) -> F
     if den == 0:
         raise ZeroDenominator(f"lower rising factorial vanished at n={n + 1}")
     return Fraction(num, den)
-
-
-@dataclass(frozen=True)
-class FactorialQuotient:
-    """A quotient of rising-factorial products evaluated at a shared index."""
-
-    upper: tuple[Fraction, ...]
-    lower: tuple[Fraction, ...]
-
-    def validate(self) -> None:
-        for low in self.lower:
-            if low.denominator == 1 and low <= 0:
-                raise InvariantViolation(
-                    f"lower entry {low} is a non-positive integer; the quotient "
-                    "would divide by zero for large indices"
-                )
 
 
 # ----------------------------------------------------------------------
@@ -297,28 +286,6 @@ class PartialFractionForm:
     poly: tuple[Fraction, ...]
     terms: tuple[tuple[Fraction, Fraction], ...]  # (coefficient, pole)
 
-    def recombine(self) -> RationalFunctionOfK:
-        den: Poly = (Fraction(1),)
-        for _, pole in self.terms:
-            den = poly_mul(den, (pole, Fraction(1)))
-        num = poly_mul(self.poly, den)
-        for i, (coeff, _) in enumerate(self.terms):
-            factor: Poly = (coeff,)
-            for j, (_, pole) in enumerate(self.terms):
-                if j != i:
-                    factor = poly_mul(factor, (pole, Fraction(1)))
-            num = poly_add(num, factor)
-        return RationalFunctionOfK.make(num, den)
-
-    def eval_at(self, k: Fraction) -> Fraction:
-        acc = poly_eval(self.poly, Fraction(k))
-        for coeff, pole in self.terms:
-            d = Fraction(k) + pole
-            if d == 0:
-                raise ZeroDenominator(f"partial fraction pole at k={k}")
-            acc += coeff / d
-        return acc
-
 
 def partial_fractions(rf: RationalFunctionOfK) -> PartialFractionForm:
     """Exact partial-fraction expansion over the rationals.
@@ -376,7 +343,12 @@ class SeriesSpec:
             raise InvariantViolation(f"start index must be nonnegative, got {self.start}")
         if not poly_trim(self.poly):
             raise InvariantViolation("weight polynomial must be nonzero")
-        FactorialQuotient(self.upper, self.lower).validate()
+        for low in self.lower:
+            if low.denominator == 1 and low <= 0:
+                raise InvariantViolation(
+                    f"lower entry {low} is a non-positive integer; the quotient "
+                    "would divide by zero for large indices"
+                )
 
 
 def term_eval(spec: SeriesSpec, k: int) -> Fraction:

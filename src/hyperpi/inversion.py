@@ -42,8 +42,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from hyperpi.errors import DomainError, ZeroDenominator
-from hyperpi.factorials import binomial
+from hyperpi.errors import ZeroDenominator
+from hyperpi.factorials import binomial, rising
 from hyperpi.prng import SplitMix64
 
 Pair = tuple[int, int]  # unreduced (numerator, denominator)
@@ -64,12 +64,6 @@ class InversionScheme:
     b_values: tuple[Fraction, ...]
     lam: Fraction = Fraction(0)
     _prefixes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def a_of(self, j: int) -> Fraction:
-        return self.a_values[j]
-
-    def b_of(self, j: int) -> Fraction:
-        return self.b_values[j]
 
     @cached_property
     def scaled(self) -> list[tuple[int, int, int]]:
@@ -97,13 +91,6 @@ class InversionScheme:
                 dens.append(dens[-1] * q * s)
             prefix = self._prefixes[x] = (nums, dens)
         return prefix
-
-    def phi(self, x: Fraction, n: int) -> Fraction:
-        """The triangular product phi(x; n) = prod_{j<n} (a_j + x b_j)."""
-        if n < 0:
-            raise DomainError("phi requires a nonnegative length")
-        nums, dens = self.phi_prefix(Fraction(x))
-        return Fraction(nums[n], dens[n])
 
 
 SequenceFn = Callable[[int], Fraction]
@@ -152,12 +139,9 @@ def _inverse_extended_weights(scheme: InversionScheme, n: int) -> Weights:
         factor = (a * s + (p + n * s) * b) * (a - n * b)
         if factor == 0:
             raise ZeroDenominator(f"phi products vanished at n={n}, k={k}")
-        rising = 1
-        for i in range(k, k + n):
-            rising *= p + i * s
         u.append(
             (-1) ** k * binomial(n, k) * (a * s + (p + k * s) * b) * (a - k * b)
-            * lam_dens[k] * dens[k] * rising
+            * lam_dens[k] * dens[k] * rising(p + k * s, s, n)
         )
         e.append(factor)
     return u, e, s**n
@@ -176,28 +160,10 @@ def _apply(weights: Weights, values: Sequence[Fraction]) -> Pair:
     return acc, den
 
 
-def _transform(weights: Weights, seq: SequenceFn) -> Fraction:
-    return Fraction(*_apply(weights, [seq(k) for k in range(len(weights[0]))]))
-
-
-def forward_plain(scheme: InversionScheme, g: SequenceFn, n: int) -> Fraction:
-    """f(n) from g via the plain forward transform."""
-    return _transform(_forward_plain_weights(scheme, n), g)
-
-
-def inverse_plain(scheme: InversionScheme, f: SequenceFn, n: int) -> Fraction:
-    """g(n) from f via the plain inverse transform."""
-    return _transform(_inverse_plain_weights(scheme, n), f)
-
-
 def forward_extended(scheme: InversionScheme, g: SequenceFn, n: int) -> Fraction:
     """f(n) from g via the extended forward transform."""
-    return _transform(_forward_extended_weights(scheme, n), g)
-
-
-def inverse_extended(scheme: InversionScheme, f: SequenceFn, n: int) -> Fraction:
-    """g(n) from f via the extended inverse transform."""
-    return _transform(_inverse_extended_weights(scheme, n), f)
+    values = [g(k) for k in range(n + 1)]
+    return Fraction(*_apply(_forward_extended_weights(scheme, n), values))
 
 
 def inverse_extended_terms(scheme: InversionScheme, f: Sequence[Pair], n: int) -> list[Pair]:
@@ -246,30 +212,24 @@ def roundtrip_check(
     return failures
 
 
-def random_scheme(
-    rng: SplitMix64,
-    n_max: int,
-    extended: bool,
-    max_coeff: int = 20,
-    allow_zero_b: bool = True,
-) -> InversionScheme:
-    """Random scheme with numerators/denominators bounded by ``max_coeff``,
-    rejection-sampled until the transforms' nonvanishing conditions hold on
-    the whole index range 0..n_max."""
+def random_scheme(rng: SplitMix64, n_max: int, extended: bool) -> InversionScheme:
+    """Random scheme with numerators/denominators bounded by 20 and about
+    one b_j in ten exactly zero, rejection-sampled until the transforms'
+    nonvanishing conditions hold on the whole index range 0..n_max."""
     while True:
         a_vals = []
         b_vals = []
         for _ in range(n_max + 1):
-            a_vals.append(rng.fraction(max_coeff, max_coeff, nonzero=True))
-            if allow_zero_b and rng.randint(0, 9) == 0:
+            a_vals.append(rng.fraction(20, 20, nonzero=True))
+            if rng.randint(0, 9) == 0:
                 b_vals.append(Fraction(0))
             else:
-                b_vals.append(rng.fraction(max_coeff, max_coeff))
+                b_vals.append(rng.fraction(20, 20))
         lam = Fraction(0)
         if extended:
             # A positive non-integer lam keeps (lam+n)_{k+1} and phi(lam+n; .)
             # clear of zeros more often; still rejection-checked below.
-            lam = Fraction(rng.randint(1, 2 * max_coeff), rng.randint(2, max_coeff))
+            lam = Fraction(rng.randint(1, 40), rng.randint(2, 20))
         scheme = InversionScheme(tuple(a_vals), tuple(b_vals), lam)
         if _scheme_admissible(scheme, n_max, extended):
             return scheme
@@ -288,5 +248,5 @@ def _scheme_admissible(scheme: InversionScheme, n_max: int, extended: bool) -> b
     return not extended or not any(p + i * s == 0 for i in range(2 * n_max + 1))
 
 
-def random_sequence(rng: SplitMix64, n_max: int, max_coeff: int = 20) -> tuple[Fraction, ...]:
-    return tuple(rng.fraction(max_coeff, max_coeff) for _ in range(n_max + 1))
+def random_sequence(rng: SplitMix64, n_max: int) -> tuple[Fraction, ...]:
+    return tuple(rng.fraction(20, 20) for _ in range(n_max + 1))

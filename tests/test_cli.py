@@ -91,12 +91,17 @@ def test_verify_dougall_failure_exits_2(capsys, monkeypatch):
     assert code == 2
     rows = json.loads(out)["counterexamples"]
     assert rows
+    checks = []
     for row in rows:
         params = WellPoisedParams.make(*(Fraction(x) for x in row["params"]))
         check = dougall.verify_dougall(params, row["n"])
         assert row["sum"] == format_rational(check.lhs) == str(check.lhs)
         assert row["closed_form"] == format_rational(check.rhs) == str(check.rhs)
-        assert check.lhs == dougall.wellpoised_sum(params, row["n"]) != check.rhs
+        checks.append((params, row["n"], check))
+    # the sum side is the true sum: it equals the unshifted closed quotient
+    monkeypatch.undo()
+    for params, n, check in checks:
+        assert check.lhs == dougall.verify_dougall(params, n).rhs != check.rhs
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

@@ -4,21 +4,24 @@ from fractions import Fraction
 
 import pytest
 
-from hyperpi.bigfloat import BigFloat, agrees_to_bits, pi_reference, sqrt
+from hyperpi.bigfloat import BigFloat, pi_reference, sqrt
 from hyperpi.constexpr import (
     GammaLeaf,
     PiLeaf,
+    PowerNode,
+    ProductNode,
     RationalLeaf,
     SqrtNode,
+    SumNode,
     eval_const_expr,
     format_rational,
     monomial,
     node_count,
     parse_const_expr,
     parse_rational_string,
-    serialize_const_expr,
 )
 from hyperpi.errors import SchemaError, UnsupportedLhs
+from oracles import agrees_to_bits
 
 INV_PI_SQ = {
     "op": "div",
@@ -40,22 +43,33 @@ def test_format_rational():
     assert format_rational(Fraction(14, 2)) == "7"
 
 
-def test_parse_serialize_round_trip():
-    leaf_samples = [
-        {"rat": "-5/6"},
-        {"pi": -2},
-        {"gamma": "1/3", "exp": 3},
-        {"sqrt": {"rat": "5"}},
+def test_parse_builds_expected_trees():
+    samples = [
+        ({"rat": "-5/6"}, RationalLeaf(Fraction(-5, 6))),
+        ({"pi": 1}, PiLeaf()),
+        ({"pi": -2}, PowerNode(PiLeaf(), -2)),
+        ({"gamma": "1/3", "exp": 1}, GammaLeaf(Fraction(1, 3))),
+        ({"gamma": "1/3", "exp": 3}, PowerNode(GammaLeaf(Fraction(1, 3)), 3)),
+        ({"sqrt": {"rat": "5"}}, SqrtNode(RationalLeaf(Fraction(5)))),
+        # subtraction and division become sums and products of negated and
+        # reciprocal terms on parse
+        (
+            {"op": "sub", "args": [{"rat": "1"}, {"pi": 1}]},
+            SumNode((
+                RationalLeaf(Fraction(1)),
+                ProductNode((RationalLeaf(Fraction(-1)), PiLeaf())),
+            )),
+        ),
+        (
+            INV_PI_SQ,
+            ProductNode((
+                RationalLeaf(Fraction(32)),
+                PowerNode(ProductNode((PiLeaf(), PiLeaf())), -1),
+            )),
+        ),
     ]
-    for doc in leaf_samples:
-        expr = parse_const_expr(doc)
-        assert serialize_const_expr(expr) == doc
-    # division is normalized into product-of-reciprocal form on parse, so
-    # composite expressions round-trip by value rather than by shape
-    for doc in (INV_PI_SQ, {"op": "add", "args": [{"rat": "1"}, {"sqrt": {"rat": "2"}}]}):
-        expr = parse_const_expr(doc)
-        again = parse_const_expr(serialize_const_expr(expr))
-        assert agrees_to_bits(eval_const_expr(expr, 200), eval_const_expr(again, 200)) > 190
+    for doc, tree in samples:
+        assert parse_const_expr(doc) == tree
 
 
 def test_parse_rejects_malformed_nodes():

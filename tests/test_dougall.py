@@ -1,19 +1,18 @@
 """Terminating well-poised identity, its limits, and the generator families."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from hyperpi import dougall
-from hyperpi.bigfloat import BigFloat, agrees_to_bits
+from hyperpi.bigfloat import BigFloat
 from hyperpi.dougall import (
     WellPoisedParams,
+    _family_b_skeleton,
     _finite_params_admissible,
     _parity_params_admissible,
     assignment_scheme,
-    dual_expansion_sum,
-    dual_limit_deviation,
-    dual_quotient,
     limit_gamma_args,
     limit_series_term,
     normalize_theorem_series,
@@ -21,7 +20,6 @@ from hyperpi.dougall import (
     random_finite_params,
     random_parity_params,
     random_valid_params,
-    theorem_b_literal_term,
     theorem_closed_value,
     theorem_gamma_args,
     theorem_term,
@@ -30,13 +28,13 @@ from hyperpi.dougall import (
     verify_dougall,
     verify_dual_relation,
     verify_parity_form,
-    wellpoised_sum,
 )
 from hyperpi.engine import sum_series, sum_series_fraction
 from hyperpi.errors import NormalizationMismatch, ZeroDenominator
-from hyperpi.factorials import pochhammer, term_eval
+from hyperpi.factorials import poch_quotient, pochhammer, term_eval
 from hyperpi.gammafn import gamma_quotient
 from hyperpi.prng import SplitMix64
+from oracles import agrees_to_bits
 
 F = Fraction
 
@@ -115,10 +113,10 @@ def test_wellpoised_sum_matches_termwise_reference():
         want = _wellpoised_sum_reference(params, n)
         if isinstance(want, int):
             with pytest.raises(ZeroDenominator, match=f"k={want}$"):
-                wellpoised_sum(params, n)
+                verify_dougall(params, n)
             raised += 1
         else:
-            assert wellpoised_sum(params, n) == want
+            assert verify_dougall(params, n).lhs == want
             checked += 1
     assert checked > 50 and raised > 5
 
@@ -191,8 +189,10 @@ def _chain_admissible_reference(params, n_max):
     for n in range(n_max + 1):
         if a + n == 0 or pochhammer(a, n) == 0:
             return False
+        # phi(x; m) vanishes when its prefix numerator does
+        phi_upper, phi_lower = scheme.phi_prefix(a + n)[0], scheme.phi_prefix(F(-n))[0]
         for k in range(n + 1):
-            if scheme.phi(a + n, k + 1) == 0 or scheme.phi(F(-n), k + 1) == 0:
+            if phi_upper[k + 1] == 0 or phi_lower[k + 1] == 0:
                 return False
             if pochhammer(a + n, k + 1) == 0 or pochhammer(a + k, n) == 0:
                 return False
@@ -280,8 +280,9 @@ def test_dual_relation():
         for n in range(9):
             assert verify_dual_relation(params, n).passed
     # the dual expansion agrees with its quotient on shifted parameters too
-    params = P("5/4", "3/4", "1/2", "2/3").shifted(F(1, 3), F(-1, 6))
-    assert dual_expansion_sum(params, 5) == dual_quotient(params, 5)
+    params = P("5/4", "3/4", "1/2", "2/3")
+    shifted = replace(params, b=params.b + F(1, 3), d=params.d - F(1, 6))
+    assert verify_dual_relation(shifted, 5).passed
 
 
 def test_identity_checks_fail_on_a_wrong_side(monkeypatch):
@@ -289,27 +290,28 @@ def test_identity_checks_fail_on_a_wrong_side(monkeypatch):
     # cross-multiplied comparison must see it
     params = random_parity_params(SplitMix64(43), 8)
     n = 7
-    for check in (verify_dougall, verify_parity_form, verify_dual_relation):
-        assert check(params, n).passed
+    checks = (verify_dougall, verify_parity_form, verify_dual_relation)
+    right = {check: check(params, n) for check in checks}
+    assert all(chk.passed for chk in right.values())
     closed_forms = dougall._closed_forms
     monkeypatch.setattr(
         dougall, "_closed_forms", lambda q, a, b, c, d: closed_forms(q, a, b + q, c, d)
     )
     wrong = verify_dougall(params, n)
     assert wrong.passed is False
-    assert wrong.lhs == wellpoised_sum(params, n) != wrong.rhs
+    assert wrong.lhs == right[verify_dougall].lhs != wrong.rhs
     brackets = dougall.parity_closed_form
     monkeypatch.setattr(
-        dougall, "parity_closed_form", lambda p, m: brackets(p.shifted(F(1, 3), F(0)), m)
+        dougall, "parity_closed_form", lambda p, m: brackets(replace(p, b=p.b + F(1, 3)), m)
     )
     assert verify_parity_form(params, n).passed is False
     expansion = dougall._dual_expansion
     monkeypatch.setattr(
-        dougall, "_dual_expansion", lambda p, m: expansion(p.shifted(F(0), F(1, 3)), m)
+        dougall, "_dual_expansion", lambda p, m: expansion(replace(p, d=p.d + F(1, 3)), m)
     )
     wrong = verify_dual_relation(params, n)
     assert wrong.passed is False
-    assert wrong.lhs == dual_quotient(params, n)
+    assert wrong.lhs == right[verify_dual_relation].lhs
 
 
 def test_chain_derivation_term_for_term():
@@ -417,6 +419,39 @@ def test_theorem_terms_raise_where_theorem_term_raises():
                 theorem_terms(params, tag, k0)
 
 
+def theorem_b_literal_term(params: WellPoisedParams, k: int) -> Fraction:
+    """Family-B term in its single-braces literal shape (k >= 1 only).
+
+    This form divides by several linear factors and is therefore undefined
+    at parameter coincidences; it is an independent cross-check of
+    :func:`theorem_term` wherever those denominators are nonzero.
+    """
+    a, b, c, d = params.as_tuple()
+    if k < 1:
+        raise ZeroDenominator("the literal braces shape applies for k >= 1")
+    den_parts = (
+        (d + 3 * k),
+        (a - c - d + k),
+        (b - 1 + k),
+        (b + c - a - 1 + k),
+        (b + d - a - 1 + 2 * k),
+    )
+    for part in den_parts:
+        if part == 0:
+            raise ZeroDenominator("literal braces denominator vanished")
+    braces = 1 + Fraction(
+        2 * k * (b - 2 + 3 * k) * (a - b + k) * (a - c + 2 * k) * (b + c + d - a - 1 + 2 * k),
+        (d + 3 * k)
+        * (a - c - d + k)
+        * (b - 1 + k)
+        * (b + c - a - 1 + k)
+        * (b + d - a - 1 + 2 * k),
+    )
+    upper, lower = _family_b_skeleton(params)
+    weight = poch_quotient(upper, lower, k) / Fraction(16) ** k
+    return (a - d + k) * (d + 3 * k) * weight * braces
+
+
 def test_theorem_b_literal_form_agrees():
     # the literal bracketed form carries a 1/(b+c-a) factor the composed
     # term absorbs, so it needs b + c - a != 0
@@ -522,6 +557,18 @@ def test_normalized_sums_match_closed_values_at_precision():
             diff = total.sub(closed, prec).abs()
             assert diff < BigFloat.from_fraction(F(1, 10**60), 64)
         done += 1
+
+
+def dual_limit_deviation(params: WellPoisedParams, n: int, prec: int = 220) -> float:
+    """|n^2 * dual quotient / gamma quotient - 1| at degree n.
+
+    The dual quotient decays like 1/n^2; scaled by n^2 it approaches the
+    same gamma quotient the limiting series sums to, with an O(1/n) error.
+    """
+    upper, lower = limit_gamma_args(params)
+    closed = gamma_quotient(upper, lower, prec)
+    scaled = BigFloat.from_fraction(verify_dual_relation(params, n).lhs * n * n, prec)
+    return abs(scaled.div(closed, prec).to_float() - 1.0)
 
 
 def test_dual_limit_deviation_shrinks():

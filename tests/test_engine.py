@@ -21,7 +21,6 @@ from hyperpi.engine import (
     series_rational_summand,
     sum_series,
     sum_series_fraction,
-    sum_series_naive,
     terms_for_digits,
     verify_bbp_equivalence,
 )
@@ -56,6 +55,15 @@ BBP_SIGMA = {
     "s3.7-ex9": ("two-pi", F(45, 16)),
     "s3.7-ex10": ("two-pi", F(21, 2)),
 }
+
+
+def sum_series_naive(spec: SeriesSpec, terms: int) -> Fraction:
+    """Reference oracle: direct term-by-term exact summation."""
+    spec.validate()
+    total = Fraction(spec.additive)
+    for k in range(spec.start, spec.start + terms):
+        total += term_eval(spec, k)
+    return total
 
 
 def test_geometric_series_oracle():
