@@ -48,6 +48,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from typing import Iterable
 
@@ -59,10 +60,10 @@ from hyperpi.constexpr import (
     parse_const_expr,
     parse_rational_string,
 )
-from hyperpi.dougall import CHECK_WINDOW, WellPoisedParams, theorem_terms
-from hyperpi.engine import precision_for_digits, sum_series, terms_for_digits
+from hyperpi.dougall import CHECK_WINDOW, WellPoisedParams, theorem_term_pairs
+from hyperpi.engine import precision_for_digits, series_term_pairs, sum_series, terms_for_digits
 from hyperpi.errors import NoMatch, NoNonzeroTerm, SchemaError, UnsupportedLhs
-from hyperpi.factorials import SeriesSpec, term_values
+from hyperpi.factorials import SeriesSpec
 
 #: closed-form class -> (pi exponent, gamma exponent or None)
 CLASS_SHAPES: dict[str, tuple[int, int | None]] = {
@@ -139,9 +140,15 @@ def _reject_constant(text: str) -> None:
     raise SchemaError(f"non-finite literal {text!r} is not allowed in catalogs")
 
 
+@lru_cache(maxsize=None)
+def _packaged_text(resource: str) -> str:
+    """Text of a data file shipped with the package, read once per process."""
+    return resources.files("hyperpi").joinpath(f"data/{resource}").read_text()
+
+
 def _load_json(path: str | os.PathLike | None, resource: str) -> object:
     if path is None:
-        text = resources.files("hyperpi").joinpath(f"data/{resource}").read_text()
+        text = _packaged_text(resource)
     else:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -260,8 +267,18 @@ def _parse_entry(raw: object, seen_ids: set[str]) -> CatalogEntry:
 
 def load_catalog(path: str | os.PathLike | None = None) -> list[CatalogEntry]:
     """Load and fully validate a catalog file (package default when ``path``
-    is None)."""
-    data = _load_json(path, "catalog.json")
+    is None, parsed once per process)."""
+    if path is None:
+        return list(_packaged_catalog())
+    return _parse_catalog(_load_json(path, "catalog.json"))
+
+
+@lru_cache(maxsize=None)
+def _packaged_catalog() -> tuple[CatalogEntry, ...]:
+    return tuple(_parse_catalog(_load_json(None, "catalog.json")))
+
+
+def _parse_catalog(data: object) -> list[CatalogEntry]:
     if not isinstance(data, dict) or set(data.keys()) != {"version", "entries"}:
         raise SchemaError("catalog must be an object with exactly 'version' and 'entries'")
     if data["version"] != 1:
@@ -316,6 +333,14 @@ def verify_entry(entry: CatalogEntry, digits: int) -> EntryCheck:
 # matching an entry to the generator families
 # ----------------------------------------------------------------------
 
+def _pair_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of unreduced integer pairs (num, den) as one such pair."""
+    num, den = 0, 1
+    for n, d in pairs:
+        num, den = num * d + n * den, den * d
+    return num, den
+
+
 def match_to_theorem(entry: CatalogEntry) -> TheoremMatch:
     """Prove the entry an exact rational multiple of its stated family.
 
@@ -329,11 +354,10 @@ def match_to_theorem(entry: CatalogEntry) -> TheoremMatch:
     the scale or the head disagrees, and :class:`NoNonzeroTerm` when the
     window holds no nonzero pair.
 
-    Both term sequences come from running products
-    (:func:`~hyperpi.factorials.term_values` and
-    :func:`~hyperpi.dougall.theorem_terms`); each checks its value at the
-    last index of the window against its definitional formula and raises
-    :class:`~hyperpi.errors.InvariantViolation` on a difference.
+    Both term sequences are unreduced integer pairs, from
+    :func:`~hyperpi.engine.series_term_pairs` and
+    :func:`~hyperpi.dougall.theorem_term_pairs`, compared by
+    cross-multiplication; ``scale`` and the head sums are pairs too.
     """
     spec = entry.spec
     tag = entry.theorem
@@ -342,35 +366,37 @@ def match_to_theorem(entry: CatalogEntry) -> TheoremMatch:
         raise NoNonzeroTerm(
             f"entry {entry.entry_id}: no term at or below index {CHECK_WINDOW}"
         )
-    entry_terms = term_values(spec, spec.start, CHECK_WINDOW)
-    family_terms = theorem_terms(entry.params, tag, CHECK_WINDOW)
-    scale: Fraction | None = None
+    entry_terms = series_term_pairs(spec, CHECK_WINDOW)
+    family_terms = theorem_term_pairs(entry.params, tag, CHECK_WINDOW)
+    scale: tuple[int, int] | None = None
     for k in range(cut, CHECK_WINDOW + 1):
-        entry_term = entry_terms[k - spec.start]
-        family_term = family_terms[k]
+        entry_num, entry_den = entry_terms[k - spec.start]
+        family_num, family_den = family_terms[k]
         if scale is None:
-            if entry_term == 0 and family_term == 0:
+            if entry_num == 0 and family_num == 0:
                 continue
-            if entry_term == 0 or family_term == 0:
+            if entry_num == 0 or family_num == 0:
                 raise NoMatch(
                     f"entry {entry.entry_id}: at k={k} exactly one of the entry "
                     f"and family {tag} terms is zero"
                 )
-            scale = entry_term / family_term
-        elif entry_term != scale * family_term:
+            scale = (entry_num * family_den, entry_den * family_num)
+        elif entry_num * scale[1] * family_den != scale[0] * family_num * entry_den:
             raise NoMatch(
-                f"entry {entry.entry_id}: term at k={k} is not {scale} times "
-                f"the family {tag} term"
+                f"entry {entry.entry_id}: term at k={k} is not {Fraction(*scale)} "
+                f"times the family {tag} term"
             )
     if scale is None:
         raise NoNonzeroTerm(
             f"entry {entry.entry_id}: no nonzero term pair at indices "
             f"{cut}..{CHECK_WINDOW}"
         )
-    head = spec.additive + sum(entry_terms[: cut - spec.start], Fraction(0))
-    if head != scale * sum(family_terms[:cut], Fraction(0)):
+    additive = (spec.additive.numerator, spec.additive.denominator)
+    head_num, head_den = _pair_sum([additive, *entry_terms[: cut - spec.start]])
+    family_head_num, family_head_den = _pair_sum(family_terms[:cut])
+    if head_num * scale[1] * family_head_den != scale[0] * family_head_num * head_den:
         raise NoMatch(
             f"entry {entry.entry_id}: additive constant and terms below k={cut} "
-            f"are not {scale} times the family {tag} terms below it"
+            f"are not {Fraction(*scale)} times the family {tag} terms below it"
         )
-    return TheoremMatch(entry.entry_id, tag, "exact", scale)
+    return TheoremMatch(entry.entry_id, tag, "exact", Fraction(*scale))

@@ -27,7 +27,11 @@ ratio, four over four in its closed quotient and in the dual quotient, and
 5k + 2 over 5k + 2 in the k-th dual summand.  Each identity is then an
 integer loop that yields two unreduced pairs, compared once by
 cross-multiplication (:class:`IdentityCheck`); fractions are built only for
-reports.  The samplers test admissibility on the same integers.
+reports.  The samplers test admissibility on the same integers and hand the
+accepted integer form to the parameters.  The family terms are integer pairs
+over q too (:func:`theorem_term_pairs`), compared by cross-multiplication
+with the terms of a flat description (:func:`normalize_theorem_series`) or
+of a catalog entry (:func:`hyperpi.catalog.match_to_theorem`).
 """
 
 from __future__ import annotations
@@ -49,15 +53,14 @@ from hyperpi.factorials import (
     SeriesSpec,
     binomial,
     poch_quotient,
-    poch_step,
     poly_divmod,
     poly_eval,
     poly_interpolate,
     poly_scale,
     poly_trim,
     rising,
-    term_values,
 )
+from hyperpi.engine import series_term_pairs
 from hyperpi.gammafn import gamma_quotient
 from hyperpi.inversion import InversionScheme, forward_extended, inverse_extended_terms
 from hyperpi.prng import SplitMix64
@@ -82,6 +85,17 @@ class WellPoisedParams:
     @staticmethod
     def make(a, b, c, d) -> "WellPoisedParams":
         return WellPoisedParams(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+
+    @staticmethod
+    def from_scaled(scaled: tuple[int, ...]) -> "WellPoisedParams":
+        """The quadruple with integer form ``scaled`` = (q, a q, b q, c q, d q)
+        over any common denominator q > 0.  The least common denominator of
+        the values is q / gcd(scaled), so :attr:`scaled` needs no lcm."""
+        g = math.gcd(*scaled)
+        q, *nums = (x // g for x in scaled)
+        params = WellPoisedParams(*(Fraction(x, q) for x in nums))
+        params.__dict__["scaled"] = (q, *nums)  # where cached_property keeps it
+        return params
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
@@ -448,7 +462,7 @@ def theorem_term(params: WellPoisedParams, tag: str, k: int) -> Fraction:
     a, b, c, d = params.as_tuple()
     if tag == "A":
         return (
-            _family_a_weight_at(params, k)
+            Fraction(_family_a_weight_at(params, k), params.scaled[0] ** 5)
             / math.factorial(2 * k + 1)
             * poch_quotient(
                 (b, d, 1 + a - b - c, 1 + a - c - d, b + c - a, c + d - a),
@@ -467,69 +481,88 @@ def theorem_term(params: WellPoisedParams, tag: str, k: int) -> Fraction:
     raise ValueError(f"unknown generator family tag {tag!r}")
 
 
-def _family_a_weight_at(params: WellPoisedParams, k: int | Fraction) -> Fraction:
-    """The family-A weight polynomial, evaluated from its factored form."""
-    a, b, c, d = params.as_tuple()
+def _family_a_weight_at(params: WellPoisedParams, k: int) -> int:
+    """The family-A weight polynomial at k, evaluated from its factored
+    form, times q**5 for the common denominator q of :attr:`~WellPoisedParams.scaled`."""
+    q, a, b, c, d = params.scaled
+    kq = k * q
     return (
-        (1 + a - b - c + k) * (d + k) * (c + d - a + k)
-        * (b + d - a + 2 * k) * (1 + b + 3 * k)
-        + (1 + 2 * k) * (a - d + k) * (1 + a - c + 2 * k)
-        * (b + c + d - a + 2 * k) * (d + 3 * k)
+        (q + a - b - c + kq) * (d + kq) * (c + d - a + kq)
+        * (b + d - a + 2 * kq) * (q + b + 3 * kq)
+        + (q + 2 * kq) * (a - d + kq) * (q + a - c + 2 * kq)
+        * (b + c + d - a + 2 * kq) * (d + 3 * kq)
     )
 
 
-def theorem_terms(params: WellPoisedParams, tag: str, k_last: int) -> list[Fraction]:
-    """Terms k = 0..k_last of generator family "A" or "B", equal to
-    :func:`theorem_term` at each index.
+def _family_forms(params: WellPoisedParams, tag: str) -> tuple:
+    """``(q, P upper, P lower, H upper, H lower)``: the rising-factorial
+    parameters of family "A" or "B" as integer forms over the q of
+    :attr:`~WellPoisedParams.scaled`, P the quotient at index k and H the
+    one at index 2k, whose lower forms family A raises by one."""
+    q, a, b, c, d = params.scaled
+    s = q if tag == "A" else 0
+    p_upper = (b, d, q + a - b - c, q + a - c - d, b + c - a, c + d - a)
+    return q, p_upper, (q + a - b, q + a - d), b + d - a, (q + a - c + s, b + c + d - a + s)
 
-    Both families are built from the same two rising-factorial quotients:
-    one at index k over (1+a-b, 1+a-d) and one at index 2k over
-    (1+a-c, b+c+d-a), each lower parameter raised by one for family A.
-    Each is kept as a running product, one step per k for the first and two
-    for the second, with (2k)! as a running integer, so a new term costs a
-    few multiplications instead of rebuilding every rising factorial.
-    Raises :class:`ZeroDenominator` at the first index at which
-    :func:`theorem_term` would.  The last term is also computed by
-    :func:`theorem_term`, and a difference raises
-    :class:`InvariantViolation`: the definitional formula guards the
-    stepping code on every call.
+
+def theorem_term_pairs(params: WellPoisedParams, tag: str, k_last: int) -> list[tuple[int, int]]:
+    """Terms k = 0..k_last of generator family "A" or "B", each equal to
+    :func:`theorem_term`, as unreduced integer pairs (num, den), den != 0.
+
+    Running products over :func:`_family_forms`: per step in k, P gains
+    its upper forms over its lower forms times q**4; per half step m, H
+    gains (H upper + m q) q over its lower forms; (2k)! is a running int.
+    The family-A weight is an integer over q**5; family B adds its odd
+    branch at k - 1 (:func:`limit_series_term`) over the even one's
+    denominator, which it divides.  Raises :class:`ZeroDenominator` at the first index at which
+    :func:`theorem_term` would; the last term is checked against
+    :func:`theorem_term`, and a difference raises :class:`InvariantViolation`.
     """
     if tag not in ("A", "B"):
         raise ValueError(f"unknown generator family tag {tag!r}")
-    a, b, c, d = params.as_tuple()
-    shift = 1 if tag == "A" else 0
-    pair_upper = (b, d, 1 + a - b - c, 1 + a - c - d, b + c - a, c + d - a)
-    pair_lower = (1 + a - b, 1 + a - d)
-    double_upper = (b + d - a,)
-    double_lower = (1 + a - c + shift, b + c + d - a + shift)
-    pair = double = Fraction(1)  # the quotients at k and at 2k
-    fact = 1  # (2k)!
+    _, a, b, c, d = params.scaled
+    q, p_upper, (low0, low1), h_up, (h_low0, h_low1) = _family_forms(params, tag)
+    u0, u1, u2, u3, u4, u5 = p_upper
+    q2, q4 = q * q, q**4
+    p_num = p_den = h_num = h_den = fact = 1  # P(k), H(2k) and (2k)!
     out = []
     for k in range(k_last + 1):
+        kq = k * q
         if k:
-            prev_pair = pair
-            pair *= poch_step(pair_upper, pair_lower, k - 1)
-            odd_double = double * poch_step(double_upper, double_lower, 2 * k - 2)
-            double = odd_double * poch_step(double_upper, double_lower, 2 * k - 1)
-            odd_fact = fact * (2 * k - 1)
-            fact = odd_fact * 2 * k
+            jq, mq = kq - q, 2 * kq - q  # (k - 1) q and (2k - 1) q
+            p_low = (low0 + jq) * (low1 + jq)
+            odd_low = (h_low0 + mq - q) * (h_low1 + mq - q)
+            even_low = (h_low0 + mq) * (h_low1 + mq)
+            if p_low == 0 or odd_low == 0 or even_low == 0:
+                raise ZeroDenominator(f"family {tag} lower rising factorial vanished at k={k}")
+            prev_num = p_num
+            p_num *= (u0 + jq) * (u1 + jq) * (u2 + jq) * (u3 + jq) * (u4 + jq) * (u5 + jq)
+            p_den *= p_low * q4
+            odd_num = h_num * (h_up + mq - q) * q  # the numerator of H(2k - 1)
+            h_num = odd_num * (h_up + mq) * q
+            h_den *= odd_low * even_low
+            fact *= (2 * k - 1) * 2 * k
         if tag == "A":
-            out.append(
-                _family_a_weight_at(params, k) / (fact * (2 * k + 1)) * pair * double
-            )
+            weight = _family_a_weight_at(params, k)
+            out.append((weight * p_num * h_num, q4 * q * fact * (2 * k + 1) * p_den * h_den))
             continue
-        # even-branch term at k plus odd-branch term at k - 1 (limit_series_term)
-        value = (d + 3 * k) * (a - d + k) / fact * double * pair
+        # the even branch at k is over q**2 (2k)! H_den P_den; the odd branch
+        # at k - 1 is over q**4 (2k-1)! H_den(2k-1) P_den(k-1), which times
+        # 2k q**2 and the newest lower forms of H and P is the same integer
+        num = (d + 3 * kq) * (a - d + kq) * h_num * p_num
         if k:
-            value += (
-                (b + 3 * k - 2) / odd_fact * odd_double * prev_pair
-                * (a - b - c + k) * (d + k - 1) * (c + d - a + k - 1)
+            odd = (
+                (b + 3 * kq - 2 * q) * (a - b - c + kq) * (d + jq) * (c + d - a + jq)
+                * odd_num * prev_num
             )
-        out.append(value)
-    if out and out[-1] != theorem_term(params, tag, k_last):
-        raise InvariantViolation(
-            f"running family {tag} term at k={k_last} differs from theorem_term"
-        )
+            num += odd * 2 * k * q2 * even_low * p_low
+        out.append((num, q2 * fact * h_den * p_den))
+    if out:
+        (num, den), check = out[-1], theorem_term(params, tag, k_last)
+        if num * check.denominator != check.numerator * den:
+            raise InvariantViolation(
+                f"running family {tag} term at k={k_last} differs from theorem_term"
+            )
     return out
 
 
@@ -575,62 +608,28 @@ def params_valid_for_series(params: WellPoisedParams) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _family_a_skeleton(
-    params: WellPoisedParams,
+def _family_skeleton(
+    params: WellPoisedParams, tag: str
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    a, b, c, d = params.as_tuple()
+    """Upper and lower parameters of a family's flat description: the
+    forms of :func:`_family_forms` over q, the index-2k quotient split into
+    halves and (2k)! or (2k+1)! into (1)_k (1/2)_k or (1)_k (3/2)_k."""
+    q, p_upper, p_lower, h_up, h_lower = _family_forms(params, tag)
     upper = (
-        b,
-        d,
-        1 + a - b - c,
-        1 + a - c - d,
-        b + c - a,
-        c + d - a,
-        (b + d - a) / 2,
-        (b + d - a + 1) / 2,
+        *(Fraction(u, q) for u in p_upper),
+        Fraction(h_up, 2 * q), Fraction(h_up + q, 2 * q),
     )
     lower = (
-        Fraction(1),
-        Fraction(3, 2),
-        1 + a - b,
-        1 + a - d,
-        (2 + a - c) / 2,
-        (3 + a - c) / 2,
-        (1 - a + b + c + d) / 2,
-        (2 - a + b + c + d) / 2,
-    )
-    return upper, lower
-
-
-def _family_b_skeleton(
-    params: WellPoisedParams,
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    a, b, c, d = params.as_tuple()
-    upper = (
-        b,
-        d,
-        1 + a - b - c,
-        1 + a - c - d,
-        b + c - a,
-        c + d - a,
-        (b + d - a) / 2,
-        (b + d - a + 1) / 2,
-    )
-    lower = (
-        Fraction(1),
-        Fraction(1, 2),
-        1 + a - b,
-        1 + a - d,
-        (1 + a - c) / 2,
-        (2 + a - c) / 2,
-        (b + c + d - a) / 2,
-        (1 + b + c + d - a) / 2,
+        Fraction(1), Fraction(3, 2) if tag == "A" else Fraction(1, 2),
+        *(Fraction(low, q) for low in p_lower),
+        *(Fraction(low + m, 2 * q) for low in h_lower for m in (0, q)),
     )
     return upper, lower
 
 
 def _family_a_weight(params: WellPoisedParams) -> tuple[Fraction, ...]:
-    points = [(Fraction(i), _family_a_weight_at(params, Fraction(i))) for i in range(6)]
+    q5 = params.scaled[0] ** 5
+    points = [(Fraction(i), Fraction(_family_a_weight_at(params, i), q5)) for i in range(6)]
     return poly_interpolate(points)
 
 
@@ -656,38 +655,22 @@ def normalize_theorem_series(params: WellPoisedParams, tag: str) -> SeriesSpec:
     description from its start index through :data:`CHECK_WINDOW` must
     equal the corresponding family term exactly, and a nonzero start index
     must be compensated exactly by the additive constant.  Any discrepancy
-    raises :class:`NormalizationMismatch`.  Both sides are generated as
-    running products (:func:`~hyperpi.factorials.term_values` and
-    :func:`theorem_terms`), each checked at :data:`CHECK_WINDOW` against
-    its definitional formula (:func:`~hyperpi.factorials.term_eval` and
-    :func:`theorem_term`).
+    raises :class:`NormalizationMismatch`.  Both sides are integer pairs,
+    compared by cross-multiplication: the description's terms from
+    :func:`~hyperpi.engine.series_term_pairs`, the family's from
+    :func:`theorem_term_pairs`.
     """
+    if tag not in ("A", "B"):
+        raise ValueError(f"unknown generator family tag {tag!r}")
     a, b, c, d = params.as_tuple()
+    upper, lower = map(list, _family_skeleton(params, tag))
+    start, additive = 0, Fraction(0)
     if tag == "A":
-        upper, lower = _family_a_skeleton(params)
-        spec = SeriesSpec(
-            upper=upper,
-            lower=lower,
-            poly=_family_a_weight(params),
-            base=16,
-            start=0,
-            additive=Fraction(0),
-            sign=1,
-        )
-    elif tag == "B":
-        upper_l, lower = _family_b_skeleton(params)
-        upper = list(upper_l)
-        poly = list(_family_b_weight(params))
-        scale = _HALF
-        start = 0
-        additive = Fraction(0)
+        poly, scale = list(_family_a_weight(params)), Fraction(1)
+    else:
+        poly, scale = list(_family_b_weight(params)), _HALF
         # Linear denominator factors (x + k) and the upper slot holding 1+x.
-        slots = (
-            (a - c - d, 3),
-            (b - 1, 0),
-            (b + c - a - 1, 4),
-            ((b + d - a - 1) / 2, 7),
-        )
+        slots = ((a - c - d, 3), (b - 1, 0), (b + c - a - 1, 4), ((b + d - a - 1) / 2, 7))
         for x, slot in slots:
             if x == 0:
                 # Factor is k itself: the weight polynomial always has the
@@ -711,28 +694,23 @@ def normalize_theorem_series(params: WellPoisedParams, tag: str) -> SeriesSpec:
                 assert upper[slot] == 1 + x
                 upper[slot] = x
                 scale /= x
-        spec = SeriesSpec(
-            upper=tuple(upper),
-            lower=lower,
-            poly=poly_scale(poly, scale),
-            base=16,
-            start=start,
-            additive=additive,
-            sign=1,
-        )
-    else:
-        raise ValueError(f"unknown generator family tag {tag!r}")
+    spec = SeriesSpec(
+        tuple(upper), tuple(lower), poly_scale(poly, scale), 16, start=start, additive=additive
+    )
 
-    family_terms = theorem_terms(params, tag, CHECK_WINDOW)
-    spec_terms = term_values(spec, spec.start, CHECK_WINDOW)
-    for k, term in enumerate(spec_terms, spec.start):
-        if term != family_terms[k]:
+    family_terms = theorem_term_pairs(params, tag, CHECK_WINDOW)
+    spec_terms = series_term_pairs(spec, CHECK_WINDOW)
+    for k, (num, den) in enumerate(spec_terms, spec.start):
+        family_num, family_den = family_terms[k]
+        if num * family_den != family_num * den:
             raise NormalizationMismatch(
                 f"normalized term differs from the generator at k={k} "
                 f"(family {tag}, params {params})"
             )
-    if spec.start == 1 and spec.additive != family_terms[0]:
-        raise NormalizationMismatch("additive constant does not equal the k=0 term")
+    if spec.start == 1:
+        family_num, family_den = family_terms[0]
+        if spec.additive.numerator * family_den != family_num * spec.additive.denominator:
+            raise NormalizationMismatch("additive constant does not equal the k=0 term")
     return spec
 
 
@@ -748,15 +726,16 @@ def _random_params(
     would (a nonzero), so the seeded streams are those of the fraction draws.
 
     ``admissible`` sees the integer form (q, a q, b q, c q, d q) over the lcm
-    q of the drawn, unreduced denominators; fractions are built only for the
-    draw it accepts.
+    q of the drawn, unreduced denominators; the draw it accepts becomes the
+    parameters through that form (:meth:`WellPoisedParams.from_scaled`).
     """
     while True:
         pairs = [rng.ratio(max_coeff, max_coeff, nonzero=True)]
         pairs.extend(rng.ratio(max_coeff, max_coeff) for _ in range(3))
         q = math.lcm(*(den for _, den in pairs))
-        if admissible((q, *(num * (q // den) for num, den in pairs))):
-            return WellPoisedParams(*(Fraction(num, den) for num, den in pairs))
+        scaled = (q, *(num * (q // den) for num, den in pairs))
+        if admissible(scaled):
+            return WellPoisedParams.from_scaled(scaled)
 
 
 def random_finite_params(

@@ -21,20 +21,29 @@ Four capabilities, all built on exact rational arithmetic:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from hyperpi.bigfloat import BigFloat, sqrt as bigfloat_sqrt
 from hyperpi.constexpr import ConstExpr, eval_const_expr, monomial
-from hyperpi.errors import DomainError, NoMatch, RangeError, UnsupportedLhs, ZeroTerm
+from hyperpi.errors import (
+    DomainError,
+    InvariantViolation,
+    NoMatch,
+    RangeError,
+    UnsupportedLhs,
+    ZeroDenominator,
+    ZeroTerm,
+)
 from hyperpi.factorials import (
     RationalFunctionOfK,
     SeriesSpec,
     partial_fractions,
-    pochhammer,
     poly_eval,
     poly_mul,
+    term_eval,
     term_ratio,
 )
 from hyperpi.splitting import Approx, product_sum, truncated_product_sum
@@ -90,86 +99,112 @@ def precision_for_digits(digits: int) -> int:
 
 
 class _SeriesSetup(NamedTuple):
-    """The splitting inputs of a series and the map from its (T, B) pair to
-    the value ``additive + sign * sum``."""
+    """The integer term inputs of a series and the map from its (T, B) pair
+    to the value ``additive + sign * sum``.  ``sequences(lo, hi)`` lists
+    weight(j), alpha(j) and beta(j) for j in [lo, hi), and term ``start +
+    j`` is ``lead_num * weight(j) * alpha(0)...alpha(j-1)`` over
+    ``lead_den * beta(0)...beta(j-1)``."""
 
-    weight: Callable[[int], int]
-    alpha: Callable[[int], int]
-    beta: Callable[[int], int]
+    sequences: Callable[[int, int], tuple[list[int], list[int], list[int]]]
     fold: Callable[[int, int], tuple[int, int]]
+    lead_num: int
+    lead_den: int
 
 
 def _series_setup(spec: SeriesSpec) -> _SeriesSetup:
-    """Integer splitting inputs for ``spec``.
+    """Integer term inputs for ``spec``; the splitters validate it first.
 
     The per-step ratio of consecutive terms is a pure product of linear
     factors, so the weight sequence carries the polynomial and the splitting
-    never divides by a (possibly zero) polynomial value.  Leaf weights are
-    integer Horner evaluations of ``poly * lcm(denominators)``.  ``fold(t,
-    b)`` turns a pair with ``t/b = T/B`` into an unreduced pair ``(num,
-    den)``, ``den > 0``, for ``additive + sign * lead * t / (lcm * b)``
-    without a gcd; the value is monotone in ``t/b``.
+    never divides by a (possibly zero) polynomial value.  Weights are
+    integer Horner evaluations of ``poly * lcm(denominators)``; each linear
+    factor is an arithmetic progression in the index, multiplied into its
+    sequence a whole range at a time.  ``fold(t, b)``
+    turns a pair with ``t/b = T/B`` into an unreduced pair ``(num, den)``,
+    ``den > 0``, for ``additive + sign * lead * t / (lcm * b)`` without a
+    gcd; the value is monotone in ``t/b``.  Raises :class:`ZeroDenominator`
+    when a lower rising factorial vanishes at the start index.
     """
-    spec.validate()
     additive = Fraction(spec.additive)
     s = spec.start
-    lead_num = Fraction(1)
-    lead_den = Fraction(spec.base) ** s
-    for u in spec.upper:
-        lead_num *= pochhammer(u, s)
-    for low in spec.lower:
-        lead_den *= pochhammer(low, s)
-    lead = lead_num / lead_den
-    poly_lcm = 1
-    for coeff in spec.poly:
-        poly_lcm = math.lcm(poly_lcm, coeff.denominator)
+    poly_lcm = math.lcm(*(coeff.denominator for coeff in spec.poly))
     coeffs = [(coeff * poly_lcm).numerator for coeff in reversed(spec.poly)]
     upper_nd = [(u.numerator, u.denominator) for u in spec.upper]
     lower_nd = [(low.numerator, low.denominator) for low in spec.lower]
-    prod_ud = math.prod(d for _, d in upper_nd)
-    prod_ld = math.prod(d for _, d in lower_nd)
+    alpha_const = math.prod(d for _, d in lower_nd)
+    beta_const = math.prod(d for _, d in upper_nd) * spec.base
 
-    def weight(j: int) -> int:
-        x = s + j
-        acc = 0
+    def factors(forms: list[tuple[int, int]], const: int, lo: int, hi: int) -> list[int]:
+        # const * prod over (n, d) of (n + (s + i) d), for i in [lo, hi)
+        out = [const] * (hi - lo)
+        for n, d in forms:
+            out = list(map(operator.mul, out, range(n + (s + lo) * d, n + (s + hi) * d, d)))
+        return out
+
+    def sequences(lo: int, hi: int) -> tuple[list[int], list[int], list[int]]:
+        weights = [0] * (hi - lo)
         for c in coeffs:
-            acc = acc * x + c
-        return acc
+            weights = [w * x + c for w, x in zip(weights, range(s + lo, s + hi))]
+        alphas = factors(upper_nd, alpha_const, lo, hi)
+        return weights, alphas, factors(lower_nd, beta_const, lo, hi)
 
-    def alpha(i: int) -> int:
-        out = prod_ld
-        for n, d in upper_nd:
-            out *= n + (s + i) * d
-        return out
-
-    def beta(i: int) -> int:
-        out = prod_ud * spec.base
-        for n, d in lower_nd:
-            out *= n + (s + i) * d
-        return out
+    # the rising factorials at the start index: the steps from index 0 to s
+    lead_num = spec.sign * math.prod(factors(upper_nd, alpha_const, -s, 0))
+    lead_den = poly_lcm * math.prod(factors(lower_nd, beta_const, -s, 0))
+    if lead_den == 0:
+        raise ZeroDenominator(f"lower rising factorial vanished at n={s}")
 
     def fold(t: int, b: int) -> tuple[int, int]:
-        num = spec.sign * lead.numerator * t
-        den = lead.denominator * poly_lcm * b
+        num, den = lead_num * t, lead_den * b
         num = additive.numerator * den + additive.denominator * num
         den *= additive.denominator
-        # B < 0 when an odd number of its factors are, e.g. lower parameter -1/2 at k = 0.
+        # B or the lead < 0 when an odd number of their factors are, e.g. lower -1/2 at k = 0.
         if den < 0:
             num, den = -num, -den
         return num, den
 
-    return _SeriesSetup(weight, alpha, beta, fold)
+    return _SeriesSetup(sequences, fold, lead_num, lead_den)
+
+
+def series_term_pairs(spec: SeriesSpec, k_last: int) -> list[tuple[int, int]]:
+    """Terms k = start..k_last of ``spec``, additive constant left out, as
+    unreduced integer pairs ``(num, den)``, ``den != 0``: running products
+    of the integers that :func:`sum_series` splits (:func:`_series_setup`).
+    Raises :class:`ZeroDenominator` at the first index at which
+    :func:`~hyperpi.factorials.term_eval` would; the last term is checked
+    against ``term_eval``, and a difference raises :class:`InvariantViolation`.
+    """
+    setup = _series_setup(spec)
+    weights, alphas, betas = setup.sequences(0, k_last - spec.start + 1)
+    num, den = setup.lead_num, setup.lead_den
+    out = []
+    for j, weight in enumerate(weights):
+        if j:
+            if betas[j - 1] == 0:
+                raise ZeroDenominator(f"lower rising factorial vanished at n={spec.start + j}")
+            num *= alphas[j - 1]
+            den *= betas[j - 1]
+        out.append((num * weight, den))
+    if out:
+        last, check = out[-1], term_eval(spec, k_last)
+        if last[0] * check.denominator != check.numerator * last[1]:
+            raise InvariantViolation(f"running series term at k={k_last} differs from term_eval")
+    return out
 
 
 def _series_ratio(spec: SeriesSpec, terms: int) -> tuple[int, int]:
     """Exact ``additive + sign * sum`` over the first ``terms`` terms, as an
     unreduced pair ``(num, den)`` of integers with ``den > 0``, by exact
     binary splitting."""
+    spec.validate()
     setup = _series_setup(spec)
     if terms <= 0:
         additive = Fraction(spec.additive)
         return additive.numerator, additive.denominator
-    _, big_b, big_t = product_sum(setup.weight, setup.alpha, setup.beta, 0, terms)
+    weights, alphas, betas = setup.sequences(0, terms)
+    _, big_b, big_t = product_sum(
+        weights.__getitem__, alphas.__getitem__, betas.__getitem__, 0, terms
+    )
     return setup.fold(int(big_t), int(big_b))
 
 
@@ -209,11 +244,10 @@ def sum_series(spec: SeriesSpec, terms: int, prec: int) -> BigFloat:
     split and rounded instead.  Either way the error is at most 1/2 ulp of
     the exact partial sum.
     """
+    spec.validate()
     setup = _series_setup(spec)
     if terms > 0:
-        b, t = truncated_product_sum(
-            setup.weight, setup.alpha, setup.beta, 0, terms, prec + SPLIT_GUARD_BITS
-        )
+        b, t = truncated_product_sum(setup.sequences, terms, prec + SPLIT_GUARD_BITS)
         if b[0] < 0:
             b, t = (-b[0], b[1], b[2]), (-t[0], t[1], t[2])
         if b[0] > b[2]:  # B's interval excludes 0, as it always does when exact
@@ -440,35 +474,20 @@ def verify_bbp_equivalence(spec: SeriesSpec, lhs: ConstExpr) -> BbpEquivalence:
         weight = 8 * coeff * Fraction(16) ** fold
         slots[j] += weight
         first_index = spec.start + fold
-        if first_index >= 0:
-            shift_sum = sum(
-                Fraction(1, 16) ** n / (8 * n + j) for n in range(first_index)
-            )
-        else:
-            shift_sum = -sum(
-                Fraction(16) ** (-n) / (8 * n + j) for n in range(first_index, 0)
-            )
+        # the terms n < first_index, or minus those first_index <= n < 0
+        shift_sum = sum(Fraction(1, 16) ** n / (8 * n + j) for n in range(first_index)) - sum(
+            Fraction(1, 16) ** n / (8 * n + j) for n in range(first_index, 0)
+        )
         head += weight * shift_sum
     for family, template, multiplier in (
         ("pi", SLOTS_PI, Fraction(1)),
         ("two-pi", SLOTS_TWO_PI, Fraction(2)),
     ):
-        sigma: Fraction | None = None
-        consistent = True
-        for j in range(1, 9):
-            if template[j - 1] == 0:
-                if slots[j] != 0:
-                    consistent = False
-                    break
-            else:
-                ratio = slots[j] / template[j - 1]
-                if sigma is None:
-                    sigma = ratio
-                elif ratio != sigma:
-                    consistent = False
-                    break
-        if not consistent or sigma is None:
+        # one ratio over the template's nonzero slots, zero in its others
+        ratios = {slots[j] / template[j - 1] for j in range(1, 9) if template[j - 1] != 0}
+        if len(ratios) != 1 or any(slots[j] for j in range(1, 9) if template[j - 1] == 0):
             continue
+        (sigma,) = ratios
         if spec.additive != head:
             raise NoMatch(
                 f"additive constant {spec.additive} differs from the exact "

@@ -75,26 +75,6 @@ def poch_quotient(upper: Sequence[Fraction], lower: Sequence[Fraction], n: int) 
     return Fraction(num, den)
 
 
-def poch_step(upper: Sequence[Fraction], lower: Sequence[Fraction], n: int) -> Fraction:
-    """Ratio of :func:`poch_quotient` at n + 1 to its value at n.
-
-    This is one step of a running product: the quotient gains the factors
-    (u + n) over (l + n).  Raises :class:`ZeroDenominator` when a lower
-    rising factorial vanishes at n + 1.
-    """
-    # u + n = (p + n q) / q, multiplied out in integers with one final gcd
-    num = den = 1
-    for u in upper:
-        num *= u.numerator + n * u.denominator
-        den *= u.denominator
-    for low in lower:
-        den *= low.numerator + n * low.denominator
-        num *= low.denominator
-    if den == 0:
-        raise ZeroDenominator(f"lower rising factorial vanished at n={n + 1}")
-    return Fraction(num, den)
-
-
 # ----------------------------------------------------------------------
 # polynomial helpers (ascending coefficient tuples of Fractions)
 # ----------------------------------------------------------------------
@@ -211,17 +191,13 @@ def poly_rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], Pol
         ints = [int(c * denlcm) for c in p]
         g = math.gcd(*ints)
         ints = [c // g for c in ints]
-        found = None
-        for pnum in _divisors(abs(ints[0])):
-            for pden in _divisors(abs(ints[-1])):
-                for cand in (Fraction(pnum, pden), Fraction(-pnum, pden)):
-                    if poly_eval(p, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+        candidates = (
+            (num, pden)
+            for pnum in _divisors(abs(ints[0]))
+            for pden in _divisors(abs(ints[-1]))
+            for num in (pnum, -pnum)
+        )
+        found = next((Fraction(*c) for c in candidates if _homogeneous_eval(ints, *c) == 0), None)
         if found is None:
             break
         roots.append(found)
@@ -229,6 +205,16 @@ def poly_rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], Pol
         assert not r, "exact root division left a remainder"
         p = q
     return roots, p
+
+
+def _homogeneous_eval(ints: Sequence[int], num: int, den: int) -> int:
+    """den**n * p(num/den) for the integer polynomial p of degree n: zero
+    exactly when p(num/den) is, by Horner's rule without a gcd."""
+    acc, den_power = ints[-1], 1
+    for c in reversed(ints[:-1]):
+        den_power *= den
+        acc = acc * num + c * den_power
+    return acc
 
 
 def _divisors(n: int) -> list[int]:
@@ -362,28 +348,6 @@ def term_eval(spec: SeriesSpec, k: int) -> Fraction:
         * quotient
         / Fraction(spec.base) ** k
     )
-
-
-def term_values(spec: SeriesSpec, k_first: int, k_last: int) -> list[Fraction]:
-    """Terms for k in [k_first, k_last], from a running rising-factorial
-    quotient; equal to :func:`term_eval` at each index.
-
-    The last term is also computed by :func:`term_eval`, and a difference
-    raises :class:`InvariantViolation`.
-    """
-    if k_first < spec.start:
-        raise DomainError("first index below start index")
-    out = []
-    quotient = poch_quotient(spec.upper, spec.lower, k_first)
-    scale = Fraction(spec.base) ** k_first
-    for k in range(k_first, k_last + 1):
-        if k > k_first:
-            quotient *= poch_step(spec.upper, spec.lower, k - 1)
-            scale *= spec.base
-        out.append(spec.sign * poly_eval(spec.poly, Fraction(k)) * quotient / scale)
-    if out and out[-1] != term_eval(spec, k_last):
-        raise InvariantViolation(f"running series term at k={k_last} differs from term_eval")
-    return out
 
 
 def term_ratio(spec: SeriesSpec) -> RationalFunctionOfK:

@@ -35,6 +35,9 @@ Intish = int  # both int and gmpy2.mpz flow through these helpers
 # (m, x, e): an approximation m * 2**x of a value X with |X - m * 2**x| <= e * 2**x
 Approx = tuple[Intish, int, Intish]
 
+_FOLD_RANGE = 8  # product_sum folds ranges this short term by term
+_BLOCK = 1024  # truncated_product_sum lists the sequences of ranges this long at once
+
 
 def product_sum(
     weight: Callable[[int], int],
@@ -54,11 +57,16 @@ def product_sum(
 
     so that the desired sum equals T / B.  An empty range yields (1, 1, 0).
     """
-    if hi <= lo:
-        return _mpz(1), _mpz(1), _mpz(0)
-    if hi - lo == 1:
-        b = _mpz(beta(lo))
-        return _mpz(alpha(lo)), b, _mpz(weight(lo)) * b
+    if hi - lo <= _FOLD_RANGE:
+        # A left fold yields the same integers as the balanced split; on a
+        # short range it saves the recursion.
+        a, b, t = _mpz(1), _mpz(1), _mpz(0)
+        for j in range(lo, hi):
+            b_j = _mpz(beta(j))
+            t = t * b_j + a * _mpz(weight(j)) * b_j
+            a *= alpha(j)
+            b *= b_j
+        return a, b, t
     mid = (lo + hi) // 2
     a_left, b_left, t_left = product_sum(weight, alpha, beta, lo, mid)
     a_right, b_right, t_right = product_sum(weight, alpha, beta, mid, hi)
@@ -91,16 +99,11 @@ def _truncate(p: Approx, width: int) -> Approx:
     return m >> s, x + s, -(-e >> s) + 1
 
 
-def truncated_product_sum(
-    weight: Callable[[int], int],
-    alpha: Callable[[int], int],
-    beta: Callable[[int], int],
-    lo: int,
-    hi: int,
-    width: int,
-) -> tuple[Approx, Approx]:
-    """B and T of :func:`product_sum` over [lo, hi), each as an
-    :data:`Approx` ``(m, x, e)`` with ``|X - m * 2**x| <= e * 2**x``.
+def truncated_product_sum(sequences: Callable, terms: int, width: int) -> tuple[Approx, Approx]:
+    """B and T of :func:`product_sum` over [0, terms), each as an
+    :data:`Approx` ``(m, x, e)`` with ``|X - m * 2**x| <= e * 2**x``, where
+    ``sequences(lo, hi)`` lists ``weight``, ``alpha`` and ``beta`` at the
+    indices in [lo, hi).
 
     A subrange is split exactly by :func:`product_sum` once its length
     times the larger bit length of ``alpha`` and ``beta`` at its two ends
@@ -108,35 +111,57 @@ def truncated_product_sum(
     truncated to ``width`` bits.  When no merge truncates, both results
     are exact (``e == 0``).
     """
-
-    def split(lo: int, hi: int, need_a: bool) -> tuple[Approx | None, Approx, Approx]:
-        if hi - lo <= 1 or (hi - lo) * max(
-            abs(alpha(lo)).bit_length(), abs(beta(lo)).bit_length(),
-            abs(alpha(hi - 1)).bit_length(), abs(beta(hi - 1)).bit_length(),
-        ) <= width:
-            a, b, t = product_sum(weight, alpha, beta, lo, hi)
-            return (a, 0, 0), (b, 0, 0), (t, 0, 0)
-        mid = (lo + hi) // 2
-        a_left, b_left, t_left = split(lo, mid, True)
-        a_right, b_right, t_right = split(mid, hi, need_a)
-        # Error bound of a merge.  With X = (m1 + d1) * 2**x1 and
-        # Y = (m2 + d2) * 2**x2, |d1| <= e1, |d2| <= e2,
-        #     X*Y - m1*m2 * 2**(x1+x2) = (m1*d2 + m2*d1 + d1*d2) * 2**(x1+x2),
-        # at most |m1|*e2 + |m2|*e1 + e1*e2 units of 2**(x1+x2) (_mul).  A sum
-        # rewrites the operand with the larger exponent at the smaller one by
-        # shifting its mantissa and bound left, exactly, and adds the bounds
-        # (_add).  Truncating to `width` bits keeps m >> s = m/2**s - f with
-        # 0 <= f < 1, so in units of 2**(x+s) the error is below
-        # f + e/2**s < ceil(e/2**s) + 1 (_truncate).  Every step keeps
-        # |X - m * 2**x| <= e * 2**x.  The A product is needed only by a left
-        # half, so the right spine skips it.
-        b = _truncate(_mul(b_left, b_right), width)
-        t = _truncate(_add(_mul(t_left, b_right), _mul(a_left, t_right)), width)
-        a = _truncate(_mul(a_left, a_right), width) if need_a else None
-        return a, b, t
-
-    _, b, t = split(lo, hi, False)
+    _, b, t = _split(sequences, width, 0, terms, False, None)
     return b, t
+
+
+def _split(
+    sequences: Callable, width: int, lo: int, hi: int, need_a: bool, block: tuple | None
+) -> tuple[Approx | None, Approx, Approx]:
+    """A, B and T over [lo, hi) for :func:`truncated_product_sum`.  The
+    first range of at most ``_BLOCK`` indices on a path lists its sequences
+    once (:func:`_block`) for the ranges below it; above it only the ends
+    are listed, so memory stays bounded.  Not a closure: a recursive one is
+    a cycle that outlives the call."""
+    if block is None and hi - lo <= _BLOCK:
+        block = _block(sequences, lo, hi)
+    if block is None:
+        end_bits = max(_block(sequences, i, i + 1)[4][0] for i in (lo, hi - 1))
+    else:
+        first, bits = block[0], block[4]
+        end_bits = max(bits[lo - first], bits[hi - 1 - first])
+    if hi - lo <= 1 or (hi - lo) * end_bits <= width:
+        first, weights, alphas, betas, _ = block or _block(sequences, lo, hi)
+        a, b, t = product_sum(
+            weights.__getitem__, alphas.__getitem__, betas.__getitem__, lo - first, hi - first
+        )
+        return (a, 0, 0), (b, 0, 0), (t, 0, 0)
+    mid = (lo + hi) // 2
+    a_left, b_left, t_left = _split(sequences, width, lo, mid, True, block)
+    a_right, b_right, t_right = _split(sequences, width, mid, hi, need_a, block)
+    # Error bound of a merge.  With X = (m1 + d1) * 2**x1 and
+    # Y = (m2 + d2) * 2**x2, |d1| <= e1, |d2| <= e2,
+    #     X*Y - m1*m2 * 2**(x1+x2) = (m1*d2 + m2*d1 + d1*d2) * 2**(x1+x2),
+    # at most |m1|*e2 + |m2|*e1 + e1*e2 units of 2**(x1+x2) (_mul).  A sum
+    # rewrites the operand with the larger exponent at the smaller one by
+    # shifting its mantissa and bound left, exactly, and adds the bounds
+    # (_add).  Truncating to `width` bits keeps m >> s = m/2**s - f with
+    # 0 <= f < 1, so in units of 2**(x+s) the error is below
+    # f + e/2**s < ceil(e/2**s) + 1 (_truncate).  Every step keeps
+    # |X - m * 2**x| <= e * 2**x.  The A product is needed only by a left
+    # half, so the right spine skips it.
+    b = _truncate(_mul(b_left, b_right), width)
+    t = _truncate(_add(_mul(t_left, b_right), _mul(a_left, t_right)), width)
+    a = _truncate(_mul(a_left, a_right), width) if need_a else None
+    return a, b, t
+
+
+def _block(sequences: Callable, lo: int, hi: int) -> tuple:
+    """(lo, weights, alphas, betas, bits) over [lo, hi), ``bits`` the larger
+    bit length of |alpha| and |beta| at each index."""
+    weights, alphas, betas = sequences(lo, hi)
+    bits = [max(x.bit_length(), y.bit_length()) for x, y in zip(alphas, betas)]
+    return lo, weights, alphas, betas, bits
 
 
 def alternating_arctan_sum(inv_arg: int, terms: int) -> tuple[Intish, Intish]:

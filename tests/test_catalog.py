@@ -1,12 +1,13 @@
 """Catalog loading, schema strictness, certification, family matching."""
 
 import copy
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
-from hyperpi import catalog
+from hyperpi import catalog, dougall, engine
 from hyperpi.bigfloat import BigFloat
 from hyperpi.catalog import (
     CLASS_SHAPES,
@@ -16,7 +17,7 @@ from hyperpi.catalog import (
     match_to_theorem,
     verify_entry,
 )
-from hyperpi.errors import NoMatch, SchemaError
+from hyperpi.errors import InvariantViolation, NoMatch, SchemaError
 
 EXPECTED_CLASS_COUNTS = {
     "pi^-2": 9,
@@ -99,6 +100,22 @@ def write_doc(tmp_path, doc, name="catalog.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def test_packaged_catalog_is_parsed_once(tmp_path):
+    # each call gets its own list of the same parsed entries; a file path is
+    # read afresh every time
+    first, second = load_catalog(), load_catalog()
+    assert first == second and first is not second
+    assert all(a is b for a, b in zip(first, second))
+    first.clear()
+    assert len(load_catalog()) == 100
+    path = tmp_path / "catalog.json"
+    path.write_text('{"version": 1, "entries": []}')
+    assert load_catalog(path) == []
+    path.write_text('{"version": 2, "entries": []}')
+    with pytest.raises(SchemaError):
+        load_catalog(path)
 
 
 def test_packaged_catalog_shape(catalog_entries):
@@ -329,6 +346,47 @@ def test_match_rejects_wrong_theorem_tag(catalog_by_id, raw_doc, tmp_path):
     broken = catalog_index(entries)["s3.6-ex1"]
     with pytest.raises(NoMatch):
         match_to_theorem(broken)
+
+
+def _with_spec(entry, **fields):
+    return dataclasses.replace(entry, spec=dataclasses.replace(entry.spec, **fields))
+
+
+def test_match_negative_controls_keep_their_messages(catalog_by_id):
+    # the first failing index and the message, as the Fraction-based
+    # matcher reported them
+    ex1, ex9, p2 = catalog_by_id["s3.1-ex1"], catalog_by_id["s3.7-ex9"], catalog_by_id["s3.2-ex1"]
+    cases = [
+        # perturbed poly: term k = 2 is off the scale of k = 1
+        (_with_spec(p2, poly=(p2.spec.poly[0], Fraction(65), *p2.spec.poly[2:])),
+         "entry s3.2-ex1: term at k=2 is not 988/123 times the family A term"),
+        # perturbed geometric scale: base 17 multiplies term k by (16/17)**k
+        (_with_spec(ex1, base=17),
+         "entry s3.1-ex1: term at k=2 is not 512/17 times the family A term"),
+        # perturbed overall scale: the terms match at -32, the folded head does not
+        (_with_spec(ex9, poly=tuple(2 * c for c in ex9.spec.poly)),
+         "entry s3.7-ex9: additive constant and terms below k=1 are not -32 "
+         "times the family B terms below it"),
+        # perturbed additive
+        (_with_spec(ex9, additive=Fraction(17)),
+         "entry s3.7-ex9: additive constant and terms below k=1 are not -16 "
+         "times the family B terms below it"),
+    ]
+    for entry, message in cases:
+        with pytest.raises(NoMatch) as raised:
+            match_to_theorem(entry)
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("generator", ["theorem_term", "term_eval"])
+def test_match_is_guarded_by_the_definitional_terms(catalog_by_id, monkeypatch, generator):
+    # each generator re-checks its last term against its definition, so a
+    # perturbed definitional value stops the match
+    module = dougall if generator == "theorem_term" else engine
+    exact = getattr(module, generator)
+    monkeypatch.setattr(module, generator, lambda *args: exact(*args) * Fraction(10**30 + 1, 10**30))
+    with pytest.raises(InvariantViolation, match=f"differs from {generator}"):
+        match_to_theorem(catalog_by_id["s3.1-ex1"])
 
 
 def test_load_anomalies_validates_records(tmp_path):

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from hyperpi import dougall
+from hyperpi import dougall, engine
 from hyperpi.bigfloat import BigFloat
 from hyperpi.dougall import (
     WellPoisedParams,
-    _family_b_skeleton,
+    _family_skeleton,
     _finite_params_admissible,
     _parity_params_admissible,
     assignment_scheme,
@@ -23,15 +23,15 @@ from hyperpi.dougall import (
     theorem_closed_value,
     theorem_gamma_args,
     theorem_term,
-    theorem_terms,
+    theorem_term_pairs,
     verify_chain,
     verify_dougall,
     verify_dual_relation,
     verify_parity_form,
 )
-from hyperpi.engine import sum_series, sum_series_fraction
-from hyperpi.errors import NormalizationMismatch, ZeroDenominator
-from hyperpi.factorials import poch_quotient, pochhammer, term_eval
+from hyperpi.engine import series_term_pairs, sum_series, sum_series_fraction
+from hyperpi.errors import InvariantViolation, NormalizationMismatch, ZeroDenominator
+from hyperpi.factorials import SeriesSpec, poch_quotient, pochhammer, term_eval
 from hyperpi.gammafn import gamma_quotient
 from hyperpi.prng import SplitMix64
 from oracles import agrees_to_bits
@@ -177,8 +177,20 @@ def test_finite_sampler_streams_match_per_degree_rule():
                     )
                     if _finite_params_admissible_reference(want, n_max):
                         break
-                assert random_finite_params(rng, n_max, max_coeff) == want
+                got = random_finite_params(rng, n_max, max_coeff)
+                # the integer form handed over equals the one the fractions give
+                assert got == want and got.scaled == want.scaled
             assert rng.state == reference.state
+
+
+def test_from_scaled_presets_the_reduced_integer_form():
+    # (q, aq, bq, cq, dq) over q = 24, twice the least: the values are the
+    # fractions, and scaled is stored already, over the least q = 12, so a
+    # change to how the class caches it cannot bring the lcm back unseen
+    params = WellPoisedParams.from_scaled((24, 12, -8, 0, 18))
+    want = WellPoisedParams.make(Fraction(1, 2), Fraction(-1, 3), 0, Fraction(3, 4))
+    assert params == want
+    assert vars(params)["scaled"] == (12, 6, -4, 0, 9) == want.scaled
 
 
 def _chain_admissible_reference(params, n_max):
@@ -258,7 +270,8 @@ def test_parity_sampler_streams_match_evaluation_rule():
                         )
                         if _parity_params_admissible_reference(want, n_max, for_chain):
                             break
-                    assert random_parity_params(rng, n_max, for_chain=for_chain) == want
+                    got = random_parity_params(rng, n_max, for_chain=for_chain)
+                    assert got == want and got.scaled == want.scaled
                 assert rng.state == reference.state
 
 
@@ -375,24 +388,48 @@ def test_theorem_b_matches_interleaved_limit_terms():
     assert theorem_term(params, "B", 0) == limit_series_term(params, 0, "even")
 
 
-def test_theorem_terms_match_per_index_terms():
+def _fractions(pairs):
+    # the generators' unreduced pairs never have a zero denominator
+    assert all(den != 0 for _, den in pairs)
+    return [F(num, den) for num, den in pairs]
+
+
+# b + c + d - a = 0 is a lower parameter of family B, so only the A form
+# stays finite there; a = d is finite in both
+BOUNDARY_CASES = [(params, "A") for params in DEGENERATE_A]
+BOUNDARY_CASES.append((P("3/2", "1/2", "1/2", "1/2"), "A"))  # b + c + d - a = 0
+BOUNDARY_CASES += [(P("3/4", "1/2", "1/3", "3/4"), tag) for tag in ("A", "B")]  # a = d
+
+
+def test_theorem_term_pairs_match_per_index_terms():
     rng = SplitMix64(37)
     for _ in range(4):
         params = random_valid_params(rng)
         for tag in ("A", "B"):
             expected = [theorem_term(params, tag, k) for k in range(61)]
-            assert theorem_terms(params, tag, 60) == expected
+            assert _fractions(theorem_term_pairs(params, tag, 60)) == expected
 
 
-def test_theorem_terms_on_boundary_parameters():
-    # b + c + d - a = 0 is a lower parameter of family B, so only the A
-    # form stays finite there; a = d is finite in both
-    cases = [(params, "A") for params in DEGENERATE_A]
-    cases.append((P("3/2", "1/2", "1/2", "1/2"), "A"))  # b + c + d - a = 0
-    cases += [(P("3/4", "1/2", "1/3", "3/4"), tag) for tag in ("A", "B")]  # a = d
-    for params, tag in cases:
-        expected = [theorem_term(params, tag, k) for k in range(13)]
-        assert theorem_terms(params, tag, 12) == expected
+def test_theorem_term_pairs_on_boundary_parameters():
+    for params, tag in BOUNDARY_CASES:
+        expected = [theorem_term(params, tag, k) for k in range(61)]
+        assert _fractions(theorem_term_pairs(params, tag, 60)) == expected
+
+
+def test_series_term_pairs_match_term_eval():
+    # the normalised descriptions of the same seeded and boundary parameters
+    rng = SplitMix64(37)
+    cases = [(random_valid_params(rng), tag) for _ in range(4) for tag in ("A", "B")]
+    checked = 0
+    for params, tag in cases + BOUNDARY_CASES:
+        try:
+            spec = normalize_theorem_series(params, tag)
+        except NormalizationMismatch:
+            continue
+        expected = [term_eval(spec, k) for k in range(spec.start, 61)]
+        assert _fractions(series_term_pairs(spec, 60)) == expected
+        checked += 1
+    assert checked >= 12
 
 
 def _first_failing_index(params, tag):
@@ -404,19 +441,62 @@ def _first_failing_index(params, tag):
     raise AssertionError("no zero denominator within k < 20")
 
 
-def test_theorem_terms_raise_where_theorem_term_raises():
+def test_theorem_term_pairs_raise_where_theorem_term_raises():
     cases = [
         P("1/2", "5/2", "1/4", "1/3"),  # 1 + a - b = -1: index-k lower vanishes
         P("1/2", "1/3", "7/2", "1/4"),  # 1 + a - c = -2: index-2k lower vanishes
+        P("1/2", "1/3", "1/4", "5/2"),  # 1 + a - d = -1: index-k lower vanishes
+        P("3/2", "1/2", "1/2", "1/2"),  # b + c + d - a = 0: family B at k = 1
     ]
     for params in cases:
         for tag in ("A", "B"):
-            k0 = _first_failing_index(params, tag)
+            try:
+                k0 = _first_failing_index(params, tag)
+            except AssertionError:
+                assert (params, tag) == (cases[3], "A")  # finite in the A form
+                continue
             assert k0 >= 1
             expected = [theorem_term(params, tag, k) for k in range(k0)]
-            assert theorem_terms(params, tag, k0 - 1) == expected
+            assert _fractions(theorem_term_pairs(params, tag, k0 - 1)) == expected
             with pytest.raises(ZeroDenominator):
-                theorem_terms(params, tag, k0)
+                theorem_term_pairs(params, tag, k0)
+
+
+def test_series_term_pairs_raise_where_term_eval_raises():
+    # -2 is no valid lower parameter (validate refuses it), but the
+    # generator, like term_eval, must stop at the first vanishing index
+    for start in (0, 2, 3, 5):
+        spec = SeriesSpec(
+            upper=(F(1, 2),), lower=(F(-2), F(3, 2)), poly=(F(1), F(1)), base=16, start=start
+        )
+        first = max(start, 3)
+        with pytest.raises(ZeroDenominator):
+            term_eval(spec, first)
+        if first > start:
+            expected = [term_eval(spec, k) for k in range(start, first)]
+            assert _fractions(series_term_pairs(spec, first - 1)) == expected
+        with pytest.raises(ZeroDenominator):
+            series_term_pairs(spec, first)
+
+
+def test_term_generators_are_guarded_by_their_definitions(monkeypatch):
+    # a perturbed definitional value at the last index is caught on every call
+    params, tag = random_valid_params(SplitMix64(37)), "A"
+    spec = normalize_theorem_series(params, tag)
+    exact_theorem_term, exact_term_eval = dougall.theorem_term, engine.term_eval
+    monkeypatch.setattr(
+        dougall, "theorem_term", lambda *args: exact_theorem_term(*args) * F(10**30 + 1, 10**30)
+    )
+    with pytest.raises(InvariantViolation, match="differs from theorem_term"):
+        theorem_term_pairs(params, tag, 20)
+    with pytest.raises(InvariantViolation, match="differs from theorem_term"):
+        normalize_theorem_series(params, tag)
+    monkeypatch.setattr(dougall, "theorem_term", exact_theorem_term)
+    monkeypatch.setattr(engine, "term_eval", lambda *args: exact_term_eval(*args) + F(1, 10**40))
+    with pytest.raises(InvariantViolation, match="differs from term_eval"):
+        series_term_pairs(spec, 20)
+    with pytest.raises(InvariantViolation, match="differs from term_eval"):
+        normalize_theorem_series(params, tag)
 
 
 def theorem_b_literal_term(params: WellPoisedParams, k: int) -> Fraction:
@@ -447,7 +527,7 @@ def theorem_b_literal_term(params: WellPoisedParams, k: int) -> Fraction:
         * (b + c - a - 1 + k)
         * (b + d - a - 1 + 2 * k),
     )
-    upper, lower = _family_b_skeleton(params)
+    upper, lower = _family_skeleton(params, "B")
     weight = poch_quotient(upper, lower, k) / Fraction(16) ** k
     return (a - d + k) * (d + 3 * k) * weight * braces
 

@@ -375,9 +375,7 @@ def test_sum_series_matches_fraction_path(catalog_entries):
             want = BigFloat.from_fraction(sum_series_fraction(spec, terms), prec)
             assert (got.man, got.exp, got.prec) == (want.man, want.exp, want.prec)
     setup = engine._series_setup(catalog_entries[0].spec)
-    b, t = truncated_product_sum(
-        setup.weight, setup.alpha, setup.beta, 0, 851, 3450 + engine.SPLIT_GUARD_BITS
-    )
+    b, t = truncated_product_sum(setup.sequences, 851, 3450 + engine.SPLIT_GUARD_BITS)
     assert b[1] > 0 and t[1] > 0 and b[2] > 0 and t[2] > 0
 
 
@@ -448,7 +446,10 @@ def test_truncated_splitting_bounds_hold(spec, terms, width):
     # long sums at a tiny width drive the bounds past the mantissas, where
     # every term of the product bound counts
     setup = engine._series_setup(spec)
-    _, exact_b, exact_t = product_sum(setup.weight, setup.alpha, setup.beta, 0, terms)
-    got = truncated_product_sum(setup.weight, setup.alpha, setup.beta, 0, terms, width)
+    weights, alphas, betas = setup.sequences(0, terms)
+    _, exact_b, exact_t = product_sum(
+        weights.__getitem__, alphas.__getitem__, betas.__getitem__, 0, terms
+    )
+    got = truncated_product_sum(setup.sequences, terms, width)
     for exact, (man, exp, err) in zip((exact_b, exact_t), got):
         assert abs(exact - (man << exp)) <= err << exp

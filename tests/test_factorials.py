@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hyperpi.engine import series_term_pairs
 from hyperpi.errors import DomainError, InvariantViolation, RepeatedPole, ZeroDenominator
 from hyperpi.factorials import (
     PartialFractionForm,
@@ -27,7 +28,6 @@ from hyperpi.factorials import (
     poly_trim,
     term_eval,
     term_ratio,
-    term_values,
 )
 
 fractions_st = st.builds(
@@ -289,7 +289,9 @@ def test_term_eval_and_values():
     )
     # term k: -(1+2k) * (1/2)_k / (3/2)_k / 4^k, defined from start
     assert term_eval(spec, 1) == Fraction(-3) * Fraction(1, 2) / Fraction(3, 2) / 4
-    assert term_values(spec, 1, 3) == [term_eval(spec, k) for k in (1, 2, 3)]
+    assert [Fraction(*pair) for pair in series_term_pairs(spec, 3)] == [
+        term_eval(spec, k) for k in (1, 2, 3)
+    ]
     with pytest.raises(DomainError):
         term_eval(spec, 0)  # indices below start are rejected, not zeroed
 

@@ -7,7 +7,11 @@ the tests or nowhere.  Docstrings and comments are STRING and COMMENT
 tokens, so a name that is only mentioned there does not count as a use.
 
 The check is by name, not by binding: a method shares its uses with every
-other definition of the same name.
+other definition of the same name.  So a method whose bare name another
+package class also defines could pass on the other's uses; each such
+method is listed in ``SHARED`` with a caller that names its class, and
+the list must hold exactly these methods.  (An attribute of a foreign
+object, ``set.add`` for ``BigFloat.add``, still counts as a use.)
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import ast
 import io
 import tokenize
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,6 +32,15 @@ ALLOWED = {
     "random_valid_params": "the acceptance suite's sampler of convergent parameters",
     "sum_series_fraction": "the exact reference that sum_series is tested against",
     "RationalFunctionOfK.equals": "the ratio certificates of the term ratio will compare with it",
+}
+
+# Methods whose bare name two or more package classes define, each with a
+# caller that names its class.
+SHARED = {
+    "WellPoisedParams.make": "cli._parse_params and catalog._parse_entry",
+    "RationalFunctionOfK.make": "engine.series_rational_summand and factorials.term_ratio",
+    "WellPoisedParams.scaled": "the dougall identity kernels and theorem_term_pairs (params.scaled)",
+    "InversionScheme.scaled": "the inversion weight tables (scheme.scaled)",
 }
 
 
@@ -87,3 +100,29 @@ def test_every_definition_has_a_non_test_caller():
 def test_allowlist_holds_only_test_only_definitions():
     # an allowed name that is gone, or that gained a caller, leaves the list
     assert sorted(set(ALLOWED) - set(_test_only_definitions())) == []
+
+
+def _shared_methods(paths: list[Path]) -> list[str]:
+    """Qualified names of the methods whose bare name two or more classes
+    in ``paths`` define."""
+    owners = defaultdict(list)
+    for path in paths:
+        for qual, name, _, _ in _definitions(path):
+            if qual != name:
+                owners[name].append(qual)
+    return sorted(qual for quals in owners.values() if len(quals) > 1 for qual in quals)
+
+
+def test_shared_method_names_are_listed():
+    assert _shared_methods(sorted(PACKAGE.rglob("*.py"))) == sorted(SHARED)
+
+
+def test_shared_method_names_are_found(tmp_path):
+    # a test-only Unused.eval_at would pass by name on Used.eval_at's callers
+    (tmp_path / "a.py").write_text("class Used:\n    def eval_at(self, k): ...\n")
+    (tmp_path / "b.py").write_text(
+        "class Unused:\n    def eval_at(self, k): ...\n    def add(self, x): ...\n"
+        "def eval_at(k): ...\n"
+    )
+    paths = [tmp_path / "a.py", tmp_path / "b.py"]
+    assert _shared_methods(paths) == ["Unused.eval_at", "Used.eval_at"]
