@@ -15,7 +15,8 @@ Four capabilities, all built on exact rational arithmetic:
   formula, one modular power per term, with a retry margin counted from
   the terms it sums.
 * :func:`verify_bbp_equivalence` -- exact reduction of a base-16 entry to
-  one of the two classic digit-extraction sum templates.
+  one of the two classic digit-extraction sum templates, from the residues
+  at the poles that its paired parameters name (:func:`summand_residues`).
 """
 
 from __future__ import annotations
@@ -33,16 +34,15 @@ from hyperpi.errors import (
     InvariantViolation,
     NoMatch,
     RangeError,
+    RepeatedPole,
     UnsupportedLhs,
     ZeroDenominator,
     ZeroTerm,
 )
 from hyperpi.factorials import (
-    RationalFunctionOfK,
     SeriesSpec,
-    partial_fractions,
     poly_eval,
-    poly_mul,
+    poly_trim,
     term_eval,
     term_ratio,
 )
@@ -392,18 +392,23 @@ def bbp_hex_digits(position: int, count: int) -> str:
 # ----------------------------------------------------------------------
 
 
-def series_rational_summand(spec: SeriesSpec) -> RationalFunctionOfK:
-    """Rewrite ``sign * poly(k) * prod(upper)_k / prod(lower)_k`` as a
-    rational function of ``k``.
+def summand_residues(spec: SeriesSpec) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Pairs ``(coeff, pole)`` with ``sum coeff / (k + pole)`` equal to the
+    summand ``sign * poly(k) * prod(upper)_k / prod(lower)_k``.
 
     Requires every upper parameter to pair with a distinct lower parameter
-    at a nonnegative integer shift (smallest shift wins), which collapses
-    each Pochhammer quotient to finitely many linear factors.
+    at a nonnegative integer shift m (smallest shift wins).  Then
+    (u)_k / (u + m)_k = (u)_m / ((k + u) ... (k + u + m - 1)), so the poles
+    are the u + i, i < m, and with N = sign * prod (u)_m * poly the
+    coefficient at pole p_i is N(-p_i) / prod_{j != i} (p_j - p_i).
+    Raises :class:`NoMatch` for an unpaired parameter,
+    :class:`RepeatedPole` when two pairings share a pole, and
+    :class:`NoMatch` for a polynomial part (deg N >= the number of poles).
     """
     if len(spec.upper) != len(spec.lower):
         raise NoMatch("upper and lower parameter counts differ; cannot pair them")
     taken = [False] * len(spec.lower)
-    constant = Fraction(1)
+    constant = Fraction(spec.sign)
     poles: list[Fraction] = []
     for u in spec.upper:
         best: tuple[int, Fraction] | None = None
@@ -422,11 +427,15 @@ def series_rational_summand(spec: SeriesSpec) -> RationalFunctionOfK:
         for i in range(int(best[1])):
             constant *= u + i
             poles.append(u + i)
-    numerator = tuple(coeff * constant * spec.sign for coeff in spec.poly)
-    denominator: tuple[Fraction, ...] = (Fraction(1),)
-    for pole in poles:
-        denominator = poly_mul(denominator, (pole, Fraction(1)))
-    return RationalFunctionOfK.make(numerator, denominator)
+    if len(set(poles)) != len(poles):
+        raise RepeatedPole("two pairings share a pole; the summand has a repeated pole")
+    numerator = poly_trim(coeff * constant for coeff in spec.poly)
+    if len(numerator) > len(poles):
+        raise NoMatch("summand has a polynomial part: numerator degree >= number of poles")
+    return tuple(
+        (poly_eval(numerator, -p) / math.prod(q - p for q in poles if q != p), p)
+        for p in poles
+    )
 
 
 @dataclass(frozen=True)
@@ -443,13 +452,14 @@ class BbpEquivalence:
 def verify_bbp_equivalence(spec: SeriesSpec, lhs: ConstExpr) -> BbpEquivalence:
     """Prove (exactly) that the series is sigma times a digit-extraction sum.
 
-    The summand is collapsed to a rational function of k, split into partial
-    fractions, and every pole is folded modulo 8 with the matching 16**m
-    weight.  The folded slot vector must be proportional to one of the two
-    classic templates, the index-shift head terms must reproduce the
-    additive constant, and the template multiplier must reproduce the
-    closed form's rational coefficient.  Raises :class:`NoMatch` with the
-    first failing condition otherwise.
+    The summand is written as simple fractions 1/(k + pole) at the poles its
+    paired parameters name (:func:`summand_residues`), and every pole is
+    folded modulo 8 with the matching 16**m weight.  The folded slot vector
+    must be proportional to one of the two classic templates, the
+    index-shift head terms must reproduce the additive constant, and the
+    template multiplier must reproduce the closed form's rational
+    coefficient.  Raises :class:`NoMatch` with the first failing condition
+    otherwise, and :class:`RepeatedPole` from :func:`summand_residues`.
     """
     if spec.base != 16:
         raise NoMatch(f"digit-extraction reduction requires base 16, got {spec.base}")
@@ -459,12 +469,9 @@ def verify_bbp_equivalence(spec: SeriesSpec, lhs: ConstExpr) -> BbpEquivalence:
     lhs_coefficient = closed.rational
     if closed.gammas or lhs_coefficient is None:
         raise NoMatch("closed form is not a rational multiple of pi")
-    form = partial_fractions(series_rational_summand(spec))
-    if any(coeff != 0 for coeff in form.poly):
-        raise NoMatch("summand keeps a polynomial part after partial fractions")
     slots = [Fraction(0)] * 9  # 1-indexed by j
     head = Fraction(0)
-    for coeff, pole in form.terms:
+    for coeff, pole in summand_residues(spec):
         eighth = 8 * pole
         if eighth.denominator != 1:
             raise NoMatch(f"pole at k = {-pole} is not an eighth-integer")

@@ -45,8 +45,8 @@ class NormalizationMismatch(HyperPiError):
 
 
 class RepeatedPole(HyperPiError):
-    """The denominator of a rational function has a repeated root, so a
-    simple partial-fraction expansion does not exist."""
+    """Two parameter pairings of a series summand name the same pole, so
+    the summand is not a sum of simple fractions c / (k + pole)."""
 
 
 class RangeError(HyperPiError):

@@ -1,5 +1,6 @@
 """Exact rational building blocks: Pochhammer symbols, factorial quotients,
-series term descriptions, polynomial utilities and partial fractions.
+series term descriptions, polynomial utilities and the term ratio as a
+rational function of the summation index.
 
 Everything in this module is exact; values are :class:`fractions.Fraction`
 and polynomial coefficients are ascending tuples of fractions.
@@ -12,12 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from hyperpi.errors import (
-    DomainError,
-    InvariantViolation,
-    RepeatedPole,
-    ZeroDenominator,
-)
+from hyperpi.errors import DomainError, InvariantViolation, ZeroDenominator
 
 Poly = tuple[Fraction, ...]  # ascending coefficients
 
@@ -145,10 +141,6 @@ def poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]) -> tuple[Poly,
     return poly_trim(q), poly_trim(rem)
 
 
-def poly_derivative(coeffs: Sequence[Fraction]) -> Poly:
-    return poly_trim(c * i for i, c in enumerate(coeffs) if i >= 1)
-
-
 def poly_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
     """Exact interpolating polynomial through distinct points (Newton form)."""
     xs = [Fraction(x) for x, _ in points]
@@ -168,66 +160,6 @@ def poly_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
         out = poly_add(out, poly_scale(basis, c))
         basis = poly_mul(basis, (-xs[i], Fraction(1)))
     return out
-
-
-def poly_rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], Poly]:
-    """Peel off rational linear factors of a polynomial.
-
-    Returns (roots-with-multiplicity, remaining-factor).  The remaining
-    factor has no rational roots.
-    """
-    p = poly_trim(coeffs)
-    if not p:
-        raise DomainError("zero polynomial has every root")
-    roots: list[Fraction] = []
-    while len(p) >= 2:
-        # Root zero: constant coefficient vanishes.
-        if p[0] == 0:
-            roots.append(Fraction(0))
-            p = poly_trim(p[1:])
-            continue
-        # Primitive integer form for the rational root theorem.
-        denlcm = math.lcm(*(c.denominator for c in p))
-        ints = [int(c * denlcm) for c in p]
-        g = math.gcd(*ints)
-        ints = [c // g for c in ints]
-        candidates = (
-            (num, pden)
-            for pnum in _divisors(abs(ints[0]))
-            for pden in _divisors(abs(ints[-1]))
-            for num in (pnum, -pnum)
-        )
-        found = next((Fraction(*c) for c in candidates if _homogeneous_eval(ints, *c) == 0), None)
-        if found is None:
-            break
-        roots.append(found)
-        q, r = poly_divmod(p, (-found, Fraction(1)))
-        assert not r, "exact root division left a remainder"
-        p = q
-    return roots, p
-
-
-def _homogeneous_eval(ints: Sequence[int], num: int, den: int) -> int:
-    """den**n * p(num/den) for the integer polynomial p of degree n: zero
-    exactly when p(num/den) is, by Horner's rule without a gcd."""
-    acc, den_power = ints[-1], 1
-    for c in reversed(ints[:-1]):
-        den_power *= den
-        acc = acc * num + c * den_power
-    return acc
-
-
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return []
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
 
 
 # ----------------------------------------------------------------------
@@ -263,38 +195,6 @@ class RationalFunctionOfK:
     def equals(self, other: "RationalFunctionOfK") -> bool:
         """Equality as rational functions (cross-multiplied polynomials)."""
         return poly_mul(self.num, other.den) == poly_mul(other.num, self.den)
-
-
-@dataclass(frozen=True)
-class PartialFractionForm:
-    """``poly(k) + sum coeffs[i] / (k + poles[i])`` with distinct poles."""
-
-    poly: tuple[Fraction, ...]
-    terms: tuple[tuple[Fraction, Fraction], ...]  # (coefficient, pole)
-
-
-def partial_fractions(rf: RationalFunctionOfK) -> PartialFractionForm:
-    """Exact partial-fraction expansion over the rationals.
-
-    Requires the denominator to split into distinct rational linear factors;
-    raises :class:`RepeatedPole` for repeated roots and
-    :class:`DomainError` when an irreducible factor of degree two or more
-    remains.
-    """
-    if len(rf.den) == 1:  # constant (monic) denominator
-        return PartialFractionForm(poly_trim(rf.num), ())
-    roots, rest = poly_rational_roots(rf.den)
-    if len(rest) > 1:
-        raise DomainError("denominator does not split into rational linear factors")
-    if len(set(roots)) != len(roots):
-        raise RepeatedPole("denominator has a repeated rational root")
-    quotient, remainder = poly_divmod(rf.num, rf.den)
-    dprime = poly_derivative(rf.den)
-    terms = []
-    for root in roots:
-        coeff = poly_eval(remainder, root) / poly_eval(dprime, root)
-        terms.append((coeff, -root))
-    return PartialFractionForm(quotient, tuple(terms))
 
 
 # ----------------------------------------------------------------------

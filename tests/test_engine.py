@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,17 +15,25 @@ from hyperpi.constexpr import parse_const_expr
 from hyperpi.engine import (
     SLOTS_PI,
     SLOTS_TWO_PI,
+    BbpEquivalence,
     bbp_hex_digits,
     compute_pi_via,
     convergence_rate,
     precision_for_digits,
-    series_rational_summand,
     sum_series,
     sum_series_fraction,
+    summand_residues,
     terms_for_digits,
     verify_bbp_equivalence,
 )
-from hyperpi.errors import DomainError, NoMatch, RangeError, UnsupportedLhs, ZeroTerm
+from hyperpi.errors import (
+    DomainError,
+    NoMatch,
+    RangeError,
+    RepeatedPole,
+    UnsupportedLhs,
+    ZeroTerm,
+)
 from hyperpi.factorials import SeriesSpec, term_eval
 from hyperpi.prng import SplitMix64
 from hyperpi.splitting import product_sum, truncated_product_sum
@@ -41,19 +50,20 @@ SHIFTED = SeriesSpec(
     base=27, start=3, additive=F(-7, 5), sign=-1,
 )
 
-# expected proportionality constants of the ten digit-extraction entries
-# against the classic 4-term and 8-term templates
-BBP_SIGMA = {
-    "s3.7-ex1": ("pi", F(15)),
-    "s3.7-ex2": ("pi", F(63, 2)),
-    "s3.7-ex3": ("pi", F(21, 8)),
-    "s3.7-ex4": ("pi", F(21, 10)),
-    "s3.7-ex5": ("pi", F(77, 8)),
-    "s3.7-ex6": ("two-pi", F(5, 18)),
-    "s3.7-ex7": ("two-pi", F(15, 28)),
-    "s3.7-ex8": ("two-pi", F(15, 16)),
-    "s3.7-ex9": ("two-pi", F(45, 16)),
-    "s3.7-ex10": ("two-pi", F(21, 2)),
+# certificates of the ten digit-extraction entries against the classic
+# 4-term and 8-term templates: family, sigma, head correction and the closed
+# form's rational coefficient (slot coefficients are sigma times the template)
+BBP_CERTIFICATES = {
+    "s3.7-ex1": ("pi", F(15), F(0), F(15)),
+    "s3.7-ex2": ("pi", F(63, 2), F(0), F(63, 2)),
+    "s3.7-ex3": ("pi", F(21, 8), F(7), F(21, 8)),
+    "s3.7-ex4": ("pi", F(21, 10), F(7), F(21, 10)),
+    "s3.7-ex5": ("pi", F(77, 8), F(-55, 3), F(77, 8)),
+    "s3.7-ex6": ("two-pi", F(5, 18), F(5, 3), F(5, 9)),
+    "s3.7-ex7": ("two-pi", F(15, 28), F(3), F(15, 14)),
+    "s3.7-ex8": ("two-pi", F(15, 16), F(5), F(15, 8)),
+    "s3.7-ex9": ("two-pi", F(45, 16), F(16), F(45, 8)),
+    "s3.7-ex10": ("two-pi", F(21, 2), F(0), F(21)),
 }
 
 
@@ -318,23 +328,95 @@ def test_spigot_matches_reference_at_random_positions(window_reference, position
     )
 
 
-def test_rational_summand_reconstructs_terms(catalog_by_id):
-    spec = catalog_by_id["s3.7-ex1"].spec
-    rf = series_rational_summand(spec)
-    for k in range(21):
-        assert rf.eval_at(F(k)) == term_eval(spec, k) * 16**k
+def residue_sum(residues, k):
+    return sum((coeff / (k + pole) for coeff, pole in residues), F(0))
+
+
+def test_summand_residues_reconstruct_terms(catalog_by_id):
+    # sum coeff/(k + pole) is the term times 16**k on every digit-extraction entry
+    for eid in BBP_CERTIFICATES:
+        spec = catalog_by_id[eid].spec
+        residues = summand_residues(spec)
+        for k in range(spec.start, 21):
+            assert residue_sum(residues, k) == term_eval(spec, k) * 16**k, eid
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_summand_residues_match_random_summands(data):
+    # upper parameters with distinct fractional parts pair only with their
+    # own lower partner, so the poles are distinct and never integers
+    parts = data.draw(st.lists(
+        st.sampled_from(sorted({F(n, d) for d in range(2, 9) for n in range(1, d)})),
+        min_size=1, max_size=3, unique=True,
+    ))
+    upper = tuple(part + data.draw(st.integers(-2, 2)) for part in parts)
+    shifts = [data.draw(st.integers(1 if i == 0 else 0, 3)) for i in range(len(upper))]
+    coeffs = st.builds(F, st.integers(-9, 9), st.integers(1, 5))
+    poly = tuple(data.draw(st.lists(coeffs, min_size=1, max_size=sum(shifts))))
+    spec = SeriesSpec(
+        upper=upper, lower=tuple(u + m for u, m in zip(upper, shifts)),
+        poly=poly, base=16, sign=data.draw(st.sampled_from((1, -1))),
+    )
+    residues = summand_residues(spec)
+    assert len(residues) == sum(shifts)
+    for k in range(11):
+        assert residue_sum(residues, k) == term_eval(spec, k) * 16**k
+
+
+def _reductions(catalog_by_id):
+    """summand_residues, and verify_bbp_equivalence with a pi closed form."""
+    lhs = catalog_by_id["s3.7-ex1"].lhs
+    return summand_residues, lambda spec: verify_bbp_equivalence(spec, lhs)
+
+
+def test_summand_residues_reject_a_shared_pole(catalog_by_id):
+    # (1/2)_k/(5/2)_k and (3/2)_k/(7/2)_k both have the factor 1/(k + 3/2)
+    shared = SeriesSpec(
+        upper=(F(1, 2), F(3, 2)), lower=(F(5, 2), F(7, 2)), poly=(F(1),), base=16
+    )
+    for run in _reductions(catalog_by_id):
+        with pytest.raises(RepeatedPole):
+            run(shared)
+
+
+def test_summand_residues_reject_a_polynomial_part(catalog_by_id):
+    # k/(k + 1/2) is 1 - (1/2)/(k + 1/2): its polynomial part is 1
+    polynomial = SeriesSpec(upper=(F(1, 2),), lower=(F(3, 2),), poly=(F(0), F(1)), base=16)
+    for run in _reductions(catalog_by_id):
+        with pytest.raises(NoMatch, match="polynomial part"):
+            run(polynomial)
+    # the same summand without its polynomial part expands
+    assert summand_residues(replace(polynomial, poly=(F(1),))) == ((F(1, 2), F(1, 2)),)
+
+
+def test_summand_residues_reject_an_unpaired_parameter(catalog_by_id):
+    unpaired = SeriesSpec(
+        upper=(F(1, 2), F(1, 3)), lower=(F(3, 2), F(1, 4)), poly=(F(1),), base=16
+    )
+    uneven = replace(unpaired, upper=(F(1, 2),))
+    for run in _reductions(catalog_by_id):
+        with pytest.raises(NoMatch, match="upper parameter 1/3 has no lower partner"):
+            run(unpaired)
+        with pytest.raises(NoMatch, match="counts differ"):
+            run(uneven)
+    # the smallest shift wins: 1/2 pairs with 3/2, so 5/2 still finds 7/2
+    crossed = replace(unpaired, upper=(F(1, 2), F(5, 2)), lower=(F(7, 2), F(3, 2)))
+    assert [pole for _, pole in summand_residues(crossed)] == [F(1, 2), F(5, 2)]
 
 
 def test_bbp_equivalences(catalog_by_id):
-    for eid, (family, sigma) in BBP_SIGMA.items():
+    for eid, (family, sigma, head, lhs_coefficient) in BBP_CERTIFICATES.items():
         entry = catalog_by_id[eid]
-        cert = verify_bbp_equivalence(entry.spec, entry.lhs)
-        assert cert.family == family, eid
-        assert cert.sigma == sigma, eid
         template = SLOTS_PI if family == "pi" else SLOTS_TWO_PI
-        assert tuple(cert.slot_coefficients) == tuple(
-            sigma * F(t) for t in template
-        ), eid
+        want = BbpEquivalence(
+            family=family,
+            sigma=sigma,
+            slot_coefficients=tuple(sigma * t for t in template),
+            head_correction=head,
+            lhs_coefficient=lhs_coefficient,
+        )
+        assert verify_bbp_equivalence(entry.spec, entry.lhs) == want, eid
 
 
 def test_bbp_equivalence_rejects_non_bbp_entries(catalog_by_id):

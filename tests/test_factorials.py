@@ -1,4 +1,4 @@
-"""Rising factorials, polynomial helpers, partial fractions, series terms."""
+"""Rising factorials, polynomial helpers, series terms."""
 
 import math
 from fractions import Fraction
@@ -8,22 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperpi.engine import series_term_pairs
-from hyperpi.errors import DomainError, InvariantViolation, RepeatedPole, ZeroDenominator
+from hyperpi.errors import DomainError, InvariantViolation, ZeroDenominator
 from hyperpi.factorials import (
-    PartialFractionForm,
-    Poly,
-    RationalFunctionOfK,
     SeriesSpec,
     binomial,
-    partial_fractions,
     poch_quotient,
     pochhammer,
-    poly_add,
     poly_divmod,
     poly_eval,
     poly_interpolate,
     poly_mul,
-    poly_rational_roots,
     poly_shift,
     poly_trim,
     term_eval,
@@ -175,74 +169,6 @@ def test_poly_shift():
         Fraction(2),
         Fraction(1),
     )
-
-
-def test_poly_rational_roots():
-    # (k - 1/2)(k + 2) = k^2 + 3/2 k - 1
-    coeffs = (Fraction(-1), Fraction(3, 2), Fraction(1))
-    roots, rest = poly_rational_roots(coeffs)
-    assert sorted(roots) == [Fraction(-2), Fraction(1, 2)]
-    assert poly_trim(rest) == (Fraction(1),)
-
-
-def recombine(form: PartialFractionForm) -> RationalFunctionOfK:
-    """The partial-fraction form put back over its common denominator."""
-    den: Poly = (Fraction(1),)
-    for _, pole in form.terms:
-        den = poly_mul(den, (pole, Fraction(1)))
-    num = poly_mul(form.poly, den)
-    for i, (coeff, _) in enumerate(form.terms):
-        factor: Poly = (coeff,)
-        for j, (_, pole) in enumerate(form.terms):
-            if j != i:
-                factor = poly_mul(factor, (pole, Fraction(1)))
-        num = poly_add(num, factor)
-    return RationalFunctionOfK.make(num, den)
-
-
-def partial_fraction_at(form: PartialFractionForm, k: Fraction) -> Fraction:
-    """The partial-fraction form evaluated at k, term by term."""
-    acc = poly_eval(form.poly, Fraction(k))
-    for coeff, pole in form.terms:
-        d = Fraction(k) + pole
-        if d == 0:
-            raise ZeroDenominator(f"partial fraction pole at k={k}")
-        acc += coeff / d
-    return acc
-
-
-def test_partial_fractions_round_trip():
-    # (5k + 7) / ((k+1)(k+3/2)(k+4))
-    num = (Fraction(7), Fraction(5))
-    den = poly_mul(
-        poly_mul((Fraction(1), Fraction(1)), (Fraction(3, 2), Fraction(1))),
-        (Fraction(4), Fraction(1)),
-    )
-    rf = RationalFunctionOfK.make(num, den)
-    form = partial_fractions(rf)
-    assert not poly_trim(form.poly)
-    assert recombine(form).equals(rf)
-    for k in range(6):
-        assert partial_fraction_at(form, Fraction(k)) == rf.eval_at(Fraction(k))
-
-
-def test_partial_fractions_with_polynomial_part():
-    # (k^2 + 1) / (k + 2) = (k - 2) + 5/(k+2)
-    rf = RationalFunctionOfK.make(
-        (Fraction(1), Fraction(0), Fraction(1)), (Fraction(2), Fraction(1))
-    )
-    form = partial_fractions(rf)
-    assert poly_trim(form.poly) == (Fraction(-2), Fraction(1))
-    assert form.terms == ((Fraction(5), Fraction(2)),)
-
-
-def test_partial_fractions_rejects_repeated_pole():
-    rf = RationalFunctionOfK.make(
-        (Fraction(1),),
-        poly_mul((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))),
-    )
-    with pytest.raises(RepeatedPole):
-        partial_fractions(rf)
 
 
 def test_factorial_quotient_validation():

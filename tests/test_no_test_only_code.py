@@ -38,7 +38,7 @@ ALLOWED = {
 # caller that names its class.
 SHARED = {
     "WellPoisedParams.make": "cli._parse_params and catalog._parse_entry",
-    "RationalFunctionOfK.make": "engine.series_rational_summand and factorials.term_ratio",
+    "RationalFunctionOfK.make": "factorials.term_ratio",
     "WellPoisedParams.scaled": "the dougall identity kernels and theorem_term_pairs (params.scaled)",
     "InversionScheme.scaled": "the inversion weight tables (scheme.scaled)",
 }
