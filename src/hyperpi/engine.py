@@ -5,10 +5,11 @@ Four capabilities, all built on exact rational arithmetic:
 * :func:`sum_series` -- partial sums of a :class:`~hyperpi.factorials.SeriesSpec`
   correctly rounded to ``prec`` bits (at most 1/2 ulp).  Integer binary
   splitting runs exactly below a width of ``prec + SPLIT_GUARD_BITS`` bits
-  and merges with truncated products above it, carrying a proven error
-  bound; the result is the rounding both ends of that interval share, and
-  only an interval that straddles a rounding boundary is re-split exactly
-  (:func:`sum_series_fraction` stays exact).
+  and merges with truncated products above it, the tail of the series at
+  the fewer bits it contributes.  B stays exact by definition, so one
+  proven bound on T gives an interval for the sum; the result is the
+  rounding both ends of that interval share, and only an interval that
+  straddles a rounding boundary is re-split exactly.
 * :func:`compute_pi_via` -- solve a verified series/closed-form pair for pi.
 * :func:`bbp_hex_digits` -- hexadecimal digits of pi at an arbitrary offset
   without computing earlier digits: a spigot over Bellard's base-2**10
@@ -46,7 +47,7 @@ from hyperpi.factorials import (
     term_eval,
     term_ratio,
 )
-from hyperpi.splitting import Approx, product_sum, truncated_product_sum
+from hyperpi.splitting import product_sum, truncated_product_sum
 
 # Slot coefficients of the two classic base-16 digit-extraction sums:
 #   sum_n 16^-n * sum_j V_j/(8n+j)  equals  pi      for V = SLOTS_PI
@@ -208,33 +209,16 @@ def _series_ratio(spec: SeriesSpec, terms: int) -> tuple[int, int]:
     return setup.fold(int(big_t), int(big_b))
 
 
-def sum_series_fraction(spec: SeriesSpec, terms: int) -> Fraction:
-    """Exact value of ``additive + sign * sum`` over the first ``terms`` terms."""
-    return Fraction(*_series_ratio(spec, terms))
-
-
-def _ratio_at(t: Approx, b: Approx, upper: bool) -> tuple[int, int]:
-    """The lower or upper end of the interval for ``t/b`` as a pair of
-    integers; ``b``'s interval must lie above 0."""
-    t_m, t_x, t_e = t
-    b_m, b_x, b_e = b
-    t_end = t_m + t_e if upper else t_m - t_e
-    # t/b is smallest over the larger b when t >= 0, over the smaller when t < 0
-    b_end = b_m - b_e if (t_end >= 0) == upper else b_m + b_e
-    shift = t_x - b_x
-    if shift >= 0:
-        return t_end << shift, b_end
-    return t_end, b_end << -shift
-
-
 def sum_series(spec: SeriesSpec, terms: int, prec: int) -> BigFloat:
-    """Partial sum correctly rounded to ``prec`` bits, bit-identical to
-    ``BigFloat.from_fraction(sum_series_fraction(spec, terms), prec)``.
+    """Partial sum correctly rounded to ``prec`` bits: the rounding of the
+    exact ``additive + sign * sum`` over the first ``terms`` terms.
 
     The sum is split by :func:`~hyperpi.splitting.truncated_product_sum`
     at a width of ``prec + SPLIT_GUARD_BITS`` bits: exact splitting on
-    subranges below that width, truncated merges above it, with a proven
-    error bound on B and T.  The bound gives an interval for the value,
+    subranges below that width, truncated merges above it, and the tail at
+    the narrower width its scale needs.  That gives integers ``b != 0``,
+    ``t`` and ``e`` with the exact sum within ``e / |b|`` of ``t / b``, so
+    between ``(t - e) / b`` and ``(t + e) / b`` whatever the sign of ``b``,
     and both ends are rounded by :meth:`~hyperpi.bigfloat.BigFloat.from_ratio`.
     Rounding to nearest is monotone, so when the two ends round alike every
     value between them does too, the exact sum included, and that float is
@@ -247,13 +231,10 @@ def sum_series(spec: SeriesSpec, terms: int, prec: int) -> BigFloat:
     spec.validate()
     setup = _series_setup(spec)
     if terms > 0:
-        b, t = truncated_product_sum(setup.sequences, terms, prec + SPLIT_GUARD_BITS)
-        if b[0] < 0:
-            b, t = (-b[0], b[1], b[2]), (-t[0], t[1], t[2])
-        if b[0] > b[2]:  # B's interval excludes 0, as it always does when exact
-            low = BigFloat.from_ratio(*setup.fold(*_ratio_at(t, b, False)), prec)
-            if low == BigFloat.from_ratio(*setup.fold(*_ratio_at(t, b, True)), prec):
-                return low
+        b, t, e = truncated_product_sum(setup.sequences, terms, prec + SPLIT_GUARD_BITS)
+        low = BigFloat.from_ratio(*setup.fold(t - e, b), prec)
+        if low == BigFloat.from_ratio(*setup.fold(t + e, b), prec):
+            return low
     return BigFloat.from_ratio(*_series_ratio(spec, terms), prec)
 
 

@@ -12,10 +12,14 @@ intermediate operands near-minimal in size, so the dominant cost is a
 handful of large multiplications.  For a sum needed only to ``width``
 bits, :func:`truncated_product_sum` runs the exact splitting on subranges
 whose operands stay below ``width`` bits and merges the subranges with
-products truncated to ``width`` bits.  It returns B and T each as a
-mantissa, a binary exponent and an integer error bound, proved next to
-the merge, so the caller can tell whether the rounding it needs is
-certain and fall back to the exact pair when it is not.
+products shifted down to ``width`` bits of B.  B stays exact by
+definition -- the shift acts on A, B and T alike and cancels in T / B --
+so only A and T carry an integer error bound, proved next to the merge.
+A right half, whose terms are scaled by the product of its left sibling,
+runs at the width that product leaves it, so the tail of a series merges
+at the few bits it contributes.  The caller gets T / B with a bound, can
+tell whether the rounding it needs is certain, and falls back to the
+exact pair when it is not.
 
 When gmpy2 is importable its mpz type is used for the multiplications
 (asymptotically fast); otherwise plain Python integers are used and results
@@ -32,11 +36,10 @@ except ImportError:  # pragma: no cover
     _mpz = int
 
 Intish = int  # both int and gmpy2.mpz flow through these helpers
-# (m, x, e): an approximation m * 2**x of a value X with |X - m * 2**x| <= e * 2**x
-Approx = tuple[Intish, int, Intish]
 
 _FOLD_RANGE = 8  # product_sum folds ranges this short term by term
 _BLOCK = 1024  # truncated_product_sum lists the sequences of ranges this long at once
+_MIN_WIDTH = 1024  # truncated_product_sum narrows no right half below this many bits
 
 
 def product_sum(
@@ -77,52 +80,39 @@ def product_sum(
     )
 
 
-def _mul(p: Approx, q: Approx) -> Approx:
-    m1, x1, e1 = p
-    m2, x2, e2 = q
-    return m1 * m2, x1 + x2, abs(m1) * e2 + abs(m2) * e1 + e1 * e2
-
-
-def _add(p: Approx, q: Approx) -> Approx:
-    m1, x1, e1 = p
-    m2, x2, e2 = q
-    if x1 < x2:
-        return m1 + (m2 << (x2 - x1)), x1, e1 + (e2 << (x2 - x1))
-    return (m1 << (x1 - x2)) + m2, x2, (e1 << (x1 - x2)) + e2
-
-
-def _truncate(p: Approx, width: int) -> Approx:
-    m, x, e = p
-    s = abs(m).bit_length() - width
-    if s <= 0:
-        return p
-    return m >> s, x + s, -(-e >> s) + 1
-
-
-def truncated_product_sum(sequences: Callable, terms: int, width: int) -> tuple[Approx, Approx]:
-    """B and T of :func:`product_sum` over [0, terms), each as an
-    :data:`Approx` ``(m, x, e)`` with ``|X - m * 2**x| <= e * 2**x``, where
+def truncated_product_sum(
+    sequences: Callable, terms: int, width: int
+) -> tuple[Intish, Intish, Intish]:
+    """Integers ``(b, t, e)`` with ``b != 0`` and ``|t - S * b| <= e``, S
+    the exact sum of :func:`product_sum` over [0, terms), where
     ``sequences(lo, hi)`` lists ``weight``, ``alpha`` and ``beta`` at the
-    indices in [lo, hi).
+    indices in [lo, hi) and ``width >= 1``.  ``b`` carries no error of its
+    own: it is whatever the truncated merges leave, and S lies within
+    ``e / |b|`` of ``t / b``.
 
     A subrange is split exactly by :func:`product_sum` once its length
     times the larger bit length of ``alpha`` and ``beta`` at its two ends
-    is at most ``width``.  Larger ranges merge their halves with products
-    truncated to ``width`` bits.  When no merge truncates, both results
-    are exact (``e == 0``).
+    is at most its width.  Larger ranges merge their halves and shift the
+    result to ``width`` bits of ``b``.  The right half of a range runs at a
+    width reduced by the bits its left sibling's product decays by, since
+    its contribution is scaled by that product, but not below
+    ``min(width, _MIN_WIDTH)``.  When no merge truncates, ``(b, t)`` is
+    the exact pair and ``e == 0``.
     """
-    _, b, t = _split(sequences, width, 0, terms, False, None)
-    return b, t
+    _, b, t, _, e_t = _split(sequences, width, 0, terms, False, None)
+    return b, t, e_t
 
 
 def _split(
     sequences: Callable, width: int, lo: int, hi: int, need_a: bool, block: tuple | None
-) -> tuple[Approx | None, Approx, Approx]:
-    """A, B and T over [lo, hi) for :func:`truncated_product_sum`.  The
-    first range of at most ``_BLOCK`` indices on a path lists its sequences
-    once (:func:`_block`) for the ranges below it; above it only the ends
-    are listed, so memory stays bounded.  Not a closure: a recursive one is
-    a cycle that outlives the call."""
+) -> tuple:
+    """``(a, b, t, e_a, e_t)`` over [lo, hi) for :func:`truncated_product_sum`,
+    with ``|a - P * b| <= e_a`` and ``|t - S * b| <= e_t`` for the range's
+    exact product P = prod alpha/beta and sum S; ``a`` and ``e_a`` are None
+    unless ``need_a``.  The first range of at most ``_BLOCK`` indices on a
+    path lists its sequences once (:func:`_block`) for the ranges below it;
+    above it only the ends are listed, so memory stays bounded.  Not a
+    closure: a recursive one is a cycle that outlives the call."""
     if block is None and hi - lo <= _BLOCK:
         block = _block(sequences, lo, hi)
     if block is None:
@@ -135,25 +125,48 @@ def _split(
         a, b, t = product_sum(
             weights.__getitem__, alphas.__getitem__, betas.__getitem__, lo - first, hi - first
         )
-        return (a, 0, 0), (b, 0, 0), (t, 0, 0)
+        return a, b, t, 0, 0
     mid = (lo + hi) // 2
-    a_left, b_left, t_left = _split(sequences, width, lo, mid, True, block)
-    a_right, b_right, t_right = _split(sequences, width, mid, hi, need_a, block)
-    # Error bound of a merge.  With X = (m1 + d1) * 2**x1 and
-    # Y = (m2 + d2) * 2**x2, |d1| <= e1, |d2| <= e2,
-    #     X*Y - m1*m2 * 2**(x1+x2) = (m1*d2 + m2*d1 + d1*d2) * 2**(x1+x2),
-    # at most |m1|*e2 + |m2|*e1 + e1*e2 units of 2**(x1+x2) (_mul).  A sum
-    # rewrites the operand with the larger exponent at the smaller one by
-    # shifting its mantissa and bound left, exactly, and adds the bounds
-    # (_add).  Truncating to `width` bits keeps m >> s = m/2**s - f with
-    # 0 <= f < 1, so in units of 2**(x+s) the error is below
-    # f + e/2**s < ceil(e/2**s) + 1 (_truncate).  Every step keeps
-    # |X - m * 2**x| <= e * 2**x.  The A product is needed only by a left
-    # half, so the right spine skips it.
-    b = _truncate(_mul(b_left, b_right), width)
-    t = _truncate(_add(_mul(t_left, b_right), _mul(a_left, t_right)), width)
-    a = _truncate(_mul(a_left, a_right), width) if need_a else None
-    return a, b, t
+    a_l, b_l, t_l, ea_l, et_l = _split(sequences, width, lo, mid, True, block)
+    decay = max(0, b_l.bit_length() - a_l.bit_length())
+    right_width = max(min(width, _MIN_WIDTH), width - decay)
+    a_r, b_r, t_r, ea_r, et_r = _split(sequences, right_width, mid, hi, need_a, block)
+    # Error bound of a merge.  With a_l = P_l*b_l + d_al, t_r = S_r*b_r + d_tr
+    # and so on, |d| <= e, the range's P = P_l*P_r and S = S_l + P_l*S_r, so
+    # for b = b_l*b_r
+    #     t - S*b = d_tl*b_r + a_l*d_tr + d_al*t_r - d_al*d_tr,
+    #     a - P*b = a_l*d_ar + d_al*a_r - d_al*d_ar.
+    # Truncating by s bits keeps x >> s = x/2**s - f, 0 <= f < 1, for each of
+    # a, b and t, so with the new b
+    #     t' - S*b' = (t - S*b)/2**s - f_t + S*f_b,
+    # below ceil(e_t/2**s) + 1 + |S| in size, and |S| <= (|t| + e_t)/|b|
+    # < 2**(len(|t| + e_t) - len(|b|) + 1); likewise for a with P.  b keeps
+    # `width` >= 1 bits, so it stays nonzero.  The A product is needed only
+    # by a left half, so the right spine skips it.
+    b = b_l * b_r
+    t = t_l * b_r + a_l * t_r
+    e_t = et_l * abs(b_r) + abs(a_l) * et_r + abs(t_r) * ea_l + ea_l * et_r
+    a = e_a = None
+    if need_a:
+        a = a_l * a_r
+        e_a = abs(a_l) * ea_r + abs(a_r) * ea_l + ea_l * ea_r
+    b_bits = b.bit_length()
+    s = b_bits - width
+    if s > 0:
+        e_t = _shifted_bound(t, e_t, b_bits, s)
+        t >>= s
+        if need_a:
+            e_a = _shifted_bound(a, e_a, b_bits, s)
+            a >>= s
+        b >>= s
+    return a, b, t, e_a, e_t
+
+
+def _shifted_bound(x: Intish, e: Intish, b_bits: int, s: int) -> Intish:
+    """New bound e' with ``|(x >> s) - V * (b >> s)| <= e'`` given
+    ``|x - V * b| <= e``, ``b`` being ``b_bits`` long (proved in
+    :func:`_split`)."""
+    return -(-e >> s) + 1 + (1 << max(0, (abs(x) + e).bit_length() - b_bits + 1))
 
 
 def _block(sequences: Callable, lo: int, hi: int) -> tuple:

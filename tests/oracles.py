@@ -1,9 +1,12 @@
-"""Reference oracles shared by the tests: a bit-agreement measure and
-sin(pi x) by its own Taylor series, independent of the gamma code."""
+"""Reference oracles shared by the tests: a bit-agreement measure,
+sin(pi x) by its own Taylor series, independent of the gamma code, and the
+exact value of a partial sum."""
 
 from fractions import Fraction
 
+from hyperpi import engine
 from hyperpi.bigfloat import GUARD_BITS, BigFloat, div_nearest, pi_fixed, round_shift
+from hyperpi.factorials import SeriesSpec
 
 
 def agrees_to_bits(x: BigFloat, y: BigFloat) -> int:
@@ -42,3 +45,9 @@ def sin_pi(x: Fraction, prec: int) -> BigFloat:
         acc += term
         i += 1
     return BigFloat.from_fixed(sign * acc, wp, prec)
+
+
+def sum_series_fraction(spec: SeriesSpec, terms: int) -> Fraction:
+    """Exact value of ``additive + sign * sum`` over the first ``terms``
+    terms, from the exact pair that ``sum_series`` falls back to."""
+    return Fraction(*engine._series_ratio(spec, terms))

@@ -29,12 +29,12 @@ from hyperpi.dougall import (
     verify_dual_relation,
     verify_parity_form,
 )
-from hyperpi.engine import series_term_pairs, sum_series, sum_series_fraction
+from hyperpi.engine import series_term_pairs, sum_series
 from hyperpi.errors import InvariantViolation, NormalizationMismatch, ZeroDenominator
 from hyperpi.factorials import SeriesSpec, poch_quotient, pochhammer, term_eval
 from hyperpi.gammafn import gamma_quotient
 from hyperpi.prng import SplitMix64
-from oracles import agrees_to_bits
+from oracles import agrees_to_bits, sum_series_fraction
 
 F = Fraction
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperpi import engine
+from hyperpi import engine, splitting
 from hyperpi.bigfloat import BigFloat, pi_reference
 from hyperpi.constexpr import parse_const_expr
 from hyperpi.engine import (
@@ -21,7 +21,6 @@ from hyperpi.engine import (
     convergence_rate,
     precision_for_digits,
     sum_series,
-    sum_series_fraction,
     summand_residues,
     terms_for_digits,
     verify_bbp_equivalence,
@@ -37,6 +36,7 @@ from hyperpi.errors import (
 from hyperpi.factorials import SeriesSpec, term_eval
 from hyperpi.prng import SplitMix64
 from hyperpi.splitting import product_sum, truncated_product_sum
+from oracles import sum_series_fraction
 
 F = Fraction
 
@@ -165,13 +165,23 @@ PI_VIA_10000_ENTRIES = ("s3.1-ex1", "s3.5-ex16", "s3.6-ex15", "s3.2-ex1")
 PI_VIA_10000_DIGEST = "e9061cca8b3a04d6717add8d7172bcb3fafa4b8211bd35e07a64bb3f143352ae"
 
 
-def test_compute_pi_bits_are_pinned_at_ten_thousand_digits(catalog_by_id):
+def test_compute_pi_bits_are_pinned_at_ten_thousand_digits(catalog_by_id, monkeypatch):
+    # the truncated interval decides every sum: no exact re-split
+    resplits = []
+    exact_ratio = engine._series_ratio
+
+    def counted_ratio(spec, terms):
+        resplits.append(terms)
+        return exact_ratio(spec, terms)
+
+    monkeypatch.setattr(engine, "_series_ratio", counted_ratio)
     digest = hashlib.sha256()
     for eid in PI_VIA_10000_ENTRIES:
         entry = catalog_by_id[eid]
         value = compute_pi_via(entry.spec, entry.lhs, 10000)
         digest.update(f"{eid}:{value.man:x}:{value.exp}:{value.prec};".encode())
     assert digest.hexdigest() == PI_VIA_10000_DIGEST
+    assert resplits == []
 
 
 def test_compute_pi_rejects_gamma_classes(catalog_by_id):
@@ -457,8 +467,8 @@ def test_sum_series_matches_fraction_path(catalog_entries):
             want = BigFloat.from_fraction(sum_series_fraction(spec, terms), prec)
             assert (got.man, got.exp, got.prec) == (want.man, want.exp, want.prec)
     setup = engine._series_setup(catalog_entries[0].spec)
-    b, t = truncated_product_sum(setup.sequences, 851, 3450 + engine.SPLIT_GUARD_BITS)
-    assert b[1] > 0 and t[1] > 0 and b[2] > 0 and t[2] > 0
+    _, _, e_t = truncated_product_sum(setup.sequences, 851, 3450 + engine.SPLIT_GUARD_BITS)
+    assert e_t > 0
 
 
 def test_sum_series_fallback_gives_the_same_bits(catalog_entries, monkeypatch):
@@ -523,15 +533,41 @@ def _series_specs(draw):
 @given(_series_specs(), st.integers(1, 2000), st.integers(8, 64))
 @example(NEGATIVE_LOWER, 2000, 8)
 @example(SHIFTED, 2000, 8)
+@example(SeriesSpec(upper=(F(0),), lower=(F(1),), poly=(F(-1),), base=39, start=1), 8, 38)
 def test_truncated_splitting_bounds_hold(spec, terms, width):
-    # the exact B and T lie inside the intervals the truncated merges report;
-    # long sums at a tiny width drive the bounds past the mantissas, where
-    # every term of the product bound counts
+    # the exact sum T/B lies within e_t/|b| of t/b; long sums at a tiny
+    # width drive the bounds past the values, where every term of the merge
+    # bound counts (the base-39 example needs |a_l|*e_tr), and the lowered
+    # floor lets right halves narrow at these widths (NEGATIVE_LOWER and
+    # SHIFTED have B < 0)
     setup = engine._series_setup(spec)
     weights, alphas, betas = setup.sequences(0, terms)
     _, exact_b, exact_t = product_sum(
         weights.__getitem__, alphas.__getitem__, betas.__getitem__, 0, terms
     )
-    got = truncated_product_sum(setup.sequences, terms, width)
-    for exact, (man, exp, err) in zip((exact_b, exact_t), got):
-        assert abs(exact - (man << exp)) <= err << exp
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splitting, "_MIN_WIDTH", 8)
+        b, t, e_t = truncated_product_sum(setup.sequences, terms, width)
+    assert b != 0
+    assert abs(t * exact_b - exact_t * b) <= e_t * abs(exact_b)
+
+
+def test_truncated_splitting_narrows_the_tail(catalog_by_id, monkeypatch):
+    # the right halves of a 10^4-digit sum run at the width the decay of their
+    # left siblings leaves them, so the last exact leaf is far below the top
+    # width; with every half at full width it holds 19870 bits of 33348
+    leaves = []
+    exact_split = splitting.product_sum
+
+    def recorded_split(*args):
+        out = exact_split(*args)
+        leaves.append(max(abs(x).bit_length() for x in out))
+        return out
+
+    monkeypatch.setattr(splitting, "product_sum", recorded_split)
+    spec = catalog_by_id["s3.1-ex1"].spec
+    width = precision_for_digits(10000) + engine.SPLIT_GUARD_BITS
+    setup = engine._series_setup(spec)
+    _, _, e_t = truncated_product_sum(setup.sequences, terms_for_digits(10000, spec.base), width)
+    # the outermost call of a leaf returns last
+    assert e_t > 0 and leaves[-1] < width // 2

@@ -30,7 +30,6 @@ ALLOWED = {
     "pow_fraction": "imported by the acceptance suite for its closed-value checks",
     "theorem_closed_value": "imported by the acceptance suite (criterion 4)",
     "random_valid_params": "the acceptance suite's sampler of convergent parameters",
-    "sum_series_fraction": "the exact reference that sum_series is tested against",
     "RationalFunctionOfK.equals": "the ratio certificates of the term ratio will compare with it",
 }
 
