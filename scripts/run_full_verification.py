@@ -13,15 +13,14 @@ import time
 from dataclasses import dataclass, fields
 
 from hyperpi.bigfloat import pi_reference
-from hyperpi.catalog import load_catalog, match_to_theorem, verify_entry
+from hyperpi.catalog import certify_entry, load_catalog
 from hyperpi.dougall import (
     random_finite_params,
     random_parity_params,
     verify_chain,
     verify_dougall,
 )
-from hyperpi.engine import bbp_hex_digits, verify_bbp_equivalence
-from hyperpi.errors import InvariantViolation, NoMatch, NoNonzeroTerm
+from hyperpi.engine import bbp_hex_digits
 from hyperpi.inversion import random_scheme, random_sequence, roundtrip_check
 from hyperpi.prng import SplitMix64
 
@@ -86,26 +85,14 @@ def run(config: VerificationConfig) -> int:
 
     started = time.perf_counter()
     entries = load_catalog()
-    failures = []
-    for entry in entries:
-        if not verify_entry(entry, config.catalog_digits).passed:
-            failures.append(f"{entry.entry_id}:value")
-            continue
-        try:
-            match_to_theorem(entry)
-        except (NoMatch, NoNonzeroTerm, InvariantViolation):
-            failures.append(f"{entry.entry_id}:match")
-        if entry.family_class == "BBP":
-            try:
-                verify_bbp_equivalence(entry.spec, entry.lhs)
-            except NoMatch:
-                failures.append(f"{entry.entry_id}:bbp")
+    rows = [certify_entry(entry, config.catalog_digits) for entry in entries]
+    failures = [f"{row['id']}: {row['failure']}" for row in rows if row["failure"] is not None]
     all_ok &= stage(
         "catalog certification", not failures, time.perf_counter() - started,
         f"{len(entries)} entries at {config.catalog_digits} digits",
     )
     if failures:
-        print("   failures:", ", ".join(failures[:10]))
+        print("   failures:", "; ".join(failures[:10]))
 
     started = time.perf_counter()
     reference = pi_reference(4 * (max(SPIGOT_POSITIONS) + SPIGOT_COUNT) + 256)

@@ -11,7 +11,7 @@ most 1/2 ulp off and its bits depend only on the value, never on the
 representation of the pair.  ``from_fraction`` and ``div`` are that one
 rounding.
 
-Elementary functions (sqrt, exp, ln, integer and rational powers) work in
+Elementary functions (sqrt, exp, ln and integer powers) work in
 fixed-point integer arithmetic with guard bits taken from
 :data:`GUARD_BITS`.
 
@@ -519,17 +519,6 @@ def pow_int(x: BigFloat, exponent: int, prec: int | None = None) -> BigFloat:
         base = base.mul(base, wp)
         exponent >>= 1
     return acc.round_to(p)
-
-
-def pow_fraction(x: BigFloat, exponent: Fraction, prec: int | None = None) -> BigFloat:
-    """Rational power of a positive value via exp(exponent * ln x)."""
-    p = prec if prec is not None else x.prec
-    if exponent.denominator == 1:
-        return pow_int(x, exponent.numerator, p)
-    if x.man <= 0:
-        raise DomainError("rational power requires a positive base")
-    wp = p + GUARD_BITS + 16
-    return exp(ln(x, wp).mul_fraction(exponent, wp), p)
 
 
 def below_power_of_ten(value: BigFloat, digits: int) -> bool:

@@ -1,6 +1,7 @@
 """Catalog of base-16 series with closed forms: loading, strict schema
-validation, high-precision verification, and exact matching against the two
-infinite-series generator families.
+validation, high-precision verification, exact matching against the two
+infinite-series generator families, and the per-entry verdict that
+``verify catalog`` reports (:func:`certify_entry`).
 
 File format
 -----------
@@ -32,6 +33,10 @@ factor at argument 1/3 or 2/3).
 a deviating state; every item must carry ``"status": "anomaly"`` and is
 reported, never silently repaired.
 
+A path that cannot be read raises :class:`~hyperpi.errors.UsageError`; a
+file that is not UTF-8 JSON of this schema raises
+:class:`~hyperpi.errors.SchemaError`.
+
 Provenance
 ----------
 
@@ -56,13 +61,27 @@ from hyperpi.bigfloat import below_power_of_ten
 from hyperpi.constexpr import (
     ConstExpr,
     eval_const_expr,
+    format_rational,
     monomial,
     parse_const_expr,
     parse_rational_string,
 )
 from hyperpi.dougall import CHECK_WINDOW, WellPoisedParams, theorem_term_pairs
-from hyperpi.engine import precision_for_digits, series_term_pairs, sum_series, terms_for_digits
-from hyperpi.errors import NoMatch, NoNonzeroTerm, SchemaError, UnsupportedLhs
+from hyperpi.engine import (
+    precision_for_digits,
+    series_term_pairs,
+    sum_series,
+    terms_for_digits,
+    verify_bbp_equivalence,
+)
+from hyperpi.errors import (
+    HyperPiError,
+    NoMatch,
+    NoNonzeroTerm,
+    SchemaError,
+    UnsupportedLhs,
+    UsageError,
+)
 from hyperpi.factorials import SeriesSpec
 
 #: closed-form class -> (pi exponent, gamma exponent or None)
@@ -150,8 +169,13 @@ def _load_json(path: str | os.PathLike | None, resource: str) -> object:
     if path is None:
         text = _packaged_text(resource)
     else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read {resource} at {path!r}: {exc.strerror or exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{resource} at {path!r} is not UTF-8: {exc}") from exc
     try:
         return json.loads(
             text, parse_float=_reject_float, parse_constant=_reject_constant
@@ -400,3 +424,45 @@ def match_to_theorem(entry: CatalogEntry) -> TheoremMatch:
             f"are not {Fraction(*scale)} times the family {tag} terms below it"
         )
     return TheoremMatch(entry.entry_id, tag, "exact", Fraction(*scale))
+
+
+# ----------------------------------------------------------------------
+# the per-entry verdict
+# ----------------------------------------------------------------------
+
+
+def certify_entry(entry: CatalogEntry, digits: int) -> dict:
+    """One report row for an entry: its value to ``digits`` digits
+    (:func:`verify_entry`), then its family (:func:`match_to_theorem`),
+    then for a BBP entry its digit-extraction template
+    (:func:`~hyperpi.engine.verify_bbp_equivalence`).  The first stage that
+    fails, or raises a :class:`~hyperpi.errors.HyperPiError`, sets the
+    row's ``failure`` and ends the row."""
+    row = {
+        "id": entry.entry_id,
+        "class": entry.family_class,
+        "theorem": entry.theorem,
+        "verified": False,
+        "error_exponent": None,
+        "match_mode": None,
+        "scale": None,
+        "bbp_family": None,
+        "failure": None,
+    }
+    try:
+        check = verify_entry(entry, digits)
+        row["verified"] = check.passed
+        row["error_exponent"] = check.error_exponent
+        if not check.passed:
+            row["failure"] = (
+                f"series differs from closed form near 10^{check.error_exponent}"
+            )
+            return row
+        match = match_to_theorem(entry)
+        row["match_mode"] = match.mode
+        row["scale"] = format_rational(match.scale)
+        if entry.family_class == "BBP":
+            row["bbp_family"] = verify_bbp_equivalence(entry.spec, entry.lhs).family
+    except HyperPiError as exc:
+        row["failure"] = f"{type(exc).__name__}: {exc}"
+    return row

@@ -32,11 +32,11 @@ from functools import lru_cache
 from hyperpi import __version__
 from hyperpi.bigfloat import below_power_of_ten
 from hyperpi.catalog import (
+    CatalogEntry,
     catalog_index,
+    certify_entry,
     load_anomalies,
     load_catalog,
-    match_to_theorem,
-    verify_entry,
 )
 from hyperpi.constexpr import format_rational
 from hyperpi.dougall import (
@@ -44,7 +44,7 @@ from hyperpi.dougall import (
     normalize_theorem_series,
     random_finite_params,
     random_parity_params,
-    theorem_gamma_args,
+    theorem_closed_value,
     verify_chain,
     verify_dougall,
 )
@@ -54,7 +54,6 @@ from hyperpi.engine import (
     convergence_rate,
     precision_for_digits,
     sum_series,
-    verify_bbp_equivalence,
 )
 from hyperpi.errors import (
     DomainError,
@@ -63,7 +62,6 @@ from hyperpi.errors import (
     UsageError,
 )
 from hyperpi.factorials import term_eval
-from hyperpi.gammafn import gamma_quotient
 from hyperpi.inversion import random_scheme, random_sequence, roundtrip_check
 from hyperpi.prng import SplitMix64
 
@@ -215,76 +213,25 @@ def _cmd_verify_chain(args: argparse.Namespace) -> int:
     return 0 if passed else 2
 
 
-@lru_cache(maxsize=4)
-def _cached_catalog(path: str | None):
-    entries = load_catalog(path)
-    return entries, catalog_index(entries)
-
-
-def _check_catalog_entry(path: str | None, entry_id: str, digits: int) -> dict:
-    _, index = _cached_catalog(path)
-    entry = index[entry_id]
-    row = {
-        "id": entry.entry_id,
-        "class": entry.family_class,
-        "theorem": entry.theorem,
-        "verified": False,
-        "error_exponent": None,
-        "match_mode": None,
-        "scale": None,
-        "bbp_family": None,
-        "failure": None,
-    }
-    try:
-        check = verify_entry(entry, digits)
-        row["verified"] = check.passed
-        row["error_exponent"] = check.error_exponent
-        if not check.passed:
-            row["failure"] = (
-                f"series differs from closed form near 10^{check.error_exponent}"
-            )
-            return row
-        match = match_to_theorem(entry)
-        row["match_mode"] = match.mode
-        row["scale"] = _rat(match.scale)
-        if entry.family_class == "BBP":
-            cert = verify_bbp_equivalence(entry.spec, entry.lhs)
-            row["bbp_family"] = cert.family
-    except HyperPiError as exc:
-        row["failure"] = f"{type(exc).__name__}: {exc}"
-    return row
+def _find_entry(entries: list[CatalogEntry], entry_id: str) -> CatalogEntry:
+    index = catalog_index(entries)
+    if entry_id not in index:
+        raise UsageError(f"unknown catalog entry id {entry_id!r}")
+    return index[entry_id]
 
 
 def _cmd_verify_catalog(args: argparse.Namespace) -> int:
-    entries, index = _cached_catalog(args.catalog)
+    entries = load_catalog(args.catalog)
     anomalies = load_anomalies(args.anomalies)
     if args.id is not None:
-        if args.id not in index:
-            raise UsageError(f"unknown catalog entry id {args.id!r}")
-        chosen = [args.id]
-    else:
-        chosen = [entry.entry_id for entry in entries]
-    if args.jobs > 1:
-        # imported here: a serial run never pays for it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(
-                pool.map(
-                    _check_catalog_entry,
-                    [args.catalog] * len(chosen),
-                    chosen,
-                    [args.digits] * len(chosen),
-                )
-            )
-    else:
-        rows = [_check_catalog_entry(args.catalog, eid, args.digits) for eid in chosen]
+        entries = [_find_entry(entries, args.id)]
+    rows = [certify_entry(entry, args.digits) for entry in entries]
     failed = [row for row in rows if row["failure"] is not None]
     passed = not failed
     report = _report(
         "verify-catalog",
-        {"id": args.id, "digits": args.digits, "jobs": args.jobs,
-         "catalog": args.catalog, "entries": len(rows)},
+        {"id": args.id, "digits": args.digits, "catalog": args.catalog,
+         "entries": len(rows)},
         passed,
         results=rows,
         anomalies=anomalies,
@@ -332,7 +279,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     agreement = None
     passed = True  # with no closed value the series stands on its own
     try:
-        closed = gamma_quotient(*theorem_gamma_args(params, args.theorem), prec)
+        closed = theorem_closed_value(params, args.theorem, prec)
     except DomainError:
         pass  # non-positive gamma argument
     else:
@@ -385,10 +332,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
 
 def _cmd_pi(args: argparse.Namespace) -> int:
-    _, index = _cached_catalog(args.catalog)
-    if args.entry not in index:
-        raise UsageError(f"unknown catalog entry id {args.entry!r}")
-    entry = index[args.entry]
+    entry = _find_entry(load_catalog(args.catalog), args.entry)
     value = compute_pi_via(entry.spec, entry.lhs, args.digits)
     digits_text = value.to_decimal_string(args.digits)
     report = _report(
@@ -414,10 +358,7 @@ def _cmd_bbp(args: argparse.Namespace) -> int:
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
-    _, index = _cached_catalog(args.catalog)
-    if args.id not in index:
-        raise UsageError(f"unknown catalog entry id {args.id!r}")
-    entry = index[args.id]
+    entry = _find_entry(load_catalog(args.catalog), args.id)
     if args.k < entry.spec.start:
         raise UsageError(
             f"--k must be at least the entry's start index {entry.spec.start}, "
@@ -487,7 +428,6 @@ def build_parser() -> _Parser:
     vcat = vsub.add_parser("catalog", help="catalog entries against closed forms")
     vcat.add_argument("--id", default=None)
     vcat.add_argument("--digits", type=_at_least(1), default=100)
-    vcat.add_argument("--jobs", type=_at_least(1), default=1)
     vcat.add_argument("--catalog", default=None, help="path to an alternative catalog")
     vcat.add_argument("--anomalies", default=None, help="path to an anomaly sidecar")
     vcat.add_argument("--verbose", action="store_true")

@@ -586,23 +586,6 @@ def theorem_closed_value(params: WellPoisedParams, tag: str, prec: int) -> BigFl
     return gamma_quotient(upper, lower, prec)
 
 
-def params_valid_for_series(params: WellPoisedParams) -> bool:
-    """True when all gamma arguments of both closed values are positive and
-    the series denominators stay clear of zero."""
-    a, b, c, d = params.as_tuple()
-    constraints = (
-        b,
-        c,
-        d,
-        1 + 2 * a - b - c - d,
-        1 + a - b,
-        1 + a - c,
-        1 + a - d,
-        b + c + d - a,
-    )
-    return all(x > 0 for x in constraints)
-
-
 # ----------------------------------------------------------------------
 # normalization to flat series descriptions
 # ----------------------------------------------------------------------
@@ -808,21 +791,3 @@ def _parity_params_admissible(scaled: tuple[int, ...], n_max: int, for_chain: bo
                 return False
     # the chain divides by a + n and by (a + n)_(k+1) for k <= n <= n_max
     return not (for_chain and _hits_zero(a, q, 2 * n_max))
-
-
-_VALID_DENOMS = (2, 3, 4, 6, 12)
-
-
-def random_valid_params(rng: SplitMix64) -> WellPoisedParams:
-    """Random parameters in (0, 3) over the denominators 2, 3, 4, 6 and 12,
-    rejection sampled into the positive-gamma-argument domain where both
-    generator families converge to their gamma-quotient closed values."""
-    while True:
-        vals = []
-        for _ in range(4):
-            den = rng.choice(_VALID_DENOMS)
-            num = rng.randint(1, 3 * den - 1)
-            vals.append(Fraction(num, den))
-        params = WellPoisedParams(*vals)
-        if params_valid_for_series(params):
-            return params

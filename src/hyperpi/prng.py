@@ -71,7 +71,3 @@ class SplitMix64:
     def fraction(self, max_num: int, max_den: int, nonzero: bool = False) -> Fraction:
         """Random fraction with |numerator| <= max_num, 1 <= denominator <= max_den."""
         return Fraction(*self.ratio(max_num, max_den, nonzero))
-
-    def choice(self, seq):
-        """Uniformly pick an element of a non-empty sequence."""
-        return seq[self.randint(0, len(seq) - 1)]

@@ -115,13 +115,9 @@ def _split(
     closure: a recursive one is a cycle that outlives the call."""
     if block is None and hi - lo <= _BLOCK:
         block = _block(sequences, lo, hi)
-    if block is None:
-        end_bits = max(_block(sequences, i, i + 1)[4][0] for i in (lo, hi - 1))
-    else:
-        first, bits = block[0], block[4]
-        end_bits = max(bits[lo - first], bits[hi - 1 - first])
+    end_bits = max(_bits_at(block or _block(sequences, i, i + 1), i) for i in (lo, hi - 1))
     if hi - lo <= 1 or (hi - lo) * end_bits <= width:
-        first, weights, alphas, betas, _ = block or _block(sequences, lo, hi)
+        first, weights, alphas, betas = block or _block(sequences, lo, hi)
         a, b, t = product_sum(
             weights.__getitem__, alphas.__getitem__, betas.__getitem__, lo - first, hi - first
         )
@@ -170,11 +166,14 @@ def _shifted_bound(x: Intish, e: Intish, b_bits: int, s: int) -> Intish:
 
 
 def _block(sequences: Callable, lo: int, hi: int) -> tuple:
-    """(lo, weights, alphas, betas, bits) over [lo, hi), ``bits`` the larger
-    bit length of |alpha| and |beta| at each index."""
-    weights, alphas, betas = sequences(lo, hi)
-    bits = [max(x.bit_length(), y.bit_length()) for x, y in zip(alphas, betas)]
-    return lo, weights, alphas, betas, bits
+    """(lo, weights, alphas, betas) over [lo, hi)."""
+    return (lo, *sequences(lo, hi))
+
+
+def _bits_at(block: tuple, i: int) -> int:
+    """The larger bit length of |alpha| and |beta| at index ``i`` of a block."""
+    first, _, alphas, betas = block
+    return max(alphas[i - first].bit_length(), betas[i - first].bit_length())
 
 
 def alternating_arctan_sum(inv_arg: int, terms: int) -> tuple[Intish, Intish]:

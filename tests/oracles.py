@@ -1,12 +1,25 @@
 """Reference oracles shared by the tests: a bit-agreement measure,
-sin(pi x) by its own Taylor series, independent of the gamma code, and the
-exact value of a partial sum."""
+sin(pi x) by its own Taylor series, independent of the gamma code, the
+exact value of a partial sum, rational powers through exp and ln, and a
+sampler of parameters where both generator families converge."""
 
 from fractions import Fraction
 
 from hyperpi import engine
-from hyperpi.bigfloat import GUARD_BITS, BigFloat, div_nearest, pi_fixed, round_shift
+from hyperpi.bigfloat import (
+    GUARD_BITS,
+    BigFloat,
+    div_nearest,
+    exp,
+    ln,
+    pi_fixed,
+    pow_int,
+    round_shift,
+)
+from hyperpi.dougall import WellPoisedParams
+from hyperpi.errors import DomainError
 from hyperpi.factorials import SeriesSpec
+from hyperpi.prng import SplitMix64
 
 
 def agrees_to_bits(x: BigFloat, y: BigFloat) -> int:
@@ -51,3 +64,33 @@ def sum_series_fraction(spec: SeriesSpec, terms: int) -> Fraction:
     """Exact value of ``additive + sign * sum`` over the first ``terms``
     terms, from the exact pair that ``sum_series`` falls back to."""
     return Fraction(*engine._series_ratio(spec, terms))
+
+
+def pow_fraction(x: BigFloat, exponent: Fraction, prec: int | None = None) -> BigFloat:
+    """Rational power of a positive value via exp(exponent * ln x)."""
+    p = prec if prec is not None else x.prec
+    if exponent.denominator == 1:
+        return pow_int(x, exponent.numerator, p)
+    if x.man <= 0:
+        raise DomainError("rational power requires a positive base")
+    wp = p + GUARD_BITS + 16
+    return exp(ln(x, wp).mul_fraction(exponent, wp), p)
+
+
+_VALID_DENOMS = (2, 3, 4, 6, 12)
+
+
+def random_valid_params(rng: SplitMix64) -> WellPoisedParams:
+    """Random parameters in (0, 3) over the denominators 2, 3, 4, 6 and 12,
+    rejection sampled into the positive-gamma-argument domain where both
+    generator families converge to their gamma-quotient closed values."""
+    while True:
+        vals = []
+        for _ in range(4):
+            den = _VALID_DENOMS[rng.randint(0, len(_VALID_DENOMS) - 1)]
+            num = rng.randint(1, 3 * den - 1)
+            vals.append(Fraction(num, den))
+        a, b, c, d = vals
+        if all(x > 0 for x in (b, c, d, 1 + 2 * a - b - c - d, 1 + a - b, 1 + a - c,
+                               1 + a - d, b + c + d - a)):
+            return WellPoisedParams(*vals)

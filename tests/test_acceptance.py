@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperpi.bigfloat import BigFloat, pi_reference, pow_fraction
+from hyperpi.bigfloat import BigFloat, pi_reference
 from hyperpi.catalog import load_catalog, match_to_theorem, verify_entry
 from hyperpi.cli import main as cli_main
 from hyperpi.dougall import (
@@ -19,7 +19,6 @@ from hyperpi.dougall import (
     limit_gamma_args,
     random_finite_params,
     random_parity_params,
-    random_valid_params,
     theorem_closed_value,
     theorem_term,
     verify_dougall,
@@ -32,6 +31,7 @@ from hyperpi.gammafn import gamma_quotient, gamma_rational
 from hyperpi.factorials import pochhammer
 from hyperpi.inversion import random_scheme, random_sequence, roundtrip_check
 from hyperpi.prng import SplitMix64
+from oracles import pow_fraction, random_valid_params
 
 F = Fraction
 

@@ -14,13 +14,12 @@ from hyperpi.bigfloat import (
     ln,
     ln2_fixed,
     pi_reference,
-    pow_fraction,
     pow_int,
     round_shift,
     sqrt,
 )
 from hyperpi.errors import DomainError
-from oracles import agrees_to_bits, sin_pi
+from oracles import agrees_to_bits, pow_fraction, sin_pi
 
 PI_50 = "3.14159265358979323846264338327950288419716939937511"
 LN2_40 = "0.6931471805599453094172321214581765680755"

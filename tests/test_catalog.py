@@ -196,6 +196,14 @@ def test_floats_rejected_in_json(raw_doc, tmp_path):
         load_catalog(path)
 
 
+def test_non_utf8_catalog_is_a_schema_error(tmp_path):
+    # like invalid JSON, bytes that are not UTF-8 are a malformed file
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"version": 1, "entries": [], "note": "\u00e9"}'.encode("latin-1"))
+    with pytest.raises(SchemaError, match="not UTF-8"):
+        load_catalog(path)
+
+
 def test_class_shape_consistency_enforced(raw_doc, tmp_path):
     # moving a plain-pi closed form onto a pi^2 entry must fail the class check
     doc = copy.deepcopy(raw_doc)

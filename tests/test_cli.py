@@ -4,18 +4,15 @@ import copy
 import hashlib
 import importlib.resources
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
-import hyperpi
-from hyperpi import dougall
+from hyperpi import catalog, dougall
 from hyperpi.cli import main
 from hyperpi.constexpr import format_rational
 from hyperpi.dougall import WellPoisedParams
+from hyperpi.errors import RepeatedPole, ZeroDenominator
 from hyperpi.factorials import term_ratio
 
 
@@ -104,14 +101,6 @@ def test_verify_dougall_failure_exits_2(capsys, monkeypatch):
         assert check.lhs == dougall.verify_dougall(params, n).rhs != check.rhs
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    # concurrent.futures is imported only by a catalog run with --jobs > 1
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hyperpi.__file__)))
-    probe = "import sys, hyperpi.cli; sys.exit('concurrent.futures' in sys.modules)"
-    subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
-                   check=True, timeout=60)
-
-
 def test_verify_catalog_single_entry(capsys):
     code, out, _ = run(
         capsys, "verify", "catalog", "--id", "s3.1-ex1", "--digits", "40"
@@ -126,19 +115,29 @@ def test_verify_catalog_unknown_id(capsys):
     assert "unknown catalog entry id" in err
 
 
-def test_verify_catalog_jobs_do_not_change_the_report(capsys):
-    reports = []
-    for jobs in ("1", "2"):
-        code, out, _ = run(
-            capsys, "verify", "catalog", "--digits", "100", "--jobs", jobs,
-            "--format", "json",
-        )
-        assert code == 0
-        report = json.loads(out)
-        assert report["parameters"].pop("jobs") == int(jobs)
-        reports.append(report)
-    assert reports[0] == reports[1]
-    assert len(reports[0]["results"]) == 100
+@pytest.mark.parametrize(
+    "layer,entry_id,error",
+    [("match_to_theorem", "s3.1-ex1", ZeroDenominator),
+     ("verify_bbp_equivalence", "s3.7-ex1", RepeatedPole)],
+)
+def test_verify_catalog_reports_any_typed_error_as_a_failed_row(
+    capsys, monkeypatch, layer, entry_id, error
+):
+    # any HyperPiError of a stage is the row's failure, not a traceback
+    def broken(*args):
+        raise error("planted")
+
+    monkeypatch.setattr(catalog, layer, broken)
+    code, out, err = run(
+        capsys, "verify", "catalog", "--id", entry_id, "--digits", "40", "--format", "json"
+    )
+    assert code == 2
+    assert "Traceback" not in err
+    report = json.loads(out)
+    assert report["passed"] is False
+    (row,) = report["results"]
+    assert row["verified"] is True
+    assert row["failure"] == f"{error.__name__}: planted"
 
 
 BAD_COUNTS = [
@@ -149,8 +148,11 @@ BAD_COUNTS = [
     ("verify", "inversion", "--nmax", "-1"),
     ("verify", "inversion", "--pairs", ","),
     ("verify", "catalog", "--digits", "0"),
-    ("verify", "catalog", "--jobs", "0"),
-    ("verify", "catalog", "--jobs", "-2"),
+    ("verify", "catalog", "--jobs", "2"),
+    ("verify", "catalog", "--catalog", "no-such-catalog.json"),
+    ("verify", "catalog", "--anomalies", "no-such-anomalies.json"),
+    ("pi", "--entry", "s3.1-ex1", "--catalog", "."),
+    ("rate", "--id", "s3.1-ex1", "--catalog", "."),
     ("pi", "--entry", "s3.1-ex1", "--digits", "0"),
     ("derive", "--theorem", "A", "--params", "1/2,1/2,1/2,1/2", "--digits", "0"),
     ("derive", "--theorem", "A", "--params", "1/2,1/2,1/2,1/2", "--terms", "0"),
@@ -168,7 +170,7 @@ def test_bad_counts_are_usage_errors(capsys, argv):
 
 # sha256 of the full catalog report at 100 digits: every entry's verdict,
 # error exponent, match mode, scale and BBP family
-CATALOG_REPORT_DIGEST = "d701d0ca1ff9bd8dc53f7725fc2a40c3c90378d0111666574bce380d6f184984"
+CATALOG_REPORT_DIGEST = "39f9d9348cb09aa5dbc248a23ad8c775a36d2d93d9ee6934bbea4d2054fd6972"
 
 
 def test_catalog_report_is_pinned(capsys):
@@ -179,7 +181,7 @@ def test_catalog_report_is_pinned(capsys):
 
 # sha256 of the full catalog report at 1000 digits, where the gamma-class
 # entries put the Spouge coefficients and evaluations at their largest
-CATALOG_REPORT_1000_DIGEST = "9ef87aced035bbdea23fc08015a41d7f7ece9631f29d0a0996701ad2c1ec8e49"
+CATALOG_REPORT_1000_DIGEST = "026d3baab268a86e34c5a36b7360ea320084faadc33fee19032f1132bdb441ea"
 
 
 def test_catalog_report_at_1000_digits_is_pinned(capsys):

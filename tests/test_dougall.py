@@ -19,7 +19,6 @@ from hyperpi.dougall import (
     parity_closed_form,
     random_finite_params,
     random_parity_params,
-    random_valid_params,
     theorem_closed_value,
     theorem_gamma_args,
     theorem_term,
@@ -34,7 +33,7 @@ from hyperpi.errors import InvariantViolation, NormalizationMismatch, ZeroDenomi
 from hyperpi.factorials import SeriesSpec, poch_quotient, pochhammer, term_eval
 from hyperpi.gammafn import gamma_quotient
 from hyperpi.prng import SplitMix64
-from oracles import agrees_to_bits, sum_series_fraction
+from oracles import agrees_to_bits, random_valid_params, sum_series_fraction
 
 F = Fraction
 

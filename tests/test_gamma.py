@@ -7,12 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from hyperpi.bigfloat import BigFloat, pi_reference, pow_fraction, sqrt
+from hyperpi.bigfloat import BigFloat, pi_reference, sqrt
 from hyperpi import gammafn
 from hyperpi.errors import DomainError
 from hyperpi.factorials import pochhammer
 from hyperpi.gammafn import gamma_quotient, gamma_rational
-from oracles import agrees_to_bits, sin_pi
+from oracles import agrees_to_bits, pow_fraction, sin_pi
 
 
 def test_integer_values_are_factorials():

@@ -27,9 +27,6 @@ PACKAGE = ROOT / "src" / "hyperpi"
 
 # Kept with no caller outside the tests, one reason each.
 ALLOWED = {
-    "pow_fraction": "imported by the acceptance suite for its closed-value checks",
-    "theorem_closed_value": "imported by the acceptance suite (criterion 4)",
-    "random_valid_params": "the acceptance suite's sampler of convergent parameters",
     "RationalFunctionOfK.equals": "the ratio certificates of the term ratio will compare with it",
 }
 
