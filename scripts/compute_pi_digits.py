@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Compute decimal digits of pi through a catalog series and time the stages.
+"""Compute decimal digits of pi through a catalog series, cross-check them
+and print two timings: the computation (``compute_pi_via``) and the
+reference check.
 
 The chosen entry's series is summed by binary splitting, exact below the
 working precision plus 64 guard bits and truncated with a proven error bound
-above it.  Both ends of that bound are correctly rounded; when they agree,
-so does the exact partial sum, and only when they differ is the exact
-integer pair split and rounded instead.  Either way the sum is the exact
-partial sum correctly rounded.  The closed form is solved for pi, and the
-digits are cross-checked against the independent arctangent reference
-(exit 2 on a mismatch).
+above it.  One division rounds the whole interval that bound gives when all
+of it rounds alike; otherwise the exact integer pair is split and rounded
+instead.  Either way the sum is the exact partial sum correctly rounded.
+The closed form is solved for pi, and the digits are cross-checked against
+the independent arctangent reference (exit 2 on a mismatch; ``--no-check``
+skips it).
 """
 
 import argparse

@@ -9,7 +9,9 @@ Quotients follow the same rule: :meth:`BigFloat.from_ratio` rounds
 ``num / den`` to the nearest ``prec``-bit value, ties to even, so it is at
 most 1/2 ulp off and its bits depend only on the value, never on the
 representation of the pair.  ``from_fraction`` and ``div`` are that one
-rounding.
+rounding, and so is :meth:`BigFloat.from_ratio_ball`, which rounds a whole
+interval ``(num ± radius) / den`` with the same one division when all of
+it rounds alike; ``from_ratio`` is its radius-0 case.
 
 Elementary functions (sqrt, exp, ln and integer powers) work in
 fixed-point integer arithmetic with guard bits taken from
@@ -145,17 +147,35 @@ class BigFloat:
     @staticmethod
     def from_ratio(num: int, den: int, prec: int) -> "BigFloat":
         """``num / den`` correctly rounded to ``prec`` bits: the nearest
-        ``prec``-bit value, ties to even, at most 1/2 ulp away.
+        ``prec``-bit value, ties to even, at most 1/2 ulp away.  It is
+        :meth:`from_ratio_ball` at radius 0, so its bits depend only on the
+        value: a common factor of the pair never changes the result."""
+        value = BigFloat.from_ratio_ball(num, den, 0, prec)
+        assert value is not None  # a point interval is always decided
+        return value
 
-        The exponent comes from the value, e = floor(log2 |num/den|), so the
-        pair need not be reduced and a common factor never changes the
-        result.  One ``divmod`` gives the ``prec``-bit quotient
-        ``floor(|num/den| * 2**(prec-1-e))`` and the remainder that rounds it.
+    @staticmethod
+    def from_ratio_ball(num: int, den: int, radius: int, prec: int) -> "BigFloat | None":
+        """The ``prec``-bit rounding (nearest, ties to even) that every value
+        in ``[(num - radius) / den, (num + radius) / den]`` shares, or None;
+        ``radius >= 0``.
+
+        The exponent comes from the midpoint, e = floor(log2 |num/den|), and
+        one ``divmod`` gives the ``prec``-bit quotient ``q = floor(|num/den|
+        * 2**(prec-1-e))`` and its remainder ``0 <= r < den'``: on that
+        scale the ends are ``q + (r ± radius') / den'``.  With ``r + radius'
+        < den' / 2`` both lie within 1/2 of q and round to it; with ``r -
+        radius' > den' / 2`` both lie between q + 1/2 and q + 3/2 and round
+        to q + 1.  Rounding is monotone, so every value between the ends
+        rounds there too (an upper end at 2**prec or just above it rounds
+        to 2**prec with the rest).  None means the ends round apart, or an
+        end sits on a tie, below the midpoint's binade or on 0.  At radius 0
+        a tie goes to even, so a value is always returned.
         """
         if den == 0:
             raise ZeroDivisionError("from_ratio with a zero denominator")
         if num == 0:
-            return BigFloat.zero(prec)
+            return None if radius else BigFloat.zero(prec)
         negative = (num < 0) != (den < 0)
         num, den = abs(int(num)), abs(int(den))
         e = num.bit_length() - den.bit_length()
@@ -164,11 +184,20 @@ class BigFloat:
         shift = prec - 1 - e
         if shift >= 0:
             num <<= shift
+            radius <<= shift
         else:
             den <<= -shift
         q, r = divmod(_mpz(num), _mpz(den))
-        if 2 * r > den or (2 * r == den and q & 1):
-            q += 1  # a carry to 2**prec is renormalized below
+        if r < radius and q == 1 << (prec - 1):
+            return None  # the lower end is below the binade whose ulp the tests below assume
+        if 2 * (r + radius) < den:
+            pass  # both ends round down to q
+        elif 2 * (r - radius) > den:
+            q += 1  # both round up; a carry to 2**prec is renormalized below
+        elif radius:
+            return None  # the ends round apart, or one is a tie
+        else:
+            q += q & 1  # a tie, to even
         return BigFloat.normalize(-q if negative else q, -shift, prec)
 
     @staticmethod

@@ -3,12 +3,14 @@
 Four capabilities, all built on exact rational arithmetic:
 
 * :func:`sum_series` -- partial sums of a :class:`~hyperpi.factorials.SeriesSpec`
-  correctly rounded to ``prec`` bits (at most 1/2 ulp).  Integer binary
-  splitting runs exactly below a width of ``prec + SPLIT_GUARD_BITS`` bits
-  and merges with truncated products above it, the tail of the series at
-  the fewer bits it contributes.  B stays exact by definition, so one
-  proven bound on T gives an interval for the sum; the result is the
-  rounding both ends of that interval share, and only an interval that
+  correctly rounded to ``prec`` bits (at most 1/2 ulp).  The integer term
+  sequences are polynomials in the index, listed by forward differences,
+  with the constant that alpha and beta share cancelled once.  Integer
+  binary splitting runs exactly below a width of ``prec + SPLIT_GUARD_BITS``
+  bits and merges with truncated products above it, the tail of the series
+  at the fewer bits it contributes.  B stays exact by definition, so one
+  proven bound on T gives an interval for the sum; one division rounds the
+  whole interval when all of it rounds alike, and only an interval that
   straddles a rounding boundary is re-split exactly.
 * :func:`compute_pi_via` -- solve a verified series/closed-form pair for pi.
 * :func:`bbp_hex_digits` -- hexadecimal digits of pi at an arbitrary offset
@@ -26,6 +28,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Callable, NamedTuple
 
 from hyperpi.bigfloat import BigFloat, sqrt as bigfloat_sqrt
@@ -107,9 +110,44 @@ class _SeriesSetup(NamedTuple):
     ``lead_den * beta(0)...beta(j-1)``."""
 
     sequences: Callable[[int, int], tuple[list[int], list[int], list[int]]]
-    fold: Callable[[int, int], tuple[int, int]]
+    fold: Callable[[int, int, int], tuple[int, int, int]]
     lead_num: int
     lead_den: int
+
+
+def _expand(const: int, forms: list[tuple[int, int]]) -> list[int]:
+    """Ascending integer coefficients of ``const * prod (n + d x)`` over ``forms``."""
+    coeffs = [const]
+    for n, d in forms:
+        coeffs = [a * n + b * d for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def _listing(coeffs: list[int], lo: int, hi: int) -> list[int]:
+    """The integer polynomial with ascending ``coeffs`` at every x in [lo, hi).
+
+    A range no longer than the coefficient list is evaluated point by
+    point.  A longer one takes the values at the first degree + 1 points,
+    their forward differences Δ^i p(lo), and sums them back up a level at
+    a time: Δ^degree p is constant, and each ``accumulate`` turns the
+    differences of one level into the values of the level below.
+    """
+    head = []
+    for x in range(lo, min(hi, lo + len(coeffs))):
+        value = 0
+        for c in reversed(coeffs):
+            value = value * x + c
+        head.append(value)
+    if hi - lo <= len(coeffs):
+        return head
+    diffs = []
+    while head:
+        diffs.append(head[0])
+        head = list(map(operator.sub, head[1:], head))
+    values = repeat(diffs.pop(), hi - lo - len(diffs))
+    for first in reversed(diffs):
+        values = accumulate(values, initial=first)
+    return list(values)
 
 
 def _series_setup(spec: SeriesSpec) -> _SeriesSetup:
@@ -117,52 +155,55 @@ def _series_setup(spec: SeriesSpec) -> _SeriesSetup:
 
     The per-step ratio of consecutive terms is a pure product of linear
     factors, so the weight sequence carries the polynomial and the splitting
-    never divides by a (possibly zero) polynomial value.  Weights are
-    integer Horner evaluations of ``poly * lcm(denominators)``; each linear
-    factor is an arithmetic progression in the index, multiplied into its
-    sequence a whole range at a time.  ``fold(t, b)``
-    turns a pair with ``t/b = T/B`` into an unreduced pair ``(num, den)``,
-    ``den > 0``, for ``additive + sign * lead * t / (lcm * b)`` without a
-    gcd; the value is monotone in ``t/b``.  Raises :class:`ZeroDenominator`
-    when a lower rising factorial vanishes at the start index.
+    never divides by a (possibly zero) polynomial value.  All three
+    sequences are integer polynomials in the term index k = start + j:
+    weight is ``poly * lcm(denominators)``; alpha is the product of the
+    upper parameters' forms ``n + k d`` times the lower denominators; beta
+    is the product of the lower forms times the upper denominators and the
+    base.  The two constants lose their common factor once, here, so every
+    alpha and beta the splitting feeds in is shorter and alpha/beta keeps
+    its value.  ``sequences`` lists the polynomials by forward differences
+    (:func:`_listing`), and the lead is alpha and beta over k in [0, start).
+
+    ``fold(t, b, e)`` maps a pair with ``t/b = T/B`` to an unreduced pair
+    ``(num, den)``, ``den > 0``, for ``additive + sign * lead * t / (lcm *
+    b)`` without a gcd; the value is monotone in ``t/b``.  Its third integer
+    is the radius that ``e / |b|`` becomes over ``den``: the values within
+    ``e / |b|`` of ``t / b`` fold onto ``(num ± radius) / den``.  Raises
+    :class:`ZeroDenominator` when a lower rising factorial vanishes at the
+    start index.
     """
     additive = Fraction(spec.additive)
     s = spec.start
     poly_lcm = math.lcm(*(coeff.denominator for coeff in spec.poly))
-    coeffs = [(coeff * poly_lcm).numerator for coeff in reversed(spec.poly)]
+    weight = [(coeff * poly_lcm).numerator for coeff in spec.poly]
     upper_nd = [(u.numerator, u.denominator) for u in spec.upper]
     lower_nd = [(low.numerator, low.denominator) for low in spec.lower]
     alpha_const = math.prod(d for _, d in lower_nd)
     beta_const = math.prod(d for _, d in upper_nd) * spec.base
-
-    def factors(forms: list[tuple[int, int]], const: int, lo: int, hi: int) -> list[int]:
-        # const * prod over (n, d) of (n + (s + i) d), for i in [lo, hi)
-        out = [const] * (hi - lo)
-        for n, d in forms:
-            out = list(map(operator.mul, out, range(n + (s + lo) * d, n + (s + hi) * d, d)))
-        return out
+    common = math.gcd(alpha_const, beta_const)
+    alpha = _expand(alpha_const // common, upper_nd)
+    beta = _expand(beta_const // common, lower_nd)
 
     def sequences(lo: int, hi: int) -> tuple[list[int], list[int], list[int]]:
-        weights = [0] * (hi - lo)
-        for c in coeffs:
-            weights = [w * x + c for w, x in zip(weights, range(s + lo, s + hi))]
-        alphas = factors(upper_nd, alpha_const, lo, hi)
-        return weights, alphas, factors(lower_nd, beta_const, lo, hi)
+        lo, hi = s + lo, s + hi
+        return _listing(weight, lo, hi), _listing(alpha, lo, hi), _listing(beta, lo, hi)
 
     # the rising factorials at the start index: the steps from index 0 to s
-    lead_num = spec.sign * math.prod(factors(upper_nd, alpha_const, -s, 0))
-    lead_den = poly_lcm * math.prod(factors(lower_nd, beta_const, -s, 0))
+    lead_num = spec.sign * math.prod(_listing(alpha, 0, s))
+    lead_den = poly_lcm * math.prod(_listing(beta, 0, s))
     if lead_den == 0:
         raise ZeroDenominator(f"lower rising factorial vanished at n={s}")
+    radius_scale = additive.denominator * abs(lead_num)
 
-    def fold(t: int, b: int) -> tuple[int, int]:
+    def fold(t: int, b: int, e: int) -> tuple[int, int, int]:
         num, den = lead_num * t, lead_den * b
         num = additive.numerator * den + additive.denominator * num
         den *= additive.denominator
         # B or the lead < 0 when an odd number of their factors are, e.g. lower -1/2 at k = 0.
         if den < 0:
             num, den = -num, -den
-        return num, den
+        return num, den, radius_scale * e
 
     return _SeriesSetup(sequences, fold, lead_num, lead_den)
 
@@ -206,7 +247,8 @@ def _series_ratio(spec: SeriesSpec, terms: int) -> tuple[int, int]:
     _, big_b, big_t = product_sum(
         weights.__getitem__, alphas.__getitem__, betas.__getitem__, 0, terms
     )
-    return setup.fold(int(big_t), int(big_b))
+    num, den, _ = setup.fold(int(big_t), int(big_b), 0)
+    return num, den
 
 
 def sum_series(spec: SeriesSpec, terms: int, prec: int) -> BigFloat:
@@ -217,24 +259,25 @@ def sum_series(spec: SeriesSpec, terms: int, prec: int) -> BigFloat:
     at a width of ``prec + SPLIT_GUARD_BITS`` bits: exact splitting on
     subranges below that width, truncated merges above it, and the tail at
     the narrower width its scale needs.  That gives integers ``b != 0``,
-    ``t`` and ``e`` with the exact sum within ``e / |b|`` of ``t / b``, so
-    between ``(t - e) / b`` and ``(t + e) / b`` whatever the sign of ``b``,
-    and both ends are rounded by :meth:`~hyperpi.bigfloat.BigFloat.from_ratio`.
-    Rounding to nearest is monotone, so when the two ends round alike every
-    value between them does too, the exact sum included, and that float is
-    the result; with no truncated merge both ends are the exact sum.  Only
-    when they differ (the interval straddles a rounding boundary, as every
-    interval across 0 does) is the exact pair of :func:`_series_ratio`
-    split and rounded instead.  Either way the error is at most 1/2 ulp of
-    the exact partial sum.
+    ``t`` and ``e`` with the exact sum within ``e / |b|`` of ``t / b``.
+    Folded onto one denominator the interval is ``(num ± radius) / den``,
+    and :meth:`~hyperpi.bigfloat.BigFloat.from_ratio_ball` rounds it with
+    one division: it returns the rounding every value in it shares, the
+    exact sum included (with no truncated merge the radius is 0 and that is
+    the exact sum's rounding).  Only when it declines (a rounding boundary,
+    a binade edge or 0 lies in the interval, as for every interval across
+    0) is the exact pair of :func:`_series_ratio` split and rounded
+    instead.  Either way the error is at most 1/2 ulp of the exact partial
+    sum.
     """
     spec.validate()
     setup = _series_setup(spec)
     if terms > 0:
         b, t, e = truncated_product_sum(setup.sequences, terms, prec + SPLIT_GUARD_BITS)
-        low = BigFloat.from_ratio(*setup.fold(t - e, b), prec)
-        if low == BigFloat.from_ratio(*setup.fold(t + e, b), prec):
-            return low
+        num, den, radius = setup.fold(t, b, e)
+        value = BigFloat.from_ratio_ball(num, den, radius, prec)
+        if value is not None:
+            return value
     return BigFloat.from_ratio(*_series_ratio(spec, terms), prec)
 
 

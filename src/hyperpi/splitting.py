@@ -59,15 +59,16 @@ def product_sum(
               * prod_{i in [lo, j)} alpha(i) * prod_{i in [j, hi)} beta(i)
 
     so that the desired sum equals T / B.  An empty range yields (1, 1, 0).
+    A range of at most ``_FOLD_RANGE`` terms is folded from the left, which
+    yields the same integers: term j updates T to (T + A * weight(j)) *
+    beta(j), then A and B, three products per term.
     """
     if hi - lo <= _FOLD_RANGE:
-        # A left fold yields the same integers as the balanced split; on a
-        # short range it saves the recursion.
         a, b, t = _mpz(1), _mpz(1), _mpz(0)
-        for j in range(lo, hi):
-            b_j = _mpz(beta(j))
-            t = t * b_j + a * _mpz(weight(j)) * b_j
-            a *= alpha(j)
+        span = range(lo, hi)
+        for w_j, a_j, b_j in zip(map(weight, span), map(alpha, span), map(beta, span)):
+            t = (t + a * w_j) * b_j
+            a *= a_j
             b *= b_j
         return a, b, t
     mid = (lo + hi) // 2

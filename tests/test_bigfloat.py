@@ -162,6 +162,76 @@ def test_div_is_from_ratio_of_the_exact_quotient(dm, de, nm, ne, operand_prec, p
     assert_correctly_rounded(got, exact, prec)
 
 
+@st.composite
+def rounding_balls(draw):
+    """``(num, den, radius, prec)``: an interval ``(num ± radius) / den``
+    at most an ulp or so wide, centred within an ulp of a representable
+    value, of a tie, or of the lower binade edge (mantissa 2**(prec-1)) or
+    the upper one (2**prec - 1), and reaching one, the other or neither;
+    radius 0 is a point."""
+    prec = draw(st.integers(min_value=1, max_value=120))
+    m = draw(st.one_of(
+        st.sampled_from((1 << (prec - 1), (1 << prec) - 1)),
+        st.integers(min_value=1 << (prec - 1), max_value=(1 << prec) - 1),
+    ))
+    c = draw(st.integers(min_value=1, max_value=1 << 40))
+    # in units of 1/(4c) ulp: the midpoint at m + a/(4c), the ends at
+    # m + (a ± r)/(4c); an end sits on a tie when a ± r = ±2c
+    a = draw(st.one_of(
+        st.sampled_from((0, 2 * c, -2 * c, 4 * c - 1)),
+        st.integers(min_value=-4 * c, max_value=4 * c),
+    ))
+    r = draw(st.one_of(
+        st.sampled_from((0, abs(2 * c - a), abs(2 * c + a), 1)),
+        st.integers(min_value=0, max_value=6 * c),
+    ))
+    num, den = 4 * m * c + a, 4 * c
+    k = draw(st.integers(min_value=-80, max_value=80))
+    if k >= 0:
+        num, r = num << k, r << k
+    else:
+        den <<= -k
+    sign = draw(st.sampled_from((1, -1)))
+    return sign * num, draw(st.sampled_from((1, -1))) * den, r, prec
+
+
+def _is_tie(value: Fraction, prec: int) -> bool:
+    ulp = Fraction(2) ** (floor_log2(abs(value)) + 1 - prec)
+    return (value / ulp).denominator == 2
+
+
+@settings(max_examples=600, deadline=None)
+@given(rounding_balls())
+@example((4 * 5 + 1, 4, 0, 3))  # 5.25 at three bits: a point rounds down
+@example((4 * 5 + 2, 4, 0, 3))  # 5.5: a tie, to even
+@example((4 * 5 + 1, 4, 1, 3))  # [5, 5.5]: the upper end is a tie
+@example((4 * 4, 4, 1, 3))  # [3.75, 4.25]: the lower end leaves the binade
+@example((4 * 7 + 1, 4, 1, 3))  # [7, 7.5]: the upper end is a tie at the top
+@example((63, 8, 2, 3))  # [7.625, 8.125]: across the upper binade edge, all rounds to 8
+@example((1, 4, 1, 3))  # [0, 0.5]: an end at 0
+@example((0, 4, 1, 3))  # [-0.25, 0.25]: across 0
+def test_from_ratio_ball_rounds_the_whole_interval_or_declines(case):
+    num, den, radius, prec = case
+    got = BigFloat.from_ratio_ball(num, den, radius, prec)
+    ends = sorted((Fraction(num - radius, den), Fraction(num + radius, den)))
+    low, high = (BigFloat.from_ratio(e.numerator, e.denominator, prec) for e in ends)
+    if got is not None:
+        assert bits_of(got) == bits_of(low) == bits_of(high)
+    else:
+        # declined only where the ends round apart, an end is a tie, or the
+        # ends lie in different binades or reach 0
+        assert radius > 0
+        assert (
+            bits_of(low) != bits_of(high)
+            or any(_is_tie(e, prec) for e in ends if e)
+            or ends[0] <= 0 <= ends[1]
+            or floor_log2(abs(ends[0])) != floor_log2(abs(ends[1]))
+        )
+    if radius == 0:
+        assert got is not None
+        assert_correctly_rounded(got, ends[0], prec)
+
+
 def test_from_ratio_rejects_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         BigFloat.from_ratio(1, 0, 53)

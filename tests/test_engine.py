@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperpi import engine, splitting
+from hyperpi import bigfloat, engine, splitting
 from hyperpi.bigfloat import BigFloat, pi_reference
 from hyperpi.constexpr import parse_const_expr
 from hyperpi.engine import (
@@ -33,7 +33,7 @@ from hyperpi.errors import (
     UnsupportedLhs,
     ZeroTerm,
 )
-from hyperpi.factorials import SeriesSpec, term_eval
+from hyperpi.factorials import SeriesSpec, poly_eval, term_eval
 from hyperpi.prng import SplitMix64
 from hyperpi.splitting import product_sum, truncated_product_sum
 from oracles import sum_series_fraction
@@ -163,10 +163,14 @@ def test_compute_pi_bits_are_pinned(catalog_entries):
 # for one entry per pi exponent (1, -1, 2, -2), where sum_series truncates
 PI_VIA_10000_ENTRIES = ("s3.1-ex1", "s3.5-ex16", "s3.6-ex15", "s3.2-ex1")
 PI_VIA_10000_DIGEST = "e9061cca8b3a04d6717add8d7172bcb3fafa4b8211bd35e07a64bb3f143352ae"
+# the same over entries whose alpha and beta constants share large factors
+# (5184, 2048 and 512), recorded before the sums cancelled them
+PI_VIA_10000_CANCELLING_ENTRIES = ("s3.6-ex4", "s3.5-ex12", "s3.7-ex4")
+PI_VIA_10000_CANCELLING_DIGEST = "bd71e45dbd560d3f7331a1649ad41f48be1980966eefa23df75da7ff4f90fc74"
 
 
-def test_compute_pi_bits_are_pinned_at_ten_thousand_digits(catalog_by_id, monkeypatch):
-    # the truncated interval decides every sum: no exact re-split
+def _pi_digest_at_ten_thousand_digits(catalog_by_id, monkeypatch, entries):
+    """The pin digest over ``entries`` and the exact re-splits it took."""
     resplits = []
     exact_ratio = engine._series_ratio
 
@@ -176,12 +180,26 @@ def test_compute_pi_bits_are_pinned_at_ten_thousand_digits(catalog_by_id, monkey
 
     monkeypatch.setattr(engine, "_series_ratio", counted_ratio)
     digest = hashlib.sha256()
-    for eid in PI_VIA_10000_ENTRIES:
+    for eid in entries:
         entry = catalog_by_id[eid]
         value = compute_pi_via(entry.spec, entry.lhs, 10000)
         digest.update(f"{eid}:{value.man:x}:{value.exp}:{value.prec};".encode())
-    assert digest.hexdigest() == PI_VIA_10000_DIGEST
-    assert resplits == []
+    return digest.hexdigest(), resplits
+
+
+def test_compute_pi_bits_are_pinned_at_ten_thousand_digits(catalog_by_id, monkeypatch):
+    # the truncated interval decides every sum: no exact re-split
+    digest, resplits = _pi_digest_at_ten_thousand_digits(
+        catalog_by_id, monkeypatch, PI_VIA_10000_ENTRIES
+    )
+    assert (digest, resplits) == (PI_VIA_10000_DIGEST, [])
+
+
+def test_compute_pi_bits_are_pinned_where_the_constants_cancel(catalog_by_id, monkeypatch):
+    digest, resplits = _pi_digest_at_ten_thousand_digits(
+        catalog_by_id, monkeypatch, PI_VIA_10000_CANCELLING_ENTRIES
+    )
+    assert (digest, resplits) == (PI_VIA_10000_CANCELLING_DIGEST, [])
 
 
 def test_compute_pi_rejects_gamma_classes(catalog_by_id):
@@ -571,3 +589,102 @@ def test_truncated_splitting_narrows_the_tail(catalog_by_id, monkeypatch):
     _, _, e_t = truncated_product_sum(setup.sequences, terms_for_digits(10000, spec.base), width)
     # the outermost call of a leaf returns last
     assert e_t > 0 and leaves[-1] < width // 2
+
+
+@st.composite
+def _listing_cases(draw):
+    """A valid spec and a range [lo, hi) of its sequences: integer, negative
+    and zero-crossing parameters (a negative upper form n + k d changes sign
+    at some k, and is 0 there when the parameter is an integer), start 0-6,
+    a weight polynomial of degree 0-3, and the range lengths at which the
+    listing switches from point values to differences and the splitter's
+    block edges (1024)."""
+    integers = st.integers(-12, 12).map(F)
+    params = st.one_of(_params, integers)
+    lower = st.one_of(_params, integers).filter(lambda x: x.denominator > 1 or x > 0)
+    spec = SeriesSpec(
+        upper=tuple(draw(st.lists(params, min_size=1, max_size=4))),
+        lower=tuple(draw(st.lists(lower, min_size=1, max_size=4))),
+        poly=tuple(draw(st.lists(params, min_size=1, max_size=4).filter(lambda p: any(p)))),
+        base=draw(st.integers(2, 300)),
+        start=draw(st.integers(0, 6)),
+        sign=draw(st.sampled_from((1, -1))),
+    )
+    lo = draw(st.integers(0, 3000))
+    return spec, lo, lo + draw(st.sampled_from((0, 1, 2, 1023, 1024, 1025, 2049)))
+
+
+def _forms_at(params, k: int) -> int:
+    """prod (n + k d) over the parameters n/d: their rising-factorial steps
+    at index k times the product of their denominators."""
+    return math.prod(p.numerator + k * p.denominator for p in params)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_listing_cases())
+@example((SHIFTED, 0, 2049))
+@example((SeriesSpec(upper=(F(-7),), lower=(F(1, 2),), poly=(F(0), F(1)), base=2, start=6), 0, 2))
+def test_series_sequences_are_the_per_index_definition(case):
+    spec, lo, hi = case
+    setup = engine._series_setup(spec)
+    weights, alphas, betas = setup.sequences(lo, hi)
+    assert len(weights) == len(alphas) == len(betas) == hi - lo
+    lcm = math.lcm(*(c.denominator for c in spec.poly))
+    upper_dens = math.prod(u.denominator for u in spec.upper)
+    lower_dens = math.prod(low.denominator for low in spec.lower)
+    # the uncancelled step k -> k + 1 is alpha_full(k) / beta_full(k), whose
+    # constants share this factor
+    common = math.gcd(lower_dens, upper_dens * spec.base)
+
+    def alpha_full(k):
+        return lower_dens * _forms_at(spec.upper, k)
+
+    def beta_full(k):
+        return spec.base * upper_dens * _forms_at(spec.lower, k)
+
+    for j, (weight, alpha, beta) in enumerate(zip(weights, alphas, betas), start=lo):
+        k = spec.start + j
+        assert weight == lcm * poly_eval(spec.poly, F(k))
+        assert alpha * beta_full(k) == alpha_full(k) * beta
+        assert (alpha * common, beta * common) == (alpha_full(k), beta_full(k))
+    lead_num = spec.sign * math.prod(map(alpha_full, range(spec.start)))
+    lead_den = lcm * math.prod(map(beta_full, range(spec.start)))
+    assert setup.lead_num * lead_den == lead_num * setup.lead_den
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.integers(-50, 50)] * 3), max_size=40),
+    st.integers(-5, 5),
+)
+def test_product_sum_is_its_definition(rows, lo):
+    # A, B and T of the docstring, over zero and negative entries, through
+    # both the fold (8 terms or fewer) and the balanced split
+    weights = [w for w, _, _ in rows]
+    alphas = [a for _, a, _ in rows]
+    betas = [b for _, _, b in rows]
+
+    def at(seq):
+        return lambda j: seq[j - lo]
+
+    a, b, t = product_sum(at(weights), at(alphas), at(betas), lo, lo + len(rows))
+    assert (a, b) == (math.prod(alphas), math.prod(betas))
+    assert t == sum(
+        w * math.prod(alphas[:j]) * math.prod(betas[j:]) for j, w in enumerate(weights)
+    )
+
+
+def test_ten_thousand_digit_sum_divides_once(catalog_by_id, monkeypatch):
+    # the truncated interval is rounded by one division, not one per end
+    divisions = []
+
+    def counted_divmod(x, y):
+        divisions.append(max(int(x).bit_length(), int(y).bit_length()))
+        return divmod(x, y)
+
+    monkeypatch.setattr(bigfloat, "divmod", counted_divmod, raising=False)
+    spec = catalog_by_id["s3.1-ex1"].spec
+    prec = precision_for_digits(10000)
+    value = sum_series(spec, terms_for_digits(10000, spec.base), prec)
+    assert len(divisions) == 1 and divisions[0] > 2 * prec
+    assert value.prec == prec
