@@ -78,21 +78,24 @@ def _decimal_text(value: int) -> str:
     while powers[-1] * powers[-1] <= value:
         powers.append(powers[-1] * powers[-1])
     parts: list[str] = []
-
-    def emit(n: int, level: int, pad: bool) -> None:
-        if level < 0:
-            text = str(n)
-            parts.append(text.zfill(_DECIMAL_LEAF_DIGITS) if pad else text)
-            return
-        high, low = divmod(n, powers[level])
-        if high or pad:
-            emit(high, level - 1, pad)
-            emit(low, level - 1, True)
-        else:
-            emit(low, level - 1, False)
-
-    emit(value, len(powers) - 1, False)
+    _emit_decimal(value, len(powers) - 1, False, powers, parts)
     return "".join(parts)
+
+
+def _emit_decimal(n: int, level: int, pad: bool, powers: list[int], parts: list[str]) -> None:
+    """Append the decimal pieces of ``n < powers[level]**2`` to ``parts`` for
+    :func:`_decimal_text`.  Not a closure: a recursive one is a cycle that
+    keeps the powers and pieces alive after the call."""
+    if level < 0:
+        text = str(n)
+        parts.append(text.zfill(_DECIMAL_LEAF_DIGITS) if pad else text)
+        return
+    high, low = divmod(n, powers[level])
+    if high or pad:
+        _emit_decimal(high, level - 1, pad, powers, parts)
+        _emit_decimal(low, level - 1, True, powers, parts)
+    else:
+        _emit_decimal(low, level - 1, False, powers, parts)
 
 
 def div_nearest(num: int, den: int) -> int:

@@ -15,8 +15,9 @@ Four capabilities, all built on exact rational arithmetic:
 * :func:`compute_pi_via` -- solve a verified series/closed-form pair for pi.
 * :func:`bbp_hex_digits` -- hexadecimal digits of pi at an arbitrary offset
   without computing earlier digits: a spigot over Bellard's base-2**10
-  formula, one modular power per term, with a retry margin counted from
-  the terms it sums.
+  formula summed four indices per step (one modular power per step, the
+  step's polynomials listed by forward differences), with a retry margin
+  counted from the floor divisions it takes.
 * :func:`verify_bbp_equivalence` -- exact reduction of a base-16 entry to
   one of the two classic digit-extraction sum templates, from the residues
   at the poles that its paired parameters name (:func:`summand_residues`).
@@ -28,8 +29,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
-from typing import Callable, NamedTuple
+from itertools import accumulate, repeat, tee
+from typing import Callable, Iterable, NamedTuple
 
 from hyperpi.bigfloat import BigFloat, sqrt as bigfloat_sqrt
 from hyperpi.constexpr import ConstExpr, eval_const_expr, monomial
@@ -59,21 +60,6 @@ SLOTS_PI = (Fraction(4), Fraction(0), Fraction(0), Fraction(-2),
             Fraction(-1), Fraction(-1), Fraction(0), Fraction(0))
 SLOTS_TWO_PI = (Fraction(0), Fraction(8), Fraction(4), Fraction(4),
                 Fraction(0), Fraction(0), Fraction(-1), Fraction(0))
-
-# Bellard's formula (F. Bellard, 1997) as one rational summand:
-#   pi = 2**-6 * sum_n (-1)**n * 2**(-10*n) * P(n)/M(n),
-#   M(n) = (4n+1)(4n+3)(10n+1)(10n+3)(10n+5)(10n+7)(10n+9),
-#   P(n)/M(n) = -2**5/(4n+1) - 1/(4n+3) + 2**8/(10n+1) - 2**6/(10n+3)
-#               - 2**2/(10n+5) - 2**2/(10n+7) + 1/(10n+9).
-# Coefficients from low to high degree.  All are positive, so P(n) > 0 and
-# M(n) > 0 for every n >= 0.
-_BELLARD_M = (2835, 65790, 570360, 2480240, 5950000, 7980000, 5600000, 1600000)
-_BELLARD_P = (570042, 6543234, 29980024, 70652400, 90764000, 60500000, 16400000)
-
-# The spigot's error margin is about 0.4 * position ulps, so even at this
-# reach it stays far below the 96 guard bits of the first attempt; the cost,
-# linear in the position, is the practical limit long before.
-_MAX_SPIGOT_REACH = 1 << 48
 
 # Bits beyond the target precision that sum_series keeps in its truncated
 # merges.  Each merge adds a few units to the error bound, so after the
@@ -115,22 +101,24 @@ class _SeriesSetup(NamedTuple):
     lead_den: int
 
 
-def _expand(const: int, forms: list[tuple[int, int]]) -> list[int]:
-    """Ascending integer coefficients of ``const * prod (n + d x)`` over ``forms``."""
-    coeffs = [const]
+def _expand(coeffs: list[int], forms: list[tuple[int, int]]) -> list[int]:
+    """Ascending integer coefficients of ``coeffs`` times ``prod (n + d x)``
+    over ``forms``, for a polynomial with ascending ``coeffs``."""
     for n, d in forms:
         coeffs = [a * n + b * d for a, b in zip(coeffs + [0], [0] + coeffs)]
     return coeffs
 
 
-def _listing(coeffs: list[int], lo: int, hi: int) -> list[int]:
+def _values(coeffs: list[int], lo: int, hi: int) -> Iterable[int]:
     """The integer polynomial with ascending ``coeffs`` at every x in [lo, hi).
 
     A range no longer than the coefficient list is evaluated point by
     point.  A longer one takes the values at the first degree + 1 points,
     their forward differences Δ^i p(lo), and sums them back up a level at
     a time: Δ^degree p is constant, and each ``accumulate`` turns the
-    differences of one level into the values of the level below.
+    differences of one level into the values of the level below.  The
+    values come lazily, so a long range holds only the degree + 1 running
+    differences at a time.
     """
     head = []
     for x in range(lo, min(hi, lo + len(coeffs))):
@@ -147,7 +135,7 @@ def _listing(coeffs: list[int], lo: int, hi: int) -> list[int]:
     values = repeat(diffs.pop(), hi - lo - len(diffs))
     for first in reversed(diffs):
         values = accumulate(values, initial=first)
-    return list(values)
+    return values
 
 
 def _series_setup(spec: SeriesSpec) -> _SeriesSetup:
@@ -163,7 +151,7 @@ def _series_setup(spec: SeriesSpec) -> _SeriesSetup:
     base.  The two constants lose their common factor once, here, so every
     alpha and beta the splitting feeds in is shorter and alpha/beta keeps
     its value.  ``sequences`` lists the polynomials by forward differences
-    (:func:`_listing`), and the lead is alpha and beta over k in [0, start).
+    (:func:`_values`), and the lead is alpha and beta over k in [0, start).
 
     ``fold(t, b, e)`` maps a pair with ``t/b = T/B`` to an unreduced pair
     ``(num, den)``, ``den > 0``, for ``additive + sign * lead * t / (lcm *
@@ -182,16 +170,17 @@ def _series_setup(spec: SeriesSpec) -> _SeriesSetup:
     alpha_const = math.prod(d for _, d in lower_nd)
     beta_const = math.prod(d for _, d in upper_nd) * spec.base
     common = math.gcd(alpha_const, beta_const)
-    alpha = _expand(alpha_const // common, upper_nd)
-    beta = _expand(beta_const // common, lower_nd)
+    alpha = _expand([alpha_const // common], upper_nd)
+    beta = _expand([beta_const // common], lower_nd)
 
     def sequences(lo: int, hi: int) -> tuple[list[int], list[int], list[int]]:
         lo, hi = s + lo, s + hi
-        return _listing(weight, lo, hi), _listing(alpha, lo, hi), _listing(beta, lo, hi)
+        return (list(_values(weight, lo, hi)), list(_values(alpha, lo, hi)),
+                list(_values(beta, lo, hi)))
 
     # the rising factorials at the start index: the steps from index 0 to s
-    lead_num = spec.sign * math.prod(_listing(alpha, 0, s))
-    lead_den = poly_lcm * math.prod(_listing(beta, 0, s))
+    lead_num = spec.sign * math.prod(_values(alpha, 0, s))
+    lead_den = poly_lcm * math.prod(_values(beta, 0, s))
     if lead_den == 0:
         raise ZeroDenominator(f"lower rising factorial vanished at n={s}")
     radius_scale = additive.denominator * abs(lead_num)
@@ -337,43 +326,94 @@ def compute_pi_via(spec: SeriesSpec, lhs: ConstExpr, digits: int) -> BigFloat:
 # ----------------------------------------------------------------------
 
 
-def _spigot_fraction(position: int, frac_bits: int) -> tuple[int, int]:
-    """Fixed-point fractional part of ``16**position * pi`` and the number of
-    terms summed, which bounds its error in ulps (see below).
+# Bellard's formula (F. Bellard, 1997) over its seven slots (weight, a, b):
+#   pi = 2**-6 * sum_n (-1)**n * 2**(-10*n) * sum_slots weight/(a*n + b).
+_BELLARD_SLOTS = ((-32, 4, 1), (-1, 4, 3), (256, 10, 1), (-64, 10, 3),
+                  (-4, 10, 5), (-4, 10, 7), (1, 10, 9))
 
-    With ``4*position - 6 = 10*q + c0``, term ``n`` of Bellard's sum is
-    ``(-1)**n * 2**(10*(q-n) + c0) * P(n)/M(n)``.  For ``n <= q`` only its
-    fractional part counts, ``(1024**(q-n) * 2**c0 * P(n) mod M(n)) / M(n)``:
-    one modular power modulo ``M(n)``.  Later terms are plain shifts.
+# Indices the spigot sums per modular power.  CPython's pow costs about as
+# much per index on one index's 127-bit modulus (4.3 us at position 9*10**4)
+# as on four indices' 507-bit one (3.2 us), so a step saves the listing and
+# the division of the indices it folds in.  Over the benchmark's 60-position
+# hex pass (Python 3.11, plain int, 2-CPU x86-64), four alternating runs
+# each: one index per step took 7.4-7.9 s, two 5.1-6.0 s, four 5.1-5.7 s,
+# six 5.2-5.9 s; four also quarters the retry margin.  Must be even, so
+# that every step adds.
+_SPIGOT_STEP = 4
+
+# The spigot's error margin is about 0.1 * position ulps, so even at this
+# reach it stays far below the 96 guard bits of the first attempt; the cost,
+# linear in the position, is the practical limit long before.
+_MAX_SPIGOT_REACH = 1 << 48
+
+
+def _bellard_summand(group: int) -> tuple[list[int], list[int]]:
+    """Ascending coefficients of P and M with P(k)/M(k) equal to
+    ``sum_j (-1)**j * 1024**(group-1-j) * S(group*k + j)`` over j < group,
+    where S(n) is the slot sum of Bellard's term n: M is the product of the
+    ``7 * group`` linear forms and P the sum of each weight times the other
+    forms, built as one running fraction."""
+    numerator, denominator = [0], [1]
+    for j in range(group):
+        for weight, a, b in _BELLARD_SLOTS:
+            form = [(a * j + b, group * a)]
+            # P/M + w/f = (P*f + w*M) / (M*f); P's top coefficient stays 0
+            scaled = [(-1) ** j * 1024 ** (group - 1 - j) * weight * c for c in denominator]
+            numerator = list(map(operator.add, _expand(numerator, form), scaled + [0]))
+            denominator = _expand(denominator, form)
+    return numerator[:-1], denominator
+
+
+# One step of _SPIGOT_STEP indices.  Every form is positive for k >= 0, so
+# the denominator is.
+_BELLARD_STEP_P, _BELLARD_STEP_M = _bellard_summand(_SPIGOT_STEP)
+
+
+def _spigot_fraction(position: int, frac_bits: int) -> tuple[int, int, int]:
+    """Fixed-point fractional part of ``16**position * pi``, the number of
+    indices of Bellard's sum it adds up, and the number of floor divisions
+    it takes, which bounds its error in ulps (see below).
+
+    With ``4*position - 6 = 10*q + c0``, index ``n`` of Bellard's sum is
+    ``(-1)**n * 2**(10*(q-n) + c0) * S(n)``, S(n) its slot sum.  The indices
+    are summed G = ``_SPIGOT_STEP`` at a time: step ``k`` is ``2**(10*e + c0)
+    * P(k)/M(k)`` with P and M from :func:`_bellard_summand` and ``e =
+    q-G+1-G*k`` (G even, so no sign).  While ``e >= 0`` only its
+    fractional part counts, and that depends on ``1024**e`` modulo ``M(k)``
+    alone: one modular power for G indices.  Later steps are plain shifts.
+    The step polynomials come by forward differences, lazily, and the
+    powers, products and divisions run as maps over them, so no list of the
+    steps is ever built.
     """
-    m0, m1, m2, m3, m4, m5, m6, m7 = _BELLARD_M
-    p0, p1, p2, p3, p4, p5, p6 = _BELLARD_P
     exponent = 4 * position - 6
     q, c0 = divmod(exponent, 10)
+    shift = c0 + frac_bits
     # Drift bound.  Each floor division below errs by less than one ulp, and
     # so does the sum of the omitted terms: for every n >= 0,
-    # |P(n)/M(n)| <= 2**5/(4n+1) + 1/(4n+3) + 2**8/(10n+1) + 2**6/(10n+3)
-    #             + 2**2/(10n+5) + 2**2/(10n+7) + 1/(10n+9) < 312 < 2**9,
-    # so in ulps term n is below 2**(exponent - 10*n + 9 + frac_bits).  The
-    # loop stops at the first n where that exponent is negative, so the tail
-    # is below 2**-1 * (1 + 2**-10 + 2**-20 + ...) < 1.  With ``terms`` terms
-    # summed the result is within ``terms + 1`` ulps of the exact value,
-    # modulo 2**frac_bits.
+    # |S(n)| <= 2**5/(4n+1) + 1/(4n+3) + 2**8/(10n+1) + 2**6/(10n+3)
+    #         + 2**2/(10n+5) + 2**2/(10n+7) + 1/(10n+9) < 312 < 2**9,
+    # so in ulps index n is below 2**(exponent - 10*n + 9 + frac_bits).  The
+    # sum runs past the first n where that exponent is negative, so the tail
+    # is below 2**-1 * (1 + 2**-10 + 2**-20 + ...) < 1.  With ``divisions``
+    # divisions the result is within ``divisions + 1`` ulps of the exact
+    # value, modulo 2**frac_bits.  No division reduces modulo M first: a
+    # power r = 1024**e - t*M shifts the quotient by t*P*2**shift, a
+    # multiple of 2**frac_bits, which the final reduction drops.
     last = (exponent + 9 + frac_bits) // 10
-    total = 0
-    for n in range(last + 1):
-        m = ((((((m7 * n + m6) * n + m5) * n + m4) * n + m3) * n + m2) * n + m1) * n + m0
-        p = (((((p6 * n + p5) * n + p4) * n + p3) * n + p2) * n + p1) * n + p0
-        if n <= q:
-            term = ((pow(1024, q - n, m) << c0) * p % m << frac_bits) // m
-        else:
-            shift = exponent - 10 * n + frac_bits
-            term = (p << shift) // m if shift >= 0 else p // (m << -shift)
-        if n & 1:
-            total -= term
-        else:
-            total += term
-    return total % (1 << frac_bits), last + 1
+    group = _SPIGOT_STEP
+    first = q - group + 1  # e at step 0
+    powered = (q + 1) // group  # the steps with e >= 0 (q >= -1)
+    steps = last // group + 1  # through index ``last``
+    ms, ms_again = tee(_values(_BELLARD_STEP_M, 0, powered))
+    ps = _values(_BELLARD_STEP_P, 0, powered)
+    powers = map(pow, repeat(1024), range(first, first - group * powered, -group), ms)
+    products = map(operator.lshift, map(operator.mul, powers, ps), repeat(shift))
+    total = sum(map(operator.floordiv, products, ms_again))
+    tail = zip(_values(_BELLARD_STEP_M, powered, steps), _values(_BELLARD_STEP_P, powered, steps))
+    for k, (m, p) in enumerate(tail, start=powered):
+        bits = 10 * (first - group * k) + shift
+        total += (p << bits) // m if bits >= 0 else p // (m << -bits)
+    return total % (1 << frac_bits), group * steps, steps
 
 
 def bbp_hex_digits(position: int, count: int) -> str:
@@ -382,8 +422,9 @@ def bbp_hex_digits(position: int, count: int) -> str:
     ``position`` is the 0-based offset of the first returned digit, so
     ``bbp_hex_digits(0, 16)`` is ``"243F6A8885A308D3"``.  Earlier digits are
     never computed: the digits come from Bellard's base-2**10 formula, one
-    modular power per term.  The sum is within ``terms + 1`` ulps of the
-    exact value (proved in :func:`_spigot_fraction`); digits are returned
+    modular power per four indices.  The sum is within ``divisions + 1``
+    ulps of the exact value (proved in :func:`_spigot_fraction`), about a
+    tenth of the position; digits are returned
     only when no error that small can carry into them, and otherwise the
     sum is redone with 64 more guard bits, up to eight times.
     """
@@ -399,12 +440,12 @@ def bbp_hex_digits(position: int, count: int) -> str:
     for _ in range(8):
         frac_bits = 4 * count + extra
         guard_bits = extra
-        value, terms = _spigot_fraction(position, frac_bits)
+        value, _, divisions = _spigot_fraction(position, frac_bits)
         guard = value & ((1 << guard_bits) - 1)
-        # The value is within terms + 1 ulps of the exact fraction, so the
+        # The value is within divisions + 1 ulps of the exact fraction, so the
         # digits above the guard bits are exact unless a carry of that size
         # could still flip them; retry with more guard bits when it could.
-        margin = terms + 1
+        margin = divisions + 1
         if margin <= guard < (1 << guard_bits) - margin:
             return format(value >> guard_bits, f"0{count}X")
         extra += 64

@@ -1,5 +1,6 @@
 """Arbitrary-precision floating point: arithmetic, constants, digit output."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hyperpi import bigfloat
 from hyperpi.bigfloat import (
     BigFloat,
     div_nearest,
@@ -319,6 +321,20 @@ def test_decimal_string_past_the_int_str_digit_limit():
             big = BigFloat.from_int(value, value.bit_length() + 1)
             assert big.to_decimal_string(0) == want
             assert BigFloat.from_int(-value, value.bit_length() + 1).to_decimal_string(0) == "-" + want
+
+
+def test_decimal_text_leaves_no_reference_cycle():
+    # a cycle would keep the powers of ten and the digit pieces alive until
+    # the cyclic collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        text = bigfloat._decimal_text(10**5000 + 1)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert text == "1" + "0" * 4999 + "1"
+    assert unreachable == 0
 
 
 def test_pi_reference_digits():

@@ -253,10 +253,20 @@ def poly_at(coeffs, n):
 
 
 def test_bellard_constants_match_seven_slot_sum():
+    group = engine._SPIGOT_STEP
+    assert group % 2 == 0  # every step then adds with sign +
+    index_p, index_m = engine._bellard_summand(1)
     for n in range(51):
-        m = poly_at(engine._BELLARD_M, n)
+        m = poly_at(index_m, n)
         assert m == math.prod(a * n + b for _, a, b in BELLARD_SLOTS), n
-        assert F(poly_at(engine._BELLARD_P, n), m) == bellard_summand(n), n
+        assert F(poly_at(index_p, n), m) == bellard_summand(n), n
+    for k in range(51):
+        indices = range(group * k, group * k + group)
+        m = poly_at(engine._BELLARD_STEP_M, k)
+        assert m == math.prod(a * n + b for n in indices for _, a, b in BELLARD_SLOTS), k
+        step = sum(F(-1) ** j * 1024 ** (group - 1 - j) * bellard_summand(n)
+                   for j, n in enumerate(indices))
+        assert F(poly_at(engine._BELLARD_STEP_P, k), m) == step, k
     # the summand bound the drift proof rests on, largest at n = 0
     assert sum(F(abs(w), b) for w, _, b in BELLARD_SLOTS) < 2**9
     # and the sum itself is pi
@@ -271,25 +281,35 @@ def circular_distance(a, b, modulus):
 
 
 def test_spigot_drift_within_proven_bound():
+    # positions 0-64 take every q mod 4 of 4p - 6 = 10q + c0, so every way
+    # a step can straddle q, and the negative exponents of p = 0, 1
     ref = pi_reference(4 * 64 + 160 + 64)
     for frac_bits in (24, 100, 160):
         one = 1 << frac_bits
         for position in range(65):
-            value, terms = engine._spigot_fraction(position, frac_bits)
+            value, indices, divisions = engine._spigot_fraction(position, frac_bits)
             assert 0 <= value < one
+            assert 1 <= divisions <= indices
             # the omitted tail starts where 2**(exponent + 9) ulps, the
-            # bound on each term, is below one ulp
-            assert 4 * position - 6 - 10 * terms + 9 + frac_bits < 0
+            # bound on each index, is below one ulp
+            assert 4 * position - 6 - 10 * indices + 9 + frac_bits < 0
             # the same truncated sum, exactly
             exact = sum(
                 F(-1) ** n * F(2) ** (4 * position - 6 - 10 * n) * bellard_summand(n)
-                for n in range(terms)
+                for n in range(indices)
             )
             exact_scaled = (exact - math.floor(exact)) * one
-            assert circular_distance(value, exact_scaled, one) < terms, (position, frac_bits)
+            assert circular_distance(value, exact_scaled, one) < divisions, (position, frac_bits)
             # and the whole bound, tail included, against pi itself
             true_scaled = F(ref.man) * F(2) ** (ref.exp + 4 * position + frac_bits)
-            assert circular_distance(value, true_scaled, one) < terms + 1, (position, frac_bits)
+            distance = circular_distance(value, true_scaled, one)
+            assert distance < divisions + 1, (position, frac_bits)
+
+
+def test_spigot_sums_several_indices_per_division():
+    # a silent fallback to one division per index would fail here
+    _, indices, divisions = engine._spigot_fraction(10**4, 4 * 16 + 96)
+    assert 3 * divisions <= indices
 
 
 def test_spigot_raises_when_guard_stays_inside_margin(monkeypatch):
@@ -297,7 +317,7 @@ def test_spigot_raises_when_guard_stays_inside_margin(monkeypatch):
 
     def inside_margin(position, frac_bits):
         attempts.append(frac_bits)
-        return 7, 7  # guard 7 is below the margin 7 + 1
+        return 7, 28, 7  # guard 7 is below the margin 7 + 1
 
     monkeypatch.setattr(engine, "_spigot_fraction", inside_margin)
     with pytest.raises(DomainError):
@@ -306,13 +326,14 @@ def test_spigot_raises_when_guard_stays_inside_margin(monkeypatch):
 
 
 def test_spigot_accepts_guard_exactly_at_margin(monkeypatch):
-    count, terms = 4, 7
-    margin = terms + 1
+    count, indices, divisions = 4, 28, 7
+    margin = divisions + 1
 
     def with_guard(guard_for_width):
         def spigot_fraction(position, frac_bits):
             guard_bits = frac_bits - 4 * count
-            return (0xBEEF << guard_bits) | guard_for_width(1 << guard_bits), terms
+            value = (0xBEEF << guard_bits) | guard_for_width(1 << guard_bits)
+            return value, indices, divisions
         return spigot_fraction
 
     # both ends of the accepted window [margin, 2**guard_bits - margin)
