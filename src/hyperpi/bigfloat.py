@@ -27,8 +27,8 @@ computed so far.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from hyperpi.errors import DomainError
 from hyperpi.splitting import alternating_arctan_sum, product_sum
@@ -107,9 +107,12 @@ def div_nearest(num: int, den: int) -> int:
     return -((-2 * num + den) // (2 * den))
 
 
-@dataclass(frozen=True, eq=False)
-class BigFloat:
-    """Immutable arbitrary-precision binary float ``man * 2**exp``."""
+class BigFloat(NamedTuple):
+    """Immutable arbitrary-precision binary float ``man * 2**exp``.
+
+    Comparisons and the hash go by value, not by the fields: equal values
+    at different precisions compare equal.
+    """
 
     man: int
     exp: int
@@ -281,6 +284,11 @@ class BigFloat:
         if not isinstance(other, BigFloat):
             return NotImplemented
         return self._cmp(other) == 0
+
+    def __ne__(self, other: object) -> bool:  # the tuple's own would compare fields
+        if not isinstance(other, BigFloat):
+            return NotImplemented
+        return self._cmp(other) != 0
 
     def __lt__(self, other: "BigFloat") -> bool:
         return self._cmp(other) < 0

@@ -51,11 +51,10 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from hyperpi.bigfloat import below_power_of_ten
 from hyperpi.constexpr import (
@@ -113,8 +112,7 @@ _REQUIRED_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     entry_id: str
     family_class: str
     theorem: str
@@ -124,8 +122,7 @@ class CatalogEntry:
     attribution: str | None
 
 
-@dataclass(frozen=True)
-class EntryCheck:
+class EntryCheck(NamedTuple):
     """Outcome of verifying one entry against its closed form."""
 
     entry_id: str
@@ -136,8 +133,7 @@ class EntryCheck:
     error_exponent: int | None  # ~floor(log10 |difference|); None: both sides rounded alike
 
 
-@dataclass(frozen=True)
-class TheoremMatch:
+class TheoremMatch(NamedTuple):
     """Successful identification of an entry with a generator family."""
 
     entry_id: str

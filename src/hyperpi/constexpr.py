@@ -48,50 +48,62 @@ in catalogs the overall constant satisfies ``c <= 10``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from functools import lru_cache
+from typing import NamedTuple, Union
 
 from hyperpi.bigfloat import GUARD_BITS, BigFloat, pi_reference, pow_int, sqrt
 from hyperpi.errors import DomainError, SchemaError, UnsupportedLhs
 from hyperpi.gammafn import gamma_rational
 
 
-@dataclass(frozen=True)
-class RationalLeaf:
+class RationalLeaf(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class PiLeaf:
-    pass
+class PiLeaf(NamedTuple):
+    def __bool__(self) -> bool:  # a tuple with no fields would be false
+        return True
 
 
-@dataclass(frozen=True)
-class GammaLeaf:
+class GammaLeaf(NamedTuple):
     arg: Fraction
 
 
-@dataclass(frozen=True)
-class SqrtNode:
+class SqrtNode(NamedTuple):
     child: "ConstExpr"
 
 
-@dataclass(frozen=True)
-class SumNode:
+class SumNode(NamedTuple):
     children: tuple["ConstExpr", ...]
 
 
-@dataclass(frozen=True)
-class ProductNode:
+class ProductNode(NamedTuple):
     children: tuple["ConstExpr", ...]
 
 
-@dataclass(frozen=True)
-class PowerNode:
+class PowerNode(NamedTuple):
     child: "ConstExpr"
     exponent: int
 
+
+def _same_node(self, other: object) -> bool:
+    return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+def _other_node(self, other: object) -> bool:
+    return not _same_node(self, other)
+
+
+def _node_hash(self) -> int:
+    return hash((type(self).__name__, *self))
+
+
+# A node equals and hashes with a node of its own type only: as plain
+# tuples SumNode(c) would equal ProductNode(c), and GammaLeaf(x)
+# RationalLeaf(x).
+for _node in (RationalLeaf, PiLeaf, GammaLeaf, SqrtNode, SumNode, ProductNode, PowerNode):
+    _node.__eq__, _node.__ne__, _node.__hash__ = _same_node, _other_node, _node_hash
 
 ConstExpr = Union[RationalLeaf, PiLeaf, GammaLeaf, SqrtNode, SumNode, ProductNode, PowerNode]
 
@@ -105,6 +117,14 @@ def parse_rational_string(text: object) -> Fraction:
     """Parse a strict ``"p"`` or ``"p/q"`` rational string."""
     if not isinstance(text, str):
         raise SchemaError(f"expected a rational string, got {text!r}")
+    return _parse_rational(text)
+
+
+@lru_cache(maxsize=None)
+def _parse_rational(text: str) -> Fraction:
+    """:func:`parse_rational_string` of a string, parsed once per distinct
+    text: a catalog repeats a few dozen strings thousands of times, and a
+    Fraction is immutable, so every caller may share it."""
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -183,8 +203,7 @@ def node_count(expr: ConstExpr) -> int:
     raise SchemaError(f"unknown node {expr!r}")
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """A closed form as ``residue * pi**pi_exponent * prod Gamma(arg)**exp``."""
 
     pi_exponent: int
@@ -276,15 +295,28 @@ def _eval(expr: ConstExpr, wp: int) -> BigFloat:
             raise DomainError("square root of a negative value in a closed form")
         return sqrt(inner, wp)
     if isinstance(expr, PowerNode):
-        return pow_int(_eval(expr.child, wp + 4), expr.exponent, wp)
+        base = _eval(expr.child, wp + 4)
+        if _is_one(base):  # a residue's pi and gamma leaves are exact ones
+            return BigFloat.from_int(1, wp)
+        return pow_int(base, expr.exponent, wp)
     if isinstance(expr, SumNode):
         acc = BigFloat.zero(wp)
         for child in expr.children:
             acc = acc.add(_eval(child, wp + 4), wp)
         return acc
     if isinstance(expr, ProductNode):
-        acc = BigFloat.from_int(1, wp)
+        # Multiplying by an exact 1 only rounds, so the product starts from
+        # its first factor other than 1, rounded to wp: the same bits.
+        acc = None
         for child in expr.children:
-            acc = acc.mul(_eval(child, wp + 4), wp)
-        return acc
+            factor = _eval(child, wp + 4)
+            if not _is_one(factor):
+                acc = factor.round_to(wp) if acc is None else acc.mul(factor, wp)
+        return acc if acc is not None else BigFloat.from_int(1, wp)
     raise SchemaError(f"unknown node {expr!r}")
+
+
+def _is_one(value: BigFloat) -> bool:
+    """True when ``value`` is exactly 1 (its normalized mantissa and
+    exponent are unique)."""
+    return value.man == 1 << (value.prec - 1) and value.exp == 1 - value.prec

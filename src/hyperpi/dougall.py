@@ -37,10 +37,9 @@ of a catalog entry (:func:`hyperpi.catalog.match_to_theorem`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from hyperpi.bigfloat import BigFloat
 from hyperpi.errors import (
@@ -73,14 +72,22 @@ _HALF = Fraction(1, 2)
 CHECK_WINDOW = 50
 
 
-@dataclass(frozen=True)
-class WellPoisedParams:
-    """Parameter quadruple of a very-well-poised series."""
-
+class _Quadruple(NamedTuple):
     a: Fraction
     b: Fraction
     c: Fraction
     d: Fraction
+
+
+class WellPoisedParams(_Quadruple):
+    """Parameter quadruple of a very-well-poised series.
+
+    Immutable: the four values are the fields of a NamedTuple, and this
+    subclass adds only the ``__dict__`` where :attr:`scaled` is cached.
+    """
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: WellPoisedParams is immutable")
 
     @staticmethod
     def make(a, b, c, d) -> "WellPoisedParams":
@@ -107,8 +114,7 @@ class WellPoisedParams:
         return (q, *(x.numerator * (q // x.denominator) for x in self.as_tuple()))
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """Outcome of one exact identity instance.
 
     Each side is an unreduced integer pair (numerator, denominator) with a

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat, tee
 from typing import Callable, Iterable, NamedTuple
@@ -503,8 +502,7 @@ def summand_residues(spec: SeriesSpec) -> tuple[tuple[Fraction, Fraction], ...]:
     )
 
 
-@dataclass(frozen=True)
-class BbpEquivalence:
+class BbpEquivalence(NamedTuple):
     """Certificate that a base-16 series is a classic digit-extraction sum."""
 
     family: str  # "pi" or "two-pi"

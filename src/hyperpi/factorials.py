@@ -9,9 +9,8 @@ and polynomial coefficients are ascending tuples of fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from hyperpi.errors import DomainError, InvariantViolation, ZeroDenominator
 
@@ -167,8 +166,7 @@ def poly_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalFunctionOfK:
+class RationalFunctionOfK(NamedTuple):
     """A quotient of polynomials in the summation index k.
 
     The denominator is stored monic (leading coefficient one); the
@@ -202,8 +200,7 @@ class RationalFunctionOfK:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(NamedTuple):
     """Closed description of one hypergeometric-style series.
 
     The represented value is

@@ -37,10 +37,9 @@ reduced once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from hyperpi.errors import ZeroDenominator
 from hyperpi.factorials import binomial, rising
@@ -52,18 +51,24 @@ Pair = tuple[int, int]  # unreduced (numerator, denominator)
 Weights = tuple[list[int], list[int], int]
 
 
-@dataclass(frozen=True)
-class InversionScheme:
+class _Sequences(NamedTuple):
+    a_values: tuple[Fraction, ...]
+    b_values: tuple[Fraction, ...]
+    lam: Fraction = Fraction(0)
+
+
+class InversionScheme(_Sequences):
     """A tabulated scheme: finite prefixes of the two defining sequences.
 
     ``lam`` participates only in the extended transforms.  The tabulated
     prefixes must cover every index the transforms touch (0 .. n_max).
+    Immutable: the sequences are the fields of a NamedTuple, and this
+    subclass adds only the ``__dict__`` that caches :attr:`scaled` and the
+    prefix products of :meth:`phi_prefix`.
     """
 
-    a_values: tuple[Fraction, ...]
-    b_values: tuple[Fraction, ...]
-    lam: Fraction = Fraction(0)
-    _prefixes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: InversionScheme is immutable")
 
     @cached_property
     def scaled(self) -> list[tuple[int, int, int]]:
@@ -74,6 +79,11 @@ class InversionScheme:
             q = math.lcm(a.denominator, b.denominator)
             out.append((a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q))
         return out
+
+    @cached_property
+    def _prefixes(self) -> dict[Fraction, tuple[list[int], list[int]]]:
+        """:meth:`phi_prefix` by evaluation point, filled as points are used."""
+        return {}
 
     def phi_prefix(self, x: Fraction) -> tuple[list[int], list[int]]:
         """phi(x; m) for every tabulated m as two integer prefix products.

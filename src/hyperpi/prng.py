@@ -8,7 +8,6 @@ pair fully determines a run report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 _TWO64 = 1 << 64
@@ -18,11 +17,21 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-@dataclass
 class SplitMix64:
     """SplitMix64 pseudo-random generator over 64-bit integers."""
 
-    state: int = 0
+    __slots__ = ("state",)
+
+    def __init__(self, state: int = 0) -> None:
+        self.state = state
+
+    def __repr__(self) -> str:
+        return f"SplitMix64(state={self.state!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SplitMix64:
+            return NotImplemented
+        return self.state == other.state
 
     def next_u64(self) -> int:
         """Return the next 64-bit output."""

@@ -239,6 +239,14 @@ def test_from_ratio_rejects_zero_denominator():
         BigFloat.from_ratio(1, 0, 53)
 
 
+def test_comparisons_go_by_value_not_by_fields():
+    # 3/2 at 8 bits and at 64 bits: different fields, one value
+    narrow, wide = BigFloat(3, -1, 8), BigFloat.from_fraction(Fraction(3, 2), 64)
+    assert narrow == wide and not narrow != wide and hash(narrow) == hash(wide)
+    assert narrow <= wide and not narrow < wide
+    assert narrow != BigFloat(3, 0, 8)
+
+
 def test_round_shift_nearest():
     assert round_shift(5, 1) == 2  # 2.5 -> ties to even
     assert round_shift(-5, 1) == -2

@@ -1,7 +1,6 @@
 """Catalog loading, schema strictness, certification, family matching."""
 
 import copy
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -357,7 +356,7 @@ def test_match_rejects_wrong_theorem_tag(catalog_by_id, raw_doc, tmp_path):
 
 
 def _with_spec(entry, **fields):
-    return dataclasses.replace(entry, spec=dataclasses.replace(entry.spec, **fields))
+    return entry._replace(spec=entry.spec._replace(**fields))
 
 
 def test_match_negative_controls_keep_their_messages(catalog_by_id):

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hyperpi.bigfloat import BigFloat, pi_reference, sqrt
+from hyperpi import constexpr
+from hyperpi.bigfloat import BigFloat, pi_reference, pow_int, sqrt
 from hyperpi.constexpr import (
     GammaLeaf,
     PiLeaf,
@@ -21,6 +22,7 @@ from hyperpi.constexpr import (
     parse_rational_string,
 )
 from hyperpi.errors import SchemaError, UnsupportedLhs
+from hyperpi.gammafn import gamma_rational
 from oracles import agrees_to_bits
 
 INV_PI_SQ = {
@@ -32,9 +34,11 @@ INV_PI_SQ = {
 def test_parse_rational_strings():
     assert parse_rational_string("3/2") == Fraction(3, 2)
     assert parse_rational_string("-7") == Fraction(-7)
-    for bad in ("1.5", "", "x", 3, None, "1/0"):
+    for bad in ("1.5", "", "x", 3, None, "1/0", ["1/2"]):
         with pytest.raises(SchemaError):
             parse_rational_string(bad)
+    # each distinct string is parsed once; the Fraction is shared
+    assert parse_rational_string("3/2") is parse_rational_string("3/2")
 
 
 def test_format_rational():
@@ -112,6 +116,47 @@ def test_eval_sqrt_nesting():
         sqrt(BigFloat.from_int(9, prec), prec), prec
     )
     assert agrees_to_bits(value, expected) > 250
+
+
+def _eval_every_factor(expr, wp: int) -> BigFloat:
+    """The closed-form walker without its exact-1 shortcuts: every product
+    starts from 1 and multiplies by each factor, every power is pow_int."""
+    if isinstance(expr, RationalLeaf):
+        return BigFloat.from_fraction(expr.value, wp)
+    if isinstance(expr, PiLeaf):
+        return pi_reference(max(wp, 64))
+    if isinstance(expr, GammaLeaf):
+        return gamma_rational(expr.arg, wp)
+    if isinstance(expr, SqrtNode):
+        return sqrt(_eval_every_factor(expr.child, wp + 4), wp)
+    if isinstance(expr, PowerNode):
+        return pow_int(_eval_every_factor(expr.child, wp + 4), expr.exponent, wp)
+    acc = BigFloat.from_int(0 if isinstance(expr, SumNode) else 1, wp)
+    for child in expr.children:
+        value = _eval_every_factor(child, wp + 4)
+        acc = acc.add(value, wp) if isinstance(expr, SumNode) else acc.mul(value, wp)
+    return acc
+
+
+@pytest.mark.parametrize("wp", [100, 1000])
+def test_exact_one_shortcuts_keep_every_bit(catalog_entries, wp):
+    for entry in catalog_entries:
+        for expr in (entry.lhs, monomial(entry.lhs).residue):
+            fast, reference = constexpr._eval(expr, wp), _eval_every_factor(expr, wp)
+            assert (fast.man, fast.exp, fast.prec) == (reference.man, reference.exp, reference.prec)
+
+
+@pytest.mark.parametrize("doc", [INV_PI_SQ, {"op": "mul", "args": [{"rat": "32"}, {"pi": -2}]}])
+def test_residue_of_a_pi_power_skips_its_exact_ones(monkeypatch, doc):
+    # the residue of 32 pi^-2 is 32 * (1 * 1)^-1 or 32 * 1^-2: its value is
+    # 32 rounded, with no reciprocal, power or product of an exact 1
+    def forbidden(*args):
+        raise AssertionError("an exact 1 was divided, multiplied or raised to a power")
+
+    for owner, name in ((BigFloat, "div"), (BigFloat, "mul"), (constexpr, "pow_int")):
+        monkeypatch.setattr(owner, name, forbidden)
+    residue = monomial(parse_const_expr(doc)).residue
+    assert eval_const_expr(residue, 3000) == BigFloat.from_int(32, 3000)
 
 
 def test_pi_structure_exponents():

@@ -1,6 +1,5 @@
 """Terminating well-poised identity, its limits, and the generator families."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -293,7 +292,7 @@ def test_dual_relation():
             assert verify_dual_relation(params, n).passed
     # the dual expansion agrees with its quotient on shifted parameters too
     params = P("5/4", "3/4", "1/2", "2/3")
-    shifted = replace(params, b=params.b + F(1, 3), d=params.d - F(1, 6))
+    shifted = params._replace(b=params.b + F(1, 3), d=params.d - F(1, 6))
     assert verify_dual_relation(shifted, 5).passed
 
 
@@ -314,12 +313,12 @@ def test_identity_checks_fail_on_a_wrong_side(monkeypatch):
     assert wrong.lhs == right[verify_dougall].lhs != wrong.rhs
     brackets = dougall.parity_closed_form
     monkeypatch.setattr(
-        dougall, "parity_closed_form", lambda p, m: brackets(replace(p, b=p.b + F(1, 3)), m)
+        dougall, "parity_closed_form", lambda p, m: brackets(p._replace(b=p.b + F(1, 3)), m)
     )
     assert verify_parity_form(params, n).passed is False
     expansion = dougall._dual_expansion
     monkeypatch.setattr(
-        dougall, "_dual_expansion", lambda p, m: expansion(replace(p, d=p.d + F(1, 3)), m)
+        dougall, "_dual_expansion", lambda p, m: expansion(p._replace(d=p.d + F(1, 3)), m)
     )
     wrong = verify_dual_relation(params, n)
     assert wrong.passed is False

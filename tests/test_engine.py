@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -436,21 +435,21 @@ def test_summand_residues_reject_a_polynomial_part(catalog_by_id):
         with pytest.raises(NoMatch, match="polynomial part"):
             run(polynomial)
     # the same summand without its polynomial part expands
-    assert summand_residues(replace(polynomial, poly=(F(1),))) == ((F(1, 2), F(1, 2)),)
+    assert summand_residues(polynomial._replace(poly=(F(1),))) == ((F(1, 2), F(1, 2)),)
 
 
 def test_summand_residues_reject_an_unpaired_parameter(catalog_by_id):
     unpaired = SeriesSpec(
         upper=(F(1, 2), F(1, 3)), lower=(F(3, 2), F(1, 4)), poly=(F(1),), base=16
     )
-    uneven = replace(unpaired, upper=(F(1, 2),))
+    uneven = unpaired._replace(upper=(F(1, 2),))
     for run in _reductions(catalog_by_id):
         with pytest.raises(NoMatch, match="upper parameter 1/3 has no lower partner"):
             run(unpaired)
         with pytest.raises(NoMatch, match="counts differ"):
             run(uneven)
     # the smallest shift wins: 1/2 pairs with 3/2, so 5/2 still finds 7/2
-    crossed = replace(unpaired, upper=(F(1, 2), F(5, 2)), lower=(F(7, 2), F(3, 2)))
+    crossed = unpaired._replace(upper=(F(1, 2), F(5, 2)), lower=(F(7, 2), F(3, 2)))
     assert [pole for _, pole in summand_residues(crossed)] == [F(1, 2), F(5, 2)]
 
 
