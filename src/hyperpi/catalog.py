@@ -53,7 +53,6 @@ import math
 import os
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from typing import Iterable, NamedTuple
 
 from hyperpi.bigfloat import below_power_of_ten
@@ -157,8 +156,13 @@ def _reject_constant(text: str) -> None:
 
 @lru_cache(maxsize=None)
 def _packaged_text(resource: str) -> str:
-    """Text of a data file shipped with the package, read once per process."""
-    return resources.files("hyperpi").joinpath(f"data/{resource}").read_text()
+    """Text of a data file shipped with the package, read once per process.
+
+    The file is opened next to this module: ``importlib.resources`` would
+    import ``inspect`` (and ``ast``, ``dis``, ``tokenize``) on Python 3.12+."""
+    path = os.path.join(os.path.dirname(__file__), "data", resource)
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
 def _load_json(path: str | os.PathLike | None, resource: str) -> object:

@@ -16,7 +16,8 @@ Four capabilities, all built on exact rational arithmetic:
 * :func:`bbp_hex_digits` -- hexadecimal digits of pi at an arbitrary offset
   without computing earlier digits: a spigot over Bellard's base-2**10
   formula summed four indices per step (one modular power per step, the
-  step's polynomials listed by forward differences), with a retry margin
+  step's polynomials listed by forward differences), its powered steps
+  summed by contiguous range across the usable CPUs, with a retry margin
   counted from the floor divisions it takes.
 * :func:`verify_bbp_equivalence` -- exact reduction of a base-16 entry to
   one of the two classic digit-extraction sum templates, from the residues
@@ -27,9 +28,11 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import sys
 from fractions import Fraction
 from itertools import accumulate, repeat, tee
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, NoReturn
 
 from hyperpi.bigfloat import BigFloat, sqrt as bigfloat_sqrt
 from hyperpi.constexpr import ConstExpr, eval_const_expr, monomial
@@ -340,6 +343,16 @@ _BELLARD_SLOTS = ((-32, 4, 1), (-1, 4, 3), (256, 10, 1), (-64, 10, 3),
 # that every step adds.
 _SPIGOT_STEP = 4
 
+# Fewest powered steps per range, below which a forked child costs more
+# than it saves: a fork, pipe and waitpid round trip costs 2-4 ms, some
+# 150 steps' work.  The spigot at frac_bits 160, split in two against
+# serial, medians of nine runs in two sets (Python 3.11, plain int, 2-CPU
+# x86-64): 400 steps (position 4*10**3) 6.3-6.5 ms against 4.8-6.5 ms, 600
+# steps 7.3-8.8 against 7.7-9.3, 750 steps 9.5-10.1 against 10.0-10.5,
+# 1000 steps 10.6-11.5 against 11.4-15.2, 2000 steps 18-22 against 25-37.
+# The crossover lies near 600-750 steps, so two ranges start at 640.
+_MIN_FORK_STEPS = 320
+
 # The spigot's error margin is about 0.1 * position ulps, so even at this
 # reach it stays far below the 96 guard bits of the first attempt; the cost,
 # linear in the position, is the practical limit long before.
@@ -368,6 +381,114 @@ def _bellard_summand(group: int) -> tuple[list[int], list[int]]:
 _BELLARD_STEP_P, _BELLARD_STEP_M = _bellard_summand(_SPIGOT_STEP)
 
 
+def _powered_sum(first: int, shift: int, lo: int, hi: int) -> int:
+    """Sum over the steps k in [lo, hi) of ``(1024**e mod M(k)) * P(k) *
+    2**shift // M(k)``, with ``e = first - G*k``.  The step polynomials come
+    by forward differences, lazily, and the powers, products and divisions
+    run as maps over them, so no list of the steps is ever built."""
+    group = _SPIGOT_STEP
+    ms, ms_again = tee(_values(_BELLARD_STEP_M, lo, hi))
+    ps = _values(_BELLARD_STEP_P, lo, hi)
+    powers = map(pow, repeat(1024), range(first - group * lo, first - group * hi, -group), ms)
+    products = map(operator.lshift, map(operator.mul, powers, ps), repeat(shift))
+    return sum(map(operator.floordiv, products, ms_again))
+
+
+def _spigot_parts(powered: int) -> int:
+    """How many ranges the ``powered`` steps are summed in: one per usable
+    CPU, each at least ``_MIN_FORK_STEPS`` steps.  One where the CPUs cannot
+    be counted, and in a process with threads, where a forked child can
+    deadlock on a lock that another thread held."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    threading = sys.modules.get("threading")
+    if affinity is None or (threading is not None and threading.active_count() > 1):
+        return 1
+    return min(len(affinity(0)), powered // _MIN_FORK_STEPS)
+
+
+def _read_to_end(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 4096):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _sum_in_child(
+    write_end: int, first: int, shift: int, lo: int, hi: int, frac_bits: int
+) -> NoReturn:
+    """A forked child's whole life: sum its range, write it modulo
+    ``2**frac_bits`` as ``ceil(frac_bits / 8)`` little-endian bytes, and exit
+    0, or 1 on any exception.  ``os._exit`` never returns and flushes none
+    of the stdio buffers inherited from the parent."""
+    status = 1
+    try:
+        total = _powered_sum(first, shift, lo, hi) % (1 << frac_bits)
+        data = total.to_bytes((frac_bits + 7) // 8, "little")
+        while data:
+            data = data[os.write(write_end, data):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _powered_total(first: int, shift: int, powered: int, frac_bits: int) -> int:
+    """An integer equal to :func:`_powered_sum` over all ``powered`` steps
+    modulo ``2**frac_bits``, all of it that the caller keeps.
+
+    The steps are cut into :func:`_spigot_parts` contiguous ranges.  Forked
+    children sum all but the last and send their sums reduced modulo
+    ``2**frac_bits``; the reduction commutes with the addition, so the result
+    is bit for bit the serial one, whatever the CPU count.  A range whose
+    child exits nonzero or sends a short sum, or that cannot be forked, is
+    summed here instead.  Every child is reaped before this returns; one
+    still running when the parent unwinds (an exception, a
+    ``KeyboardInterrupt``) is killed first.
+    """
+    parts = _spigot_parts(powered)
+    if parts < 2:
+        return _powered_sum(first, shift, 0, powered)
+    bounds = [powered * i // parts for i in range(parts + 1)]
+    ranges = list(zip(bounds, bounds[1:]))
+    local = [ranges.pop()]
+    children = []  # (pid, read end, lo, hi), until reaped
+    try:
+        for lo, hi in ranges:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                local.append((lo, hi))
+                continue
+            if pid == 0:
+                _sum_in_child(write_end, first, shift, lo, hi, frac_bits)
+            os.close(write_end)
+            children.append((pid, read_end, lo, hi))
+        total = sum(_powered_sum(first, shift, lo, hi) for lo, hi in local)
+        while children:
+            pid, read_end, lo, hi = children[-1]
+            data = _read_to_end(read_end)
+            _, status = os.waitpid(pid, 0)
+            children.pop()
+            os.close(read_end)
+            if status == 0 and len(data) == (frac_bits + 7) // 8:
+                total += int.from_bytes(data, "little")
+            else:
+                total += _powered_sum(first, shift, lo, hi)
+        return total
+    finally:
+        for pid, read_end, _, _ in children:
+            import signal  # not loaded at interpreter start; needed only here
+
+            os.close(read_end)
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # reaped just before the unwinding began
+
+
 def _spigot_fraction(position: int, frac_bits: int) -> tuple[int, int, int]:
     """Fixed-point fractional part of ``16**position * pi``, the number of
     indices of Bellard's sum it adds up, and the number of floor divisions
@@ -379,10 +500,10 @@ def _spigot_fraction(position: int, frac_bits: int) -> tuple[int, int, int]:
     * P(k)/M(k)`` with P and M from :func:`_bellard_summand` and ``e =
     q-G+1-G*k`` (G even, so no sign).  While ``e >= 0`` only its
     fractional part counts, and that depends on ``1024**e`` modulo ``M(k)``
-    alone: one modular power for G indices.  Later steps are plain shifts.
-    The step polynomials come by forward differences, lazily, and the
-    powers, products and divisions run as maps over them, so no list of the
-    steps is ever built.
+    alone: one modular power for G indices.  These powered steps are
+    independent, so :func:`_powered_total` sums them by contiguous range,
+    one range per usable CPU, in forked children; the result does not
+    depend on the CPU count.  Later steps are plain shifts, summed here.
     """
     exponent = 4 * position - 6
     q, c0 = divmod(exponent, 10)
@@ -403,11 +524,7 @@ def _spigot_fraction(position: int, frac_bits: int) -> tuple[int, int, int]:
     first = q - group + 1  # e at step 0
     powered = (q + 1) // group  # the steps with e >= 0 (q >= -1)
     steps = last // group + 1  # through index ``last``
-    ms, ms_again = tee(_values(_BELLARD_STEP_M, 0, powered))
-    ps = _values(_BELLARD_STEP_P, 0, powered)
-    powers = map(pow, repeat(1024), range(first, first - group * powered, -group), ms)
-    products = map(operator.lshift, map(operator.mul, powers, ps), repeat(shift))
-    total = sum(map(operator.floordiv, products, ms_again))
+    total = _powered_total(first, shift, powered, frac_bits)
     tail = zip(_values(_BELLARD_STEP_M, powered, steps), _values(_BELLARD_STEP_P, powered, steps))
     for k, (m, p) in enumerate(tail, start=powered):
         bits = 10 * (first - group * k) + shift
@@ -421,11 +538,15 @@ def bbp_hex_digits(position: int, count: int) -> str:
     ``position`` is the 0-based offset of the first returned digit, so
     ``bbp_hex_digits(0, 16)`` is ``"243F6A8885A308D3"``.  Earlier digits are
     never computed: the digits come from Bellard's base-2**10 formula, one
-    modular power per four indices.  The sum is within ``divisions + 1``
-    ulps of the exact value (proved in :func:`_spigot_fraction`), about a
-    tenth of the position; digits are returned
-    only when no error that small can carry into them, and otherwise the
-    sum is redone with 64 more guard bits, up to eight times.
+    modular power per four indices.  The powered steps are summed by
+    contiguous range, one range per usable CPU (at least ``_MIN_FORK_STEPS``
+    steps each), in forked children; without ``os.sched_getaffinity``, or in
+    a process with threads, they are summed serially, and the digits do not
+    depend on which.  The sum is within ``divisions + 1`` ulps of the exact
+    value (proved in :func:`_spigot_fraction`), about a tenth of the
+    position; digits are returned only when no error that small can carry
+    into them, and otherwise the sum is redone with 64 more guard bits, up
+    to eight times.
     """
     if not 1 <= count <= 16:
         raise RangeError(f"digit count must be between 1 and 16, got {count}")

@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -309,6 +312,134 @@ def test_spigot_sums_several_indices_per_division():
     # a silent fallback to one division per index would fail here
     _, indices, divisions = engine._spigot_fraction(10**4, 4 * 16 + 96)
     assert 3 * divisions <= indices
+
+
+SPLIT_POSITIONS = list(range(65)) + [10**4 + d for d in range(-3, 4)]
+
+
+def powered_steps(position):
+    q = (4 * position - 6) // 10
+    return (q + 1) // engine._SPIGOT_STEP
+
+
+def set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def parent_forks(monkeypatch):
+    """Ranges of one step allowed, and the forks of this process counted."""
+    forks = []
+    parent, real_fork = os.getpid(), os.fork
+
+    def fork():
+        if os.getpid() == parent:
+            forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(engine, "_MIN_FORK_STEPS", 1)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_spigot_split_is_the_serial_sum(monkeypatch, parent_forks, cpus):
+    # the positions of the drift test (every q mod 4, the negative
+    # exponents) and some around 10**4, where every range is long
+    cases = [(p, fb) for fb in (24, 100, 160) for p in SPLIT_POSITIONS]
+    set_cpus(monkeypatch, 1)
+    serial = [engine._spigot_fraction(p, fb) for p, fb in cases]
+    serial_digits = bbp_hex_digits(10**4, 16)
+    assert not parent_forks
+    set_cpus(monkeypatch, cpus)
+    assert [engine._spigot_fraction(p, fb) for p, fb in cases] == serial
+    assert bbp_hex_digits(10**4, 16) == serial_digits
+    # every range but the parent's own ran in a child
+    expected = sum(max(0, min(cpus, powered_steps(p)) - 1) for p, _ in cases)
+    assert len(parent_forks) == expected + cpus - 1
+    assert_no_child_left()
+
+
+def test_spigot_sums_a_failed_childs_range_itself(monkeypatch, parent_forks):
+    set_cpus(monkeypatch, 1)
+    positions = (64, 10**4)
+    serial = [engine._spigot_fraction(p, 160) for p in positions]
+    serial_digits = bbp_hex_digits(10**4, 16)
+    set_cpus(monkeypatch, 3)
+    parent, real_sum, real_write = os.getpid(), engine._powered_sum, os.write
+
+    def raising_in_child(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("child fails")
+        return real_sum(*args)
+
+    def short_in_child(fd, data):
+        if os.getpid() != parent:
+            return real_write(fd, bytes(data)[:-1]) + 1  # claims the last byte too
+        return real_write(fd, data)
+
+    def cannot_fork():
+        raise BlockingIOError("no process to spare")
+
+    for name, target, fault in (
+        ("_powered_sum", engine, raising_in_child),
+        ("write", os, short_in_child),
+        ("fork", os, cannot_fork),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, fault)
+            assert [engine._spigot_fraction(p, 160) for p in positions] == serial, name
+            assert bbp_hex_digits(10**4, 16) == serial_digits, name
+        assert_no_child_left()
+    # the first two faults each forked two children per call (three calls)
+    assert len(parent_forks) == 2 * 2 * 3
+
+
+def test_interrupted_spigot_kills_and_reaps_its_children(monkeypatch, parent_forks):
+    set_cpus(monkeypatch, 3)
+    parent = os.getpid()
+
+    def interrupted(first, shift, lo, hi):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # still running when the parent unwinds
+        return 0
+
+    monkeypatch.setattr(engine, "_powered_sum", interrupted)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        engine._spigot_fraction(10**4, 160)
+    assert time.monotonic() - started < 30  # killed, not waited out
+    assert len(parent_forks) == 2
+    assert_no_child_left()
+
+
+def test_spigot_is_serial_with_threads_or_without_affinity(monkeypatch):
+    set_cpus(monkeypatch, 1)
+    serial = engine._spigot_fraction(10**4, 160)
+
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(engine, "_MIN_FORK_STEPS", 1)
+    monkeypatch.setattr(os, "fork", fork)
+    set_cpus(monkeypatch, 3)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert engine._spigot_fraction(10**4, 160) == serial
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert engine._spigot_fraction(10**4, 160) == serial
 
 
 def test_spigot_raises_when_guard_stays_inside_margin(monkeypatch):

@@ -93,11 +93,10 @@ def test_splitmix64_is_a_mutable_generator():
 
 
 def test_import_loads_no_code_generator():
-    # dataclasses brings inspect, ast, dis and tokenize with it.  The reader
-    # of the packaged data is imported first: from Python 3.12 on,
-    # importlib.resources imports inspect itself.
+    # dataclasses brings inspect, ast, dis and tokenize with it, and so does
+    # importlib.resources from Python 3.12 on.
     script = (
-        "import importlib.resources, sys\n"
+        "import sys\n"
         "before = set(sys.modules)\n"
         "import hyperpi.cli\n"
         "from hyperpi.catalog import load_catalog\n"
