@@ -8,10 +8,12 @@ Four capabilities, all built on exact rational arithmetic:
   with the constant that alpha and beta share cancelled once.  Integer
   binary splitting runs exactly below a width of ``prec + SPLIT_GUARD_BITS``
   bits and merges with truncated products above it, the tail of the series
-  at the fewer bits it contributes.  B stays exact by definition, so one
-  proven bound on T gives an interval for the sum; one division rounds the
-  whole interval when all of it rounds alike, and only an interval that
-  straddles a rounding boundary is re-split exactly.
+  at the fewer bits it contributes; a large sum is cut once into two
+  independent parts, the left one summed in a forked child where a second
+  CPU is usable.  B stays exact by definition, so one proven bound on T
+  gives an interval for the sum; one division rounds the whole interval
+  when all of it rounds alike, and only an interval that straddles a
+  rounding boundary is re-split exactly.
 * :func:`compute_pi_via` -- solve a verified series/closed-form pair for pi.
 * :func:`bbp_hex_digits` -- hexadecimal digits of pi at an arbitrary offset
   without computing earlier digits: a spigot over Bellard's base-2**10
@@ -28,11 +30,10 @@ from __future__ import annotations
 
 import math
 import operator
-import os
-import sys
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, repeat, tee
-from typing import Callable, Iterable, NamedTuple, NoReturn
+from typing import Callable, Iterable, NamedTuple
 
 from hyperpi.bigfloat import BigFloat, sqrt as bigfloat_sqrt
 from hyperpi.constexpr import ConstExpr, eval_const_expr, monomial
@@ -53,7 +54,7 @@ from hyperpi.factorials import (
     term_eval,
     term_ratio,
 )
-from hyperpi.splitting import product_sum, truncated_product_sum
+from hyperpi.splitting import product_sum, run_parts, truncated_product_sum, usable_cpus
 
 # Slot coefficients of the two classic base-16 digit-extraction sums:
 #   sum_n 16^-n * sum_j V_j/(8n+j)  equals  pi      for V = SLOTS_PI
@@ -249,17 +250,21 @@ def sum_series(spec: SeriesSpec, terms: int, prec: int) -> BigFloat:
     The sum is split by :func:`~hyperpi.splitting.truncated_product_sum`
     at a width of ``prec + SPLIT_GUARD_BITS`` bits: exact splitting on
     subranges below that width, truncated merges above it, and the tail at
-    the narrower width its scale needs.  That gives integers ``b != 0``,
-    ``t`` and ``e`` with the exact sum within ``e / |b|`` of ``t / b``.
-    Folded onto one denominator the interval is ``(num ± radius) / den``,
-    and :meth:`~hyperpi.bigfloat.BigFloat.from_ratio_ball` rounds it with
-    one division: it returns the rounding every value in it shares, the
-    exact sum included (with no truncated merge the radius is 0 and that is
-    the exact sum's rounding).  Only when it declines (a rounding boundary,
-    a binade edge or 0 lies in the interval, as for every interval across
-    0) is the exact pair of :func:`_series_ratio` split and rounded
-    instead.  Either way the error is at most 1/2 ulp of the exact partial
-    sum.
+    the narrower width its scale needs.  A large sum (from about 3460
+    digits) is cut once into two independent parts, the left one summed in
+    a forked child where a second CPU is usable, the right one at a width
+    set by an estimate of the left one's decay.  That gives integers ``b !=
+    0``, ``t`` and ``e`` with the exact sum within ``e / |b|`` of ``t /
+    b``, the same integers with or without the child.  Folded onto one
+    denominator the interval is ``(num ± radius) / den``, and
+    :meth:`~hyperpi.bigfloat.BigFloat.from_ratio_ball` rounds it with one
+    division: it returns the rounding every value in it shares, the exact
+    sum included (with no truncated merge the radius is 0 and that is the
+    exact sum's rounding).  Only when it declines (a rounding boundary, a
+    binade edge or 0 lies in the interval, as for every interval across 0,
+    or an interval widened by a decay estimate that came out too large) is
+    the exact pair of :func:`_series_ratio` split and rounded instead.
+    Either way the error is at most 1/2 ulp of the exact partial sum.
     """
     spec.validate()
     setup = _series_setup(spec)
@@ -394,99 +399,22 @@ def _powered_sum(first: int, shift: int, lo: int, hi: int) -> int:
     return sum(map(operator.floordiv, products, ms_again))
 
 
-def _spigot_parts(powered: int) -> int:
-    """How many ranges the ``powered`` steps are summed in: one per usable
-    CPU, each at least ``_MIN_FORK_STEPS`` steps.  One where the CPUs cannot
-    be counted, and in a process with threads, where a forked child can
-    deadlock on a lock that another thread held."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    threading = sys.modules.get("threading")
-    if affinity is None or (threading is not None and threading.active_count() > 1):
-        return 1
-    return min(len(affinity(0)), powered // _MIN_FORK_STEPS)
+def _powered_total(first: int, shift: int, powered: int) -> int:
+    """:func:`_powered_sum` over all ``powered`` steps, the same integer
+    whatever the CPU count.
 
-
-def _read_to_end(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 4096):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
-def _sum_in_child(
-    write_end: int, first: int, shift: int, lo: int, hi: int, frac_bits: int
-) -> NoReturn:
-    """A forked child's whole life: sum its range, write it modulo
-    ``2**frac_bits`` as ``ceil(frac_bits / 8)`` little-endian bytes, and exit
-    0, or 1 on any exception.  ``os._exit`` never returns and flushes none
-    of the stdio buffers inherited from the parent."""
-    status = 1
-    try:
-        total = _powered_sum(first, shift, lo, hi) % (1 << frac_bits)
-        data = total.to_bytes((frac_bits + 7) // 8, "little")
-        while data:
-            data = data[os.write(write_end, data):]
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _powered_total(first: int, shift: int, powered: int, frac_bits: int) -> int:
-    """An integer equal to :func:`_powered_sum` over all ``powered`` steps
-    modulo ``2**frac_bits``, all of it that the caller keeps.
-
-    The steps are cut into :func:`_spigot_parts` contiguous ranges.  Forked
-    children sum all but the last and send their sums reduced modulo
-    ``2**frac_bits``; the reduction commutes with the addition, so the result
-    is bit for bit the serial one, whatever the CPU count.  A range whose
-    child exits nonzero or sends a short sum, or that cannot be forked, is
-    summed here instead.  Every child is reaped before this returns; one
-    still running when the parent unwinds (an exception, a
-    ``KeyboardInterrupt``) is killed first.
+    The steps are cut into contiguous ranges, one per usable CPU, each at
+    least ``_MIN_FORK_STEPS`` steps long, and summed by
+    :func:`~hyperpi.splitting.run_parts`: forked children sum all but the
+    last range while this process sums the last.  With one range (one CPU,
+    too few steps, no ``os.sched_getaffinity``, a process with threads)
+    nothing is forked.
     """
-    parts = _spigot_parts(powered)
-    if parts < 2:
-        return _powered_sum(first, shift, 0, powered)
+    parts = max(1, min(usable_cpus(), powered // _MIN_FORK_STEPS))
     bounds = [powered * i // parts for i in range(parts + 1)]
-    ranges = list(zip(bounds, bounds[1:]))
-    local = [ranges.pop()]
-    children = []  # (pid, read end, lo, hi), until reaped
-    try:
-        for lo, hi in ranges:
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                local.append((lo, hi))
-                continue
-            if pid == 0:
-                _sum_in_child(write_end, first, shift, lo, hi, frac_bits)
-            os.close(write_end)
-            children.append((pid, read_end, lo, hi))
-        total = sum(_powered_sum(first, shift, lo, hi) for lo, hi in local)
-        while children:
-            pid, read_end, lo, hi = children[-1]
-            data = _read_to_end(read_end)
-            _, status = os.waitpid(pid, 0)
-            children.pop()
-            os.close(read_end)
-            if status == 0 and len(data) == (frac_bits + 7) // 8:
-                total += int.from_bytes(data, "little")
-            else:
-                total += _powered_sum(first, shift, lo, hi)
-        return total
-    finally:
-        for pid, read_end, _, _ in children:
-            import signal  # not loaded at interpreter start; needed only here
-
-            os.close(read_end)
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):
-                pass  # reaped just before the unwinding began
+    return sum(run_parts([
+        partial(_powered_sum, first, shift, lo, hi) for lo, hi in zip(bounds, bounds[1:])
+    ]))
 
 
 def _spigot_fraction(position: int, frac_bits: int) -> tuple[int, int, int]:
@@ -524,7 +452,7 @@ def _spigot_fraction(position: int, frac_bits: int) -> tuple[int, int, int]:
     first = q - group + 1  # e at step 0
     powered = (q + 1) // group  # the steps with e >= 0 (q >= -1)
     steps = last // group + 1  # through index ``last``
-    total = _powered_total(first, shift, powered, frac_bits)
+    total = _powered_total(first, shift, powered)
     tail = zip(_values(_BELLARD_STEP_M, powered, steps), _values(_BELLARD_STEP_P, powered, steps))
     for k, (m, p) in enumerate(tail, start=powered):
         bits = 10 * (first - group * k) + shift

@@ -332,8 +332,8 @@ def assert_no_child_left():
 
 
 @pytest.fixture
-def parent_forks(monkeypatch):
-    """Ranges of one step allowed, and the forks of this process counted."""
+def forks(monkeypatch):
+    """The forks of this process, counted."""
     forks = []
     parent, real_fork = os.getpid(), os.fork
 
@@ -342,8 +342,14 @@ def parent_forks(monkeypatch):
             forks.append(1)
         return real_fork()
 
-    monkeypatch.setattr(engine, "_MIN_FORK_STEPS", 1)
     monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.fixture
+def parent_forks(monkeypatch, forks):
+    """Ranges of one step allowed, and the forks of this process counted."""
+    monkeypatch.setattr(engine, "_MIN_FORK_STEPS", 1)
     return forks
 
 
@@ -710,13 +716,18 @@ def test_truncated_splitting_bounds_hold(spec, terms, width):
     # floor lets right halves narrow at these widths (NEGATIVE_LOWER and
     # SHIFTED have B < 0)
     setup = engine._series_setup(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splitting, "_MIN_WIDTH", 8)
+        b, t, e_t = truncated_product_sum(setup.sequences, terms, width)
+    assert_within_bound(setup, terms, b, t, e_t)
+
+
+def assert_within_bound(setup, terms, b, t, e_t):
+    """The exact sum T/B over [0, terms) lies within e_t/|b| of t/b."""
     weights, alphas, betas = setup.sequences(0, terms)
     _, exact_b, exact_t = product_sum(
         weights.__getitem__, alphas.__getitem__, betas.__getitem__, 0, terms
     )
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(splitting, "_MIN_WIDTH", 8)
-        b, t, e_t = truncated_product_sum(setup.sequences, terms, width)
     assert b != 0
     assert abs(t * exact_b - exact_t * b) <= e_t * abs(exact_b)
 
@@ -740,6 +751,175 @@ def test_truncated_splitting_narrows_the_tail(catalog_by_id, monkeypatch):
     _, _, e_t = truncated_product_sum(setup.sequences, terms_for_digits(10000, spec.base), width)
     # the outermost call of a leaf returns last
     assert e_t > 0 and leaves[-1] < width // 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series_specs(), st.integers(1, 2000), st.integers(8, 64), st.sampled_from((32, -400, 400)))
+@example(NEGATIVE_LOWER, 2000, 8, -400)
+@example(SHIFTED, 2000, 8, 400)
+@example(SeriesSpec(upper=(F(1),), lower=(F(1),), poly=(F(1),), base=2), 6, 11, -400)
+def test_cut_splitting_bounds_hold(spec, terms, width, margin):
+    # the same bound through the cut into two parts and their merge, on one
+    # CPU; a margin of -400 sets the right part's width from a decay
+    # estimate 400 bits too high, 400 from one 400 bits too low (the base-2
+    # example truncates only the right part, so its merge needs |a_l|*e_tr)
+    setup = engine._series_setup(spec)
+    cuts, real_run_parts = [], splitting.run_parts
+
+    def counted_run_parts(parts):
+        cuts.append(len(parts))
+        return real_run_parts(parts)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splitting, "_MIN_WIDTH", 8)
+        patch.setattr(splitting, "_MIN_CUT_WORK", 0)
+        patch.setattr(splitting, "_DECAY_MARGIN", margin)
+        patch.setattr(splitting, "run_parts", counted_run_parts)
+        patch.setattr(os, "fork", None)  # not called on one CPU
+        set_cpus(patch, 1)
+        b, t, e_t = truncated_product_sum(setup.sequences, terms, width)
+    # every range of 3 terms or more is cut
+    assert cuts == ([2] if terms >= 3 else [])
+    assert_within_bound(setup, terms, b, t, e_t)
+
+
+def _ten_thousand_digit_cut(catalog_by_id, eid):
+    """``truncated_product_sum`` of ``eid``'s sum at 10**4 digits."""
+    spec = catalog_by_id[eid].spec
+    width = precision_for_digits(10000) + engine.SPLIT_GUARD_BITS
+    setup = engine._series_setup(spec)
+    return truncated_product_sum(setup.sequences, terms_for_digits(10000, spec.base), width)
+
+
+# Guillera's pi**-2 series and a series that starts at k = 1
+CUT_ENTRIES = ("s3.1-ex1", "s3.6-ex9")
+
+
+def test_forked_cut_is_the_in_process_cut(catalog_by_id, monkeypatch, forks):
+    assert catalog_by_id["s3.6-ex9"].spec.start == 1
+    set_cpus(monkeypatch, 1)
+    in_process = [_ten_thousand_digit_cut(catalog_by_id, eid) for eid in CUT_ENTRIES]
+    assert not forks
+    set_cpus(monkeypatch, 2)
+    assert [_ten_thousand_digit_cut(catalog_by_id, eid) for eid in CUT_ENTRIES] == in_process
+    # one child per sum, for the left part
+    assert len(forks) == len(CUT_ENTRIES)
+    assert all(e > 0 for _, _, e in in_process)
+    assert_no_child_left()
+
+
+def test_decay_estimate_is_the_left_parts_decay(catalog_by_id):
+    # read off the sequences, the estimate sits the margin below the bits
+    # that the left part's b outgrows its a by, so the right part runs at
+    # the width that serial splitting would give a right half there
+    for eid in CUT_ENTRIES:
+        spec = catalog_by_id[eid].spec
+        terms = terms_for_digits(10000, spec.base)
+        width = precision_for_digits(10000) + engine.SPLIT_GUARD_BITS
+        setup = engine._series_setup(spec)
+        cut = math.floor(terms * splitting._CUT_SHARE)
+        a, b, _, _, _ = splitting._left_part(setup.sequences, width, cut)
+        estimate = splitting._decay_estimate(setup.sequences, 0, cut)
+        decay = b.bit_length() - a.bit_length() - splitting._DECAY_MARGIN
+        assert decay - 2 <= estimate <= decay, eid
+        assert estimate > width // 3, eid
+
+
+def test_cut_sums_a_failed_childs_part_itself(catalog_by_id, monkeypatch, forks):
+    set_cpus(monkeypatch, 1)
+    in_process = _ten_thousand_digit_cut(catalog_by_id, "s3.1-ex1")
+    set_cpus(monkeypatch, 2)
+    parent, real_split, real_write = os.getpid(), splitting._split, os.write
+
+    def raising_in_child(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("child fails")
+        return real_split(*args)
+
+    def short_in_child(fd, data):
+        if os.getpid() != parent:
+            return real_write(fd, bytes(data)[:-1]) + 1  # claims the last byte too
+        return real_write(fd, data)
+
+    def cannot_fork():
+        raise BlockingIOError("no process to spare")
+
+    for name, target, fault in (
+        ("_split", splitting, raising_in_child),
+        ("write", os, short_in_child),
+        ("fork", os, cannot_fork),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, fault)
+            assert _ten_thousand_digit_cut(catalog_by_id, "s3.1-ex1") == in_process, name
+        assert_no_child_left()
+    # the first two faults forked one child each
+    assert len(forks) == 2
+
+
+def test_interrupted_cut_kills_and_reaps_its_child(catalog_by_id, monkeypatch, forks):
+    set_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # still running when the parent unwinds
+
+    monkeypatch.setattr(splitting, "_split", interrupted)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _ten_thousand_digit_cut(catalog_by_id, "s3.1-ex1")
+    assert time.monotonic() - started < 30  # killed, not waited out
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_cut_is_unforked_with_threads_or_without_affinity(catalog_by_id, monkeypatch):
+    set_cpus(monkeypatch, 1)
+    in_process = _ten_thousand_digit_cut(catalog_by_id, "s3.1-ex1")
+
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    set_cpus(monkeypatch, 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert _ten_thousand_digit_cut(catalog_by_id, "s3.1-ex1") == in_process
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _ten_thousand_digit_cut(catalog_by_id, "s3.1-ex1") == in_process
+    assert_no_child_left()
+
+
+def test_sum_series_rounds_the_exact_pair_after_a_far_too_high_estimate(
+    catalog_by_id, monkeypatch
+):
+    # a right part run 2000 bits too narrow leaves an interval far wider than
+    # an ulp: the interval is declined and the exact pair gives the same bits
+    spec = catalog_by_id["s3.1-ex1"].spec
+    terms, prec = terms_for_digits(10000, spec.base), precision_for_digits(10000)
+    fallbacks = []
+    exact_ratio = engine._series_ratio
+
+    def counted_ratio(spec, terms):
+        fallbacks.append(terms)
+        return exact_ratio(spec, terms)
+
+    monkeypatch.setattr(engine, "_series_ratio", counted_ratio)
+    want = sum_series(spec, terms, prec)
+    assert fallbacks == []
+    monkeypatch.setattr(splitting, "_DECAY_MARGIN", -2000)
+    got = sum_series(spec, terms, prec)
+    assert fallbacks == [terms]
+    assert (got.man, got.exp, got.prec) == (want.man, want.exp, want.prec)
+    assert_no_child_left()
 
 
 @st.composite
