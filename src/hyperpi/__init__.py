@@ -5,8 +5,11 @@ The package has four layers:
 
 * exact rational verification of terminating identities
   (:mod:`hyperpi.dougall`, :mod:`hyperpi.inversion`),
-* arbitrary-precision real arithmetic and special functions
-  (:mod:`hyperpi.bigfloat`, :mod:`hyperpi.gammafn`, :mod:`hyperpi.constexpr`),
+* arbitrary-precision real arithmetic and special functions on Python
+  integers: binary floating point, Gamma at rational arguments by
+  Karatsuba's series through the one binary-splitting engine, closed-form
+  expressions (:mod:`hyperpi.bigfloat`, :mod:`hyperpi.gammafn`,
+  :mod:`hyperpi.constexpr`, :mod:`hyperpi.splitting`),
 * a machine-readable catalog of pi formulas together with series
   summation and certification (:mod:`hyperpi.catalog`, :mod:`hyperpi.engine`,
   :mod:`hyperpi.factorials`),

@@ -3,7 +3,7 @@
 A :class:`BigFloat` is an immutable triple (mantissa, exponent, precision)
 representing the exact dyadic rational ``man * 2**exp``.  Nonzero mantissas
 are normalized to exactly ``prec`` bits, i.e. ``2**(prec-1) <= |man| <
-2**prec``.  ``normalize``, ``add``, ``mul`` and ``mul_int`` form the exact
+2**prec``.  ``normalize``, ``add`` and ``mul`` form the exact
 result and round it once to the target precision using round-half-to-even.
 Quotients follow the same rule: :meth:`BigFloat.from_ratio` rounds
 ``num / den`` to the nearest ``prec``-bit value, ties to even, so it is at
@@ -15,7 +15,9 @@ it rounds alike; ``from_ratio`` is its radius-0 case.
 
 Elementary functions (sqrt, exp, ln and integer powers) work in
 fixed-point integer arithmetic with guard bits taken from
-:data:`GUARD_BITS`.
+:data:`GUARD_BITS`; ``exp`` and ``ln`` are each within 1 ulp of the value
+at their exact dyadic input, the budget :mod:`hyperpi.gammafn` counts for
+its prefactor N^s e^(-N).  All of it runs on Python's ``int``.
 
 The module also provides reference constants: pi via Machin's arctangent
 formula (with an independent second arctangent decomposition as a
@@ -32,13 +34,6 @@ from typing import NamedTuple
 
 from hyperpi.errors import DomainError
 from hyperpi.splitting import alternating_arctan_sum, product_sum
-
-try:  # pragma: no cover - exercised implicitly on hosts with gmpy2
-    from gmpy2 import isqrt as _isqrt
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover
-    _mpz = int
-    _isqrt = math.isqrt
 
 GUARD_BITS = 32
 
@@ -129,7 +124,6 @@ class BigFloat(NamedTuple):
             raise DomainError("precision must be positive")
         if man == 0:
             return BigFloat(0, 0, prec)
-        man = int(man)
         shift = man.bit_length() - prec
         rounded = round_shift(man, shift)
         if abs(rounded).bit_length() > prec:  # rounding carried out a bit
@@ -183,7 +177,7 @@ class BigFloat(NamedTuple):
         if num == 0:
             return None if radius else BigFloat.zero(prec)
         negative = (num < 0) != (den < 0)
-        num, den = abs(int(num)), abs(int(den))
+        num, den = abs(num), abs(den)
         e = num.bit_length() - den.bit_length()
         if (num >> e if e >= 0 else num << -e) < den:  # (num >> e) < den iff num < den * 2**e
             e -= 1
@@ -193,7 +187,7 @@ class BigFloat(NamedTuple):
             radius <<= shift
         else:
             den <<= -shift
-        q, r = divmod(_mpz(num), _mpz(den))
+        q, r = divmod(num, den)
         if r < radius and q == 1 << (prec - 1):
             return None  # the lower end is below the binade whose ulp the tests below assume
         if 2 * (r + radius) < den:
@@ -332,7 +326,7 @@ class BigFloat(NamedTuple):
         p = self._target(other, prec)
         if self.man == 0 or other.man == 0:
             return BigFloat.zero(p)
-        man = int(_mpz(self.man) * _mpz(other.man))
+        man = self.man * other.man
         return BigFloat.normalize(man, self.exp + other.exp, p)
 
     def div(self, other: "BigFloat", prec: int | None = None) -> "BigFloat":
@@ -345,10 +339,6 @@ class BigFloat(NamedTuple):
             return BigFloat.zero(p)
         q = BigFloat.from_ratio(self.man, other.man, p)
         return BigFloat(q.man, q.exp + self.exp - other.exp, p)
-
-    def mul_int(self, factor: int, prec: int | None = None) -> "BigFloat":
-        p = prec if prec is not None else self.prec
-        return BigFloat.normalize(self.man * factor, self.exp, p)
 
     def mul_fraction(self, factor: Fraction, prec: int | None = None) -> "BigFloat":
         p = prec if prec is not None else self.prec
@@ -392,7 +382,7 @@ def _machin_pi_fixed(fbits: int) -> int:
     t239, b239 = alternating_arctan_sum(239, terms239)
     num = 16 * t5 * (239 * b239) - 4 * t239 * (5 * b5)
     den = (5 * b5) * (239 * b239)
-    return div_nearest(int(_mpz(num) << fbits), int(den))
+    return div_nearest(num << fbits, den)
 
 
 def _gauss_pi_fixed(fbits: int) -> int:
@@ -407,7 +397,7 @@ def _gauss_pi_fixed(fbits: int) -> int:
     (c0, t0, b0), (c1, t1, b1), (c2, t2, b2) = parts
     b12 = b1 * b2
     num = c0 * t0 * b12 + c1 * t1 * (b0 * b2) + c2 * t2 * (b0 * b1)
-    return div_nearest(int(num << fbits), int(b0 * b12))
+    return div_nearest(num << fbits, b0 * b12)
 
 
 def pi_fixed(fbits: int) -> int:
@@ -446,7 +436,7 @@ def ln2_fixed(fbits: int) -> int:
         0,
         terms,
     )
-    value = div_nearest(int(2 * _mpz(t) << work), int(3 * b))
+    value = div_nearest(2 * t << work, 3 * b)
     _ln2_cache["fbits"] = work
     _ln2_cache["value"] = value
     return round_shift(value, work - fbits)
@@ -478,7 +468,7 @@ def sqrt(x: BigFloat, prec: int | None = None) -> BigFloat:
     shift = max(0, 2 * (p + 8) - x.man.bit_length())
     if (x.exp - shift) & 1:
         shift += 1
-    root = int(_isqrt(_mpz(x.man) << shift))
+    root = math.isqrt(x.man << shift)
     return BigFloat.normalize(root, (x.exp - shift) // 2, p)
 
 
@@ -495,15 +485,16 @@ def _exp_fixed(arg: int, fbits: int) -> int:
         acc += term
         i += 1
     for _ in range(halvings):
-        acc = round_shift(int(_mpz(acc) * _mpz(acc)), fbits)
+        acc = round_shift(acc * acc, fbits)
     return acc
 
 
 def exp(x: BigFloat, prec: int | None = None) -> BigFloat:
-    """Exponential function.
+    """Exponential function, within 1 ulp of ``exp`` of the exact dyadic
+    input.
 
-    Guard bits grow with the magnitude of the argument so that the result
-    stays within a couple of ulps of ``exp`` of the exact dyadic input.
+    Guard bits grow with the magnitude of the argument, whose multiple of
+    ln 2 is taken out exactly.
     """
     p = prec if prec is not None else x.prec
     mag = max(0, x.magnitude_exponent())
@@ -519,7 +510,8 @@ def exp(x: BigFloat, prec: int | None = None) -> BigFloat:
 
 
 def ln(x: BigFloat, prec: int | None = None) -> BigFloat:
-    """Natural logarithm via Newton iteration on exp, precision doubling."""
+    """Natural logarithm, within 1 ulp, via Newton iteration on exp with
+    precision doubling; the float seed only starts the iteration."""
     p = prec if prec is not None else x.prec
     if x.man <= 0:
         raise DomainError("logarithm requires a positive value")

@@ -182,6 +182,8 @@ def _load_json(path: str | os.PathLike | None, resource: str) -> object:
         )
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON in {resource}: {exc}") from exc
+    except RecursionError as exc:  # nested deeper than the decoder's stack allows
+        raise SchemaError(f"JSON in {resource} is nested too deeply") from exc
 
 
 def _rational_list(value: object, what: str, length: int | None = None) -> tuple[Fraction, ...]:

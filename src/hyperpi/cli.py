@@ -56,7 +56,6 @@ from hyperpi.engine import (
     sum_series,
 )
 from hyperpi.errors import (
-    DomainError,
     HyperPiError,
     RangeError,
     UsageError,
@@ -275,18 +274,11 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     spec = normalize_theorem_series(params, args.theorem)
     prec = precision_for_digits(args.digits)
     partial = sum_series(spec, args.terms, prec)
-    closed_text = None
-    agreement = None
-    passed = True  # with no closed value the series stands on its own
-    try:
-        closed = theorem_closed_value(params, args.theorem, prec)
-    except DomainError:
-        pass  # non-positive gamma argument
-    else:
-        closed_text = closed.to_decimal_string(args.digits)
-        difference = partial.sub(closed, prec)
-        passed = below_power_of_ten(difference, args.digits)
-        agreement = difference.abs().to_float() or None  # None: zero or below floats
+    closed = theorem_closed_value(params, args.theorem, prec)
+    closed_text = closed.to_decimal_string(args.digits)
+    difference = partial.sub(closed, prec)
+    passed = below_power_of_ten(difference, args.digits)
+    agreement = difference.abs().to_float() or None  # None: zero or below floats
     head = [
         {"k": k, "term": _rat(term_eval(spec, k))}
         for k in range(spec.start, min(spec.start + 8, spec.start + args.terms))
@@ -320,11 +312,8 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     ]
     lines.extend(f"  term[{h['k']}] = {h['term']}" for h in head)
     lines.append(f"  partial sum ({args.terms} terms) = {report['partial_sum']}")
-    if closed_text is None:
-        lines.append("  closed form: not evaluatable (non-positive gamma argument)")
-    else:
-        lines.append(f"  closed form value         = {closed_text}")
-        lines.append(f"  |difference| ~ {agreement if agreement is not None else 0}")
+    lines.append(f"  closed form value         = {closed_text}")
+    lines.append(f"  |difference| ~ {agreement if agreement is not None else 0}")
     if not passed:
         lines.append(f"FAIL: |partial sum - closed form| is not below 10^-{args.digits}")
     _emit(args, report, lines)

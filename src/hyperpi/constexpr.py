@@ -40,7 +40,7 @@ Evaluation error
 ``eval_const_expr(expr, prec)`` returns a value with relative error below
 ``2**(c - prec)`` where the per-node constants are: rational conversion and
 multiplication/division/square root at most 1 ulp each, pi at most 1 ulp,
-gamma at most ``2**8`` ulp.  Evaluation carries ``GUARD_BITS`` plus a
+gamma at most 2 ulp.  Evaluation carries ``GUARD_BITS`` plus a
 tree-size allowance of working precision, so for the shallow trees stored
 in catalogs the overall constant satisfies ``c <= 10``.
 """
@@ -146,8 +146,17 @@ def _require_int(value: object, what: str) -> int:
     return value
 
 
-def parse_const_expr(node: object) -> ConstExpr:
-    """Parse the JSON form of a constant expression (strict; no floats)."""
+#: Deepest nesting of operator and square-root nodes the parser accepts
+#: (catalog closed forms nest at most 6): the walkers below recurse once or
+#: twice per level, so a deeper tree would exhaust the interpreter's stack.
+MAX_DEPTH = 100
+
+
+def parse_const_expr(node: object, depth: int = 0) -> ConstExpr:
+    """Parse the JSON form of a constant expression (strict; no floats),
+    ``depth`` levels below the root of the tree."""
+    if depth > MAX_DEPTH:
+        raise SchemaError(f"expression nested deeper than {MAX_DEPTH} levels")
     if not isinstance(node, dict):
         raise SchemaError(f"expression node must be an object, got {node!r}")
     keys = set(node.keys())
@@ -165,13 +174,13 @@ def parse_const_expr(node: object) -> ConstExpr:
         leaf: ConstExpr = GammaLeaf(arg)
         return leaf if exponent == 1 else PowerNode(leaf, exponent)
     if keys == {"sqrt"}:
-        return SqrtNode(parse_const_expr(node["sqrt"]))
+        return SqrtNode(parse_const_expr(node["sqrt"], depth + 1))
     if keys == {"op", "args"}:
         op = node["op"]
         args = node["args"]
         if not isinstance(args, list) or len(args) < 2:
             raise SchemaError("operator node needs a list of at least two arguments")
-        parsed = [parse_const_expr(a) for a in args]
+        parsed = [parse_const_expr(a, depth + 1) for a in args]
         if op == "add":
             return SumNode(tuple(parsed))
         if op == "sub":

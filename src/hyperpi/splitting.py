@@ -33,9 +33,8 @@ and it reads back nothing but plain values).  A part whose child fails,
 sends a short payload or cannot be forked is called by the caller instead,
 so the results never depend on forking.
 
-When gmpy2 is importable its mpz type is used for the multiplications
-(asymptotically fast); otherwise plain Python integers are used and results
-are identical, just slower.
+All integers are Python's ``int``, which :mod:`marshal` sends from a child
+as they are.
 """
 
 from __future__ import annotations
@@ -46,13 +45,6 @@ import os
 import sys
 from functools import partial
 from typing import Callable, NoReturn, Sequence
-
-try:  # pragma: no cover - exercised implicitly on hosts with gmpy2
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover
-    _mpz = int
-
-Intish = int  # both int and gmpy2.mpz flow through these helpers
 
 _FOLD_RANGE = 8  # product_sum folds ranges this short term by term
 _BLOCK = 1024  # truncated_product_sum lists the sequences of ranges this long at once
@@ -81,7 +73,7 @@ def product_sum(
     beta: Callable[[int], int],
     lo: int,
     hi: int,
-) -> tuple[Intish, Intish, Intish]:
+) -> tuple[int, int, int]:
     """Binary-split the weighted product sum over the index range [lo, hi).
 
     Returns integers (A, B, T) with
@@ -97,7 +89,7 @@ def product_sum(
     beta(j), then A and B, three products per term.
     """
     if hi - lo <= _FOLD_RANGE:
-        a, b, t = _mpz(1), _mpz(1), _mpz(0)
+        a, b, t = 1, 1, 0
         span = range(lo, hi)
         for w_j, a_j, b_j in zip(map(weight, span), map(alpha, span), map(beta, span)):
             t = (t + a * w_j) * b_j
@@ -116,7 +108,7 @@ def product_sum(
 
 def truncated_product_sum(
     sequences: Callable, terms: int, width: int
-) -> tuple[Intish, Intish, Intish]:
+) -> tuple[int, int, int]:
     """Integers ``(b, t, e)`` with ``b != 0`` and ``|t - S * b| <= e``, S
     the exact sum of :func:`product_sum` over [0, terms), where
     ``sequences(lo, hi)`` lists ``weight``, ``alpha`` and ``beta`` at the
@@ -160,9 +152,8 @@ def truncated_product_sum(
 
 
 def _left_part(sequences: Callable, width: int, cut: int) -> tuple:
-    """:func:`_split` over [0, cut) with the A product, as plain ints, which
-    :mod:`marshal` sends from a child (gmpy2's mpz it does not)."""
-    return tuple(map(int, _split(sequences, width, 0, cut, True, None)))
+    """:func:`_split` over [0, cut) with the A product."""
+    return _split(sequences, width, 0, cut, True, None)
 
 
 def _right_part(sequences: Callable, width: int, cut: int, terms: int) -> tuple:
@@ -258,7 +249,7 @@ def _merge(left: tuple, right: tuple, width: int, need_a: bool) -> tuple:
     return a, b, t, e_a, e_t
 
 
-def _shifted_bound(x: Intish, e: Intish, b_bits: int, s: int) -> Intish:
+def _shifted_bound(x: int, e: int, b_bits: int, s: int) -> int:
     """New bound e' with ``|(x >> s) - V * (b >> s)| <= e'`` given
     ``|x - V * b| <= e``, ``b`` being ``b_bits`` long (proved in
     :func:`_split`)."""
@@ -276,7 +267,7 @@ def _bits_at(block: tuple, i: int) -> int:
     return max(alphas[i - first].bit_length(), betas[i - first].bit_length())
 
 
-def alternating_arctan_sum(inv_arg: int, terms: int) -> tuple[Intish, Intish]:
+def alternating_arctan_sum(inv_arg: int, terms: int) -> tuple[int, int]:
     """Exact rational arctangent series tail as a (numerator, denominator) pair.
 
     Returns integers (T, B) with T/B = sum_{k=0}^{terms-1} (-1)^k / ((2k+1) * inv_arg^(2k)),

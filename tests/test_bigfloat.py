@@ -373,6 +373,28 @@ def test_sqrt_exp_ln_pow():
     assert agrees_to_bits(pow_fraction(two, Fraction(1, 2), prec), root) > 240
 
 
+@pytest.mark.parametrize("prec", [64, 200, 1000, 3500])
+def test_exp_and_ln_are_within_one_ulp(prec):
+    # the stated bounds that gammafn's budget counts for N**s e**-N: ln of an
+    # integer N, exp of an argument near -N, against mpmath 80 bits deeper
+    mpmath = pytest.importorskip("mpmath")
+
+    def ulps(value, reference):
+        return abs(value.to_fraction() - reference) / Fraction(2) ** value.exp
+
+    def exact(value):
+        man, e = value.man_exp  # man is |mantissa|
+        return (-1 if value < 0 else 1) * Fraction(man) * Fraction(2) ** e
+
+    for n in (2, 3, 31, 97, 100, 1234, 2411, 4999):
+        x = BigFloat.from_fraction(Fraction(-n * 7919, 7907), prec)
+        with mpmath.workprec(prec + 80):
+            ln_ref = exact(mpmath.log(n))
+            exp_ref = exact(mpmath.exp(mpmath.mpf(x.man) * mpmath.mpf(2) ** x.exp))
+        assert ulps(ln(BigFloat.from_int(n, prec), prec), ln_ref) <= 1
+        assert ulps(exp(x, prec), exp_ref) <= 1
+
+
 def test_sin_pi_special_values():
     prec = 256
     half = sin_pi(Fraction(1, 2), prec)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hyperpi import catalog, dougall, engine
-from hyperpi.bigfloat import BigFloat
+from hyperpi.bigfloat import BigFloat, below_power_of_ten
 from hyperpi.catalog import (
     CLASS_SHAPES,
     catalog_index,
@@ -16,6 +16,7 @@ from hyperpi.catalog import (
     match_to_theorem,
     verify_entry,
 )
+from hyperpi.constexpr import eval_const_expr
 from hyperpi.errors import InvariantViolation, NoMatch, SchemaError
 
 EXPECTED_CLASS_COUNTS = {
@@ -302,6 +303,23 @@ def test_match_modes_and_scales_are_pinned(catalog_entries):
         for match in [match_to_theorem(entry)]
     }
     assert got == EXPECTED_MATCHES
+
+
+def test_closed_forms_are_the_scaled_family_quotients(catalog_entries):
+    # the chain from paper to catalog, closed: each entry's lhs is its match
+    # scale times its family's gamma quotient at its parameters, to 98 of 100
+    # digits; 46 of the quotients take a gamma at a negative argument
+    prec = engine.precision_for_digits(100)
+    negative = 0
+    for entry in catalog_entries:
+        match = match_to_theorem(entry)
+        upper, lower = dougall.theorem_gamma_args(entry.params, entry.theorem)
+        negative += any(x < 0 for x in (*upper, *lower))
+        closed = dougall.theorem_closed_value(entry.params, entry.theorem, prec)
+        expected = closed.mul(BigFloat.from_fraction(match.scale, prec), prec)
+        lhs = eval_const_expr(entry.lhs, prec)
+        assert below_power_of_ten(lhs.sub(expected, prec), 98), entry.entry_id
+    assert negative == 46
 
 
 def test_match_head_rule_absorbs_folded_constant(catalog_by_id):

@@ -4,10 +4,15 @@ import copy
 import hashlib
 import importlib.resources
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hyperpi
 from hyperpi import catalog, dougall
 from hyperpi.cli import main
 from hyperpi.constexpr import format_rational
@@ -180,7 +185,7 @@ def test_catalog_report_is_pinned(capsys):
 
 
 # sha256 of the full catalog report at 1000 digits, where the gamma-class
-# entries put the Spouge coefficients and evaluations at their largest
+# entries take the longest gamma series
 CATALOG_REPORT_1000_DIGEST = "026d3baab268a86e34c5a36b7360ea320084faadc33fee19032f1132bdb441ea"
 
 
@@ -385,3 +390,46 @@ def test_negative_control_corrupted_bbp_weight(capsys, raw_doc, tmp_path):
     )
     assert code == 2
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("depth", [150, 3000])
+def test_deeply_nested_closed_form_is_a_schema_error(raw_doc, tmp_path, depth):
+    # past the parser's depth cap (150), and past the JSON decoder's stack
+    # (3000): exit 2 with a typed error, in a fresh process, no traceback
+    doc = copy.deepcopy(raw_doc)
+    doc["entries"] = doc["entries"][:1]
+    leaf = json.dumps(doc["entries"][0]["lhs"])
+    doc["entries"][0]["lhs"] = "LHS"
+    nested = '{"op": "mul", "args": [' * depth + leaf + ', {"rat": "1"}]}' * depth
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc).replace('"LHS"', nested))
+    src = str(Path(hyperpi.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "hyperpi.cli", "verify", "catalog", "--catalog", str(path)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "SchemaError" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "params,closed",
+    [
+        # s3.1-ex5's family: Gamma(-1/2) in the quotient, the value -1/pi**2
+        ("1/2,1/2,1/2,-1/2", "-0.1013211836423377714438794632097276389044"),
+        # Gamma(-1) below: 1/Gamma vanishes there, and so does the sum
+        ("1/2,1,1,1", "0.0000000000000000000000000000000000000000"),
+    ],
+)
+def test_derive_compares_at_negative_gamma_arguments(capsys, params, closed):
+    code, out, _ = run(
+        capsys, "derive", "--theorem", "A", "--params", params, "--format", "json"
+    )
+    report = json.loads(out)
+    assert code == 0
+    assert report["passed"] is True
+    assert report["closed_form"] == closed

@@ -31,6 +31,21 @@ INV_PI_SQ = {
 }
 
 
+@pytest.mark.parametrize(
+    "wrap",
+    [lambda node: {"sqrt": node}, lambda node: {"op": "mul", "args": [node, {"rat": "1"}]}],
+    ids=["sqrt", "mul"],
+)
+def test_parse_caps_the_nesting_depth(wrap):
+    # a tree at the cap parses and evaluates within the interpreter's stack
+    node = {"rat": "2"}
+    for _ in range(constexpr.MAX_DEPTH):
+        node = wrap(node)
+    assert eval_const_expr(parse_const_expr(node), 200).to_fraction() > 1
+    with pytest.raises(SchemaError, match="nested deeper"):
+        parse_const_expr(wrap(node))
+
+
 def test_parse_rational_strings():
     assert parse_rational_string("3/2") == Fraction(3, 2)
     assert parse_rational_string("-7") == Fraction(-7)

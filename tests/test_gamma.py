@@ -1,6 +1,6 @@
-"""Gamma function at rational arguments via the Spouge approximation."""
+"""Gamma function at rational arguments via Karatsuba's series, and the
+pieces of its error budget."""
 
-import collections
 import math
 import random
 from fractions import Fraction
@@ -9,9 +9,10 @@ import pytest
 
 from hyperpi.bigfloat import BigFloat, pi_reference, sqrt
 from hyperpi import gammafn
-from hyperpi.errors import DomainError
+from hyperpi.errors import DomainError, InvariantViolation
 from hyperpi.factorials import pochhammer
 from hyperpi.gammafn import gamma_quotient, gamma_rational
+from hyperpi.splitting import product_sum
 from oracles import agrees_to_bits, pow_fraction, sin_pi
 
 
@@ -78,9 +79,25 @@ def test_duplication():
 
 
 def test_rejects_nonpositive_arguments():
-    for bad in (Fraction(0), Fraction(-1, 6), Fraction(-3)):
+    # only the poles 0, -1, -2, ... are rejected; a negative non-integer
+    # has a value, here checked by reflection:
+    # gamma(-1/6) gamma(7/6) = pi / sin(-pi/6) = -2 pi
+    for bad in (Fraction(0), Fraction(-3)):
         with pytest.raises(DomainError):
             gamma_rational(bad, 100)
+    prec = 300
+    product = gamma_rational(Fraction(-1, 6), prec).mul(gamma_rational(Fraction(7, 6), prec), prec)
+    expected = pi_reference(prec).mul(BigFloat.from_int(-2, prec), prec)
+    assert agrees_to_bits(product, expected) > 290
+
+
+def test_quotient_vanishes_at_a_lower_pole_and_rejects_an_upper_one():
+    # 1/gamma is entire and vanishes at the poles; gamma itself has them
+    half = Fraction(1, 2)
+    assert gamma_quotient((half,), (Fraction(-1), half), 200).is_zero()
+    for upper in ((Fraction(0),), (half, Fraction(-2))):
+        with pytest.raises(DomainError):
+            gamma_quotient(upper, (Fraction(-1),), 200)
 
 
 def test_rising_factorial_consistency():
@@ -119,38 +136,44 @@ def _exact(value: BigFloat) -> Fraction:
     return Fraction(value.man) * Fraction(2) ** value.exp
 
 
+def _mp_exact(value) -> Fraction:
+    man, exp = value.man_exp  # man is |mantissa|
+    return (-1 if value < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
 @pytest.mark.parametrize(
     "x,digits",
     [(Fraction(p, q), 100) for p, q in ((1, 3), (2, 3), (1, 4), (3, 4), (1, 5), (5, 8))]
     + [(Fraction(1, 3), 300), (Fraction(5, 8), 300)]
-    # z = x - 1 = 25/2 and 61/6: large z cancels the most bracket bits
-    + [(Fraction(27, 2), 100), (Fraction(67, 6), 100), (Fraction(67, 6), 300)],
+    # far above (0, 1), through the rising factorial (f)_n
+    + [(Fraction(27, 2), 100), (Fraction(67, 6), 100), (Fraction(67, 6), 300)]
+    # below it, through 1 / (x)_n: gamma(-1/2) = -2 sqrt(pi)
+    + [(Fraction(-1, 2), 100), (Fraction(-3, 2), 100), (Fraction(-1, 6), 100)],
     ids=str,
 )
 def test_gamma_rational_matches_mpmath(x, digits):
-    # the stated bound: relative error below 2**(8 - prec), and so below
+    # the stated bound: relative error below 2**(1 - prec), and so below
     # 10**-digits at prec = digits * log2(10) + 8 bits; mpmath works 64 bits
     # deeper, so its own error is far below the slack of 2**-(prec + 32)
     mpmath = pytest.importorskip("mpmath")
     prec = math.ceil(digits * math.log2(10)) + 8
     with mpmath.workprec(prec + 64):
-        man, exp = mpmath.gamma(mpmath.mpf(x.numerator) / x.denominator).man_exp
-    reference = Fraction(man) * Fraction(2) ** exp
+        reference = _mp_exact(mpmath.gamma(mpmath.mpf(x.numerator) / x.denominator))
     error = abs(_exact(gamma_rational(x, prec)) - reference)
-    assert error <= reference * (Fraction(1, 2 ** (prec - 8)) + Fraction(1, 2 ** (prec + 32)))
-    assert error < reference / 10**digits
+    assert error <= abs(reference) * (Fraction(1, 2 ** (prec - 1)) + Fraction(1, 2 ** (prec + 32)))
+    assert error < abs(reference) / 10**digits
 
 
-# z = x - 1 up to about 30 for denominators 2..10, the lifted range (0, 1)
-# included; the two precisions fall on different Spouge shapes
+# x from about -3 to 31 for denominators 2..10, the series range (0, 1) included
 CACHE_GRID = [
-    Fraction(m * q + r, q) for q in range(2, 11) for m, r in ((0, 1), (4, q - 1), (16, 3), (30, 1))
+    Fraction(m * q + r, q)
+    for q in range(2, 11)
+    for m, r in ((0, 1), (4, q - 1), (16, 3), (30, 1), (-3, 1))
 ]
 CACHE_PRECS = (120, 300)
 
 
 def _clear_gamma_caches():
-    gammafn._coeff_cache.clear()
     gammafn._value_cache.clear()
 
 
@@ -176,47 +199,51 @@ def test_values_do_not_depend_on_cache_state_or_call_order():
     assert reordered == cold
 
 
-def test_each_shape_builds_its_coefficients_once(monkeypatch):
-    builds = collections.Counter()
-    build = gammafn._build_spouge_coefficients
-
-    def counting_build(a):
-        builds[a] += 1
-        return build(a)
-
-    monkeypatch.setattr(gammafn, "_build_spouge_coefficients", counting_build)
-    _clear_gamma_caches()
-    for prec in CACHE_PRECS:
-        for x in CACHE_GRID:
-            gamma_rational(x, prec)
-        gamma_quotient(CACHE_GRID[:4], CACHE_GRID[-4:], prec)
-    assert len(builds) >= 2
-    assert set(builds.values()) == {1}
 
 
-@pytest.mark.parametrize("a", [6, 7, 20, 48, 116, 300])
-def test_float_cancellation_estimate_stays_under_the_integer_bound(a):
-    bound = gammafn._cancellation_bound(a)
-    for z in (0.0, 0.5, 1 / 3, 2.25, 12.5, 61 / 6, 30.1, 1e3, 1e6, 1e12):
-        assert gammafn._bracket_cancellation_bits(z, a) <= bound
+# The pieces of the error budget in gammafn's docstring, one test each.
 
 
-def test_shape_prec_limit_is_the_largest_precision_of_the_shape():
-    for a in (6, 7, 8, 48, 116, 1290):
-        limit = gammafn._shape_prec_limit(a)
-        assert gammafn.spouge_shape(limit) == a
-        assert gammafn.spouge_shape(limit + 1) == a + 1
-
-
-@pytest.mark.parametrize("a", [6, 48, 116])
-def test_coefficients_are_within_one_ulp_of_mpmath(a):
+def test_series_size_meets_the_budget():
+    # N >= w ln 2 (so e**-N <= 2**-w), K >= 2N (so every dropped term ratio
+    # is below 1/2) and (e/4)**N <= 2**-floor(5N/9), for every w up to 4000
+    # and a few far beyond; and the two constants that make them integers
     mpmath = pytest.importorskip("mpmath")
-    prec, coeffs = gammafn._build_spouge_coefficients(a)
-    with mpmath.workprec(prec + 64):
-        for k, c in enumerate(coeffs, start=1):
-            exact = (-1) ** (k - 1) * mpmath.mpf(a - k) ** (k - mpmath.mpf(1) / 2)
-            exact *= mpmath.exp(a - k) / mpmath.factorial(k - 1)
-            man, exp = exact.man_exp  # man is |mantissa|
-            reference = (-1) ** (k - 1) * Fraction(man) * Fraction(2) ** exp
-            assert c.prec == prec
-            assert abs(_exact(c) - reference) <= Fraction(2) ** c.exp
+    with mpmath.workdps(60):
+        ln2 = mpmath.log(2)
+        assert mpmath.mpf(355) / 512 > ln2
+        assert mpmath.e**9 < 2**13
+        for w in [*range(2, 4001), 10**5, 10**7]:
+            n, terms = gammafn._series_size(w)
+            assert n >= w * ln2
+            assert terms >= 2 * n
+            assert n * (2 * ln2 - 1) >= (5 * n // 9) * ln2
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)], ids=str)
+def test_dropped_terms_and_upper_tail_stay_under_the_budget(s):
+    # the K summed terms against twice as many, whose own tail is far below,
+    # and Gamma(s, N) <= N**(s-1) e**-N <= 2**-w <= 2**-w Gamma(s)
+    mpmath = pytest.importorskip("mpmath")
+    p, q = s.numerator, s.denominator
+    for w in (40, 200, 700):
+        n, terms = gammafn._series_size(w)
+        alpha, beta = (lambda i: n * q), (lambda i: p + q + q * i)
+        _, b, t = product_sum(lambda j: 1, alpha, beta, 0, terms)
+        _, b_long, t_long = product_sum(lambda j: 1, alpha, beta, 0, 2 * terms)
+        dropped = t_long * b - t * b_long  # over b * b_long
+        assert 0 < dropped << w <= t * b_long
+        with mpmath.workprec(w + 64):
+            x = mpmath.mpf(p) / q
+            assert mpmath.gammainc(x, n) <= mpmath.mpf(n) ** (x - 1) * mpmath.exp(-n)
+            assert mpmath.mpf(n) ** (x - 1) * mpmath.exp(-n) <= mpmath.mpf(2) ** -w
+            assert mpmath.gamma(x) >= 1
+
+
+def test_too_few_terms_trip_the_tail_certificate(monkeypatch):
+    # the code checks the dropped terms on the integers it summed
+    size = gammafn._series_size
+    monkeypatch.setattr(gammafn, "_series_size", lambda w: (size(w)[0], size(w)[0]))
+    monkeypatch.setattr(gammafn, "_value_cache", {})
+    with pytest.raises(InvariantViolation, match="tail"):
+        gamma_rational(Fraction(1, 3), 100)
