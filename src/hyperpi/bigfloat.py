@@ -19,30 +19,29 @@ fixed-point integer arithmetic with guard bits taken from
 at their exact dyadic input, the budget :mod:`hyperpi.gammafn` counts for
 its prefactor N^s e^(-N).  All of it runs on Python's ``int``.
 
-The module also provides reference constants: pi via Machin's arctangent
-formula (with an independent second arctangent decomposition as a
-cross-check) and ln 2 via the inverse hyperbolic tangent series.  Both use
-exact integer binary splitting and are cached at the largest precision
-computed so far.
+The module also provides reference constants in fixed point: pi by
+Machin's arctangent formula, cross-checked against Gauss's three-term one,
+and ln 2 by 2 atanh(1/3).  All three go through one helper that sums each
+arctangent with :func:`~hyperpi.splitting.truncated_product_sum` and
+rounds it with one division under a stated, checked error budget; each
+constant is cached at the largest precision computed so far.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
-from hyperpi.errors import DomainError
-from hyperpi.splitting import alternating_arctan_sum, product_sum
+from hyperpi.errors import DomainError, InvariantViolation
+from hyperpi.splitting import truncated_product_sum
 
 GUARD_BITS = 32
 
 # Decimal digits per str() call in _decimal_text: below the int-to-str
 # digit limit that Python 3.11+ enforces by default (4300 digits).
 _DECIMAL_LEAF_DIGITS = 2000
-
-_LOG2_25 = math.log2(25.0)
-_LOG2_239SQ = math.log2(239.0 * 239.0)
 
 
 def round_shift(value: int, shift: int) -> int:
@@ -373,73 +372,73 @@ class BigFloat(NamedTuple):
 _pi_cache: dict[str, int] = {"fbits": -1, "value": 0}
 _ln2_cache: dict[str, int] = {"fbits": -1, "value": 0}
 
-
-def _machin_pi_fixed(fbits: int) -> int:
-    """pi * 2**fbits via 16*atan(1/5) - 4*atan(1/239), exact splitting."""
-    terms5 = int(fbits / _LOG2_25) + 8
-    terms239 = int(fbits / _LOG2_239SQ) + 8
-    t5, b5 = alternating_arctan_sum(5, terms5)
-    t239, b239 = alternating_arctan_sum(239, terms239)
-    num = 16 * t5 * (239 * b239) - 4 * t239 * (5 * b5)
-    den = (5 * b5) * (239 * b239)
-    return div_nearest(num << fbits, den)
+# (c, q) tables for _arctan_fixed: pi = 16 atan(1/5) - 4 atan(1/239) (Machin)
+# = 48 atan(1/18) + 32 atan(1/57) - 20 atan(1/239) (Gauss); ln 2 = 2 atanh(1/3).
+_MACHIN = ((16, 5), (-4, 239))
+_GAUSS = ((48, 18), (32, 57), (-20, 239))
+_LN2 = ((2, 3),)
 
 
-def _gauss_pi_fixed(fbits: int) -> int:
-    """pi * 2**fbits via 48*atan(1/18) + 32*atan(1/57) - 20*atan(1/239)."""
-    parts = []
-    for coeff, q in ((48, 18), (32, 57), (-20, 239)):
+def _arctan_fixed(table: tuple[tuple[int, int], ...], sign: int, fbits: int) -> int:
+    """The sum of ``c * atan(1/q)`` (``sign`` -1) or ``c * atanh(1/q)``
+    (``sign`` +1) over the (c, q) pairs of ``table``, times 2**fbits.
+
+    Each pair sums S = sum_k sign**k / ((2k+1) q**(2k)) over N =
+    floor(fbits / log2(q**2)) + 8 terms by :func:`truncated_product_sum`
+    at width fbits + 64, with |t - S*b| <= e, and adds ``div_nearest(c * t
+    * 2**fbits, q * b)``.  Its error, in units of 2**-fbits, is at most
+
+    * 1/2 from ``div_nearest``;
+    * plus |c| e 2**fbits / (q |b|) from the interval, checked below 1 here
+      (a truncated ``b`` keeps fbits + 64 bits; e is 0 otherwise);
+    * plus the tail: q**(2N) > 2**fbits q**14, and the tail is at most
+      q**2 / (q**2 - 1) times 1 / ((2N+1) q**(2N)), so below |c| q**-15.
+
+    Machin's sum is off by less than 3.01, Gauss's by less than 4.51 and
+    ln 2's by less than 1.51.
+    """
+    total = 0
+    for c, q in table:
         terms = int(fbits / math.log2(q * q)) + 8
-        t, b = alternating_arctan_sum(q, terms)
-        parts.append((coeff, t, b * q))
-    # Over the common denominator b0*b1*b2 each numerator takes the product
-    # of the other two denominators; no big division is needed.
-    (c0, t0, b0), (c1, t1, b1), (c2, t2, b2) = parts
-    b12 = b1 * b2
-    num = c0 * t0 * b12 + c1 * t1 * (b0 * b2) + c2 * t2 * (b0 * b1)
-    return div_nearest(num << fbits, b0 * b12)
+        b, t, e = truncated_product_sum(partial(_arctan_sequences, sign, q * q), terms, fbits + 64)
+        if abs(c) * e << fbits >= q * abs(b):
+            raise InvariantViolation(
+                f"series at q = {q}: a {e.bit_length()}-bit interval on a {b.bit_length()}-bit b"
+            )
+        total += div_nearest(c * t << fbits, q * b)
+    return total
+
+
+def _arctan_sequences(sign: int, q2: int, lo: int, hi: int) -> tuple[list[int], ...]:
+    """Weights, alphas and betas of one arctangent series over [lo, hi)."""
+    span = range(lo, hi)
+    return [1] * len(span), [sign * (2 * i + 1) for i in span], [(2 * i + 3) * q2 for i in span]
 
 
 def pi_fixed(fbits: int) -> int:
-    """Return ``round(pi * 2**fbits)`` (cross-checked, cached).
-
-    The first computation at a new record precision validates Machin's
-    formula against an independent three-term arctangent decomposition; the
-    two fixed-point results must agree to within a few units in the last
-    place.
-    """
-    if _pi_cache["fbits"] >= fbits:
-        return round_shift(_pi_cache["value"], _pi_cache["fbits"] - fbits)
-    work = fbits + 16
-    machin = _machin_pi_fixed(work)
-    gauss = _gauss_pi_fixed(work)
-    if abs(machin - gauss) > 8:
-        raise DomainError(
-            "internal pi cross-check failed: independent arctangent "
-            "decompositions disagree"
-        )
-    _pi_cache["fbits"] = work
-    _pi_cache["value"] = machin
-    return round_shift(machin, work - fbits)
+    """Return ``round(pi * 2**fbits)``, cached: Machin's formula at fbits +
+    16 bits through :func:`_arctan_fixed`, cross-checked there against
+    Gauss's.  Their budgets are 3.01 and 4.51 units, so a difference above
+    8 raises :class:`DomainError`."""
+    if _pi_cache["fbits"] < fbits:
+        work = fbits + 16
+        machin = _arctan_fixed(_MACHIN, -1, work)
+        if abs(machin - _arctan_fixed(_GAUSS, -1, work)) > 8:
+            raise DomainError(
+                "internal pi cross-check failed: independent arctangent "
+                "decompositions disagree"
+            )
+        _pi_cache.update(fbits=work, value=machin)
+    return round_shift(_pi_cache["value"], _pi_cache["fbits"] - fbits)
 
 
 def ln2_fixed(fbits: int) -> int:
-    """Return ``round(ln(2) * 2**fbits)`` via 2*atanh(1/3), cached."""
-    if _ln2_cache["fbits"] >= fbits:
-        return round_shift(_ln2_cache["value"], _ln2_cache["fbits"] - fbits)
-    work = fbits + 16
-    terms = int(work / math.log2(9.0)) + 8
-    _, b, t = product_sum(
-        lambda j: 1,
-        lambda i: 2 * i + 1,
-        lambda i: (2 * i + 3) * 9,
-        0,
-        terms,
-    )
-    value = div_nearest(2 * t << work, 3 * b)
-    _ln2_cache["fbits"] = work
-    _ln2_cache["value"] = value
-    return round_shift(value, work - fbits)
+    """Return ``round(ln(2) * 2**fbits)`` via 2*atanh(1/3), cached: at
+    fbits + 16 bits :func:`_arctan_fixed` is within 1.51 units."""
+    if _ln2_cache["fbits"] < fbits:
+        work = fbits + 16
+        _ln2_cache.update(fbits=work, value=_arctan_fixed(_LN2, 1, work))
+    return round_shift(_ln2_cache["value"], _ln2_cache["fbits"] - fbits)
 
 
 def pi_reference(prec: int) -> BigFloat:

@@ -17,10 +17,11 @@ entry object has exactly these fields (plus an optional ``attribution``):
 ``upper`` / ``lower``   rising-factorial parameters as rational strings
 ``poly``                weight polynomial, ascending coefficients, degree <= 3
 ``base``                integer geometric base (16 throughout)
-``start``               first summation index (nonnegative integer)
+``start``               first summation index, an integer in [0, 1000]
 ``additive``            rational string added to the sum
 ``sign``                +1 or -1
-``lhs``                 closed-form constant expression (see ``constexpr``)
+``lhs``                 closed-form constant expression (see ``constexpr``),
+                        at most 100 levels deep and 1000 nodes
 ======================  ======================================================
 
 Rational values are always strings ("p" or "p/q"); floating-point literals
@@ -58,11 +59,13 @@ from typing import Iterable, NamedTuple
 from hyperpi.bigfloat import below_power_of_ten
 from hyperpi.constexpr import (
     ConstExpr,
+    Monomial,
     eval_const_expr,
     format_rational,
     monomial,
     parse_const_expr,
     parse_rational_string,
+    require_int,
 )
 from hyperpi.dougall import CHECK_WINDOW, WellPoisedParams, theorem_term_pairs
 from hyperpi.engine import (
@@ -94,6 +97,10 @@ CLASS_SHAPES: dict[str, tuple[int, int | None]] = {
 }
 
 _GAMMA_ARGS = (Fraction(1, 3), Fraction(2, 3))
+
+#: Largest first summation index (catalog entries start at 0 or 1): a sum's
+#: lead products over [0, start) are built before any other check.
+MAX_START = 1000
 
 _REQUIRED_FIELDS = (
     "id",
@@ -194,18 +201,8 @@ def _rational_list(value: object, what: str, length: int | None = None) -> tuple
     return tuple(parse_rational_string(item) for item in value)
 
 
-def _int_field(value: object, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _check_class_shape(entry_id: str, family_class: str, lhs: ConstExpr) -> None:
+def _check_class_shape(entry_id: str, family_class: str, form: Monomial) -> None:
     pi_exp, gamma_exp = CLASS_SHAPES[family_class]
-    try:
-        form = monomial(lhs)
-    except UnsupportedLhs as exc:
-        raise SchemaError(f"entry {entry_id}: {exc}") from exc
     if gamma_exp is None:
         if form.gammas:
             raise SchemaError(
@@ -252,13 +249,13 @@ def _parse_entry(raw: object, seen_ids: set[str]) -> CatalogEntry:
             f"entry {entry_id}: weight polynomial degree must be at most 3, "
             f"got degree {len(poly) - 1}"
         )
-    base = _int_field(raw["base"], f"entry {entry_id} base")
+    base = require_int(raw["base"], f"entry {entry_id} base")
     if base < 2:
         raise SchemaError(f"entry {entry_id}: base must be at least 2, got {base}")
-    start = _int_field(raw["start"], f"entry {entry_id} start")
-    if start < 0:
-        raise SchemaError(f"entry {entry_id}: start must be nonnegative, got {start}")
-    sign = _int_field(raw["sign"], f"entry {entry_id} sign")
+    start = require_int(raw["start"], f"entry {entry_id} start")
+    if not 0 <= start <= MAX_START:
+        raise SchemaError(f"entry {entry_id}: start must be in [0, {MAX_START}], got {start}")
+    sign = require_int(raw["sign"], f"entry {entry_id} sign")
     if sign not in (1, -1):
         raise SchemaError(f"entry {entry_id}: sign must be +1 or -1, got {sign}")
     attribution = raw.get("attribution")
@@ -277,8 +274,12 @@ def _parse_entry(raw: object, seen_ids: set[str]) -> CatalogEntry:
         spec.validate()
     except Exception as exc:
         raise SchemaError(f"entry {entry_id}: invalid series: {exc}") from exc
-    lhs = parse_const_expr(raw["lhs"])
-    _check_class_shape(entry_id, family_class, lhs)
+    try:
+        lhs = parse_const_expr(raw["lhs"])
+        form = monomial(lhs)
+    except (SchemaError, UnsupportedLhs) as exc:
+        raise SchemaError(f"entry {entry_id}: {exc}") from exc
+    _check_class_shape(entry_id, family_class, form)
     seen_ids.add(entry_id)
     return CatalogEntry(
         entry_id=entry_id,

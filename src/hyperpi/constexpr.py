@@ -140,7 +140,7 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _require_int(value: object, what: str) -> int:
+def require_int(value: object, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{what} must be an integer, got {value!r}")
     return value
@@ -150,11 +150,23 @@ def _require_int(value: object, what: str) -> int:
 #: (catalog closed forms nest at most 6): the walkers below recurse once or
 #: twice per level, so a deeper tree would exhaust the interpreter's stack.
 MAX_DEPTH = 100
+#: Most JSON objects in a closed form (catalog closed forms have at most
+#: 11): every evaluation walks them all, and parsing stops at the next one.
+MAX_NODES = 1000
 
 
-def parse_const_expr(node: object, depth: int = 0) -> ConstExpr:
-    """Parse the JSON form of a constant expression (strict; no floats),
-    ``depth`` levels below the root of the tree."""
+def parse_const_expr(node: object) -> ConstExpr:
+    """Parse the JSON form of a constant expression (strict; no floats) of
+    at most :data:`MAX_DEPTH` levels and :data:`MAX_NODES` nodes."""
+    return _parse_node(node, 0, [0])
+
+
+def _parse_node(node: object, depth: int, seen: list[int]) -> ConstExpr:
+    """:func:`parse_const_expr` of a node ``depth`` levels below the root,
+    after ``seen[0]`` other nodes."""
+    seen[0] += 1
+    if seen[0] > MAX_NODES:
+        raise SchemaError(f"expression has more than {MAX_NODES} nodes")
     if depth > MAX_DEPTH:
         raise SchemaError(f"expression nested deeper than {MAX_DEPTH} levels")
     if not isinstance(node, dict):
@@ -163,24 +175,24 @@ def parse_const_expr(node: object, depth: int = 0) -> ConstExpr:
     if keys == {"rat"}:
         return RationalLeaf(parse_rational_string(node["rat"]))
     if keys == {"pi"}:
-        exponent = _require_int(node["pi"], "pi exponent")
+        exponent = require_int(node["pi"], "pi exponent")
         base: ConstExpr = PiLeaf()
         return base if exponent == 1 else PowerNode(base, exponent)
     if keys == {"gamma", "exp"}:
         arg = parse_rational_string(node["gamma"])
         if arg <= 0:
             raise SchemaError(f"gamma leaf argument must be positive, got {arg}")
-        exponent = _require_int(node["exp"], "gamma exponent")
+        exponent = require_int(node["exp"], "gamma exponent")
         leaf: ConstExpr = GammaLeaf(arg)
         return leaf if exponent == 1 else PowerNode(leaf, exponent)
     if keys == {"sqrt"}:
-        return SqrtNode(parse_const_expr(node["sqrt"], depth + 1))
+        return SqrtNode(_parse_node(node["sqrt"], depth + 1, seen))
     if keys == {"op", "args"}:
         op = node["op"]
         args = node["args"]
         if not isinstance(args, list) or len(args) < 2:
             raise SchemaError("operator node needs a list of at least two arguments")
-        parsed = [parse_const_expr(a, depth + 1) for a in args]
+        parsed = [_parse_node(a, depth + 1, seen) for a in args]
         if op == "add":
             return SumNode(tuple(parsed))
         if op == "sub":
@@ -203,9 +215,7 @@ def parse_const_expr(node: object, depth: int = 0) -> ConstExpr:
 def node_count(expr: ConstExpr) -> int:
     if isinstance(expr, (RationalLeaf, PiLeaf, GammaLeaf)):
         return 1
-    if isinstance(expr, SqrtNode):
-        return 1 + node_count(expr.child)
-    if isinstance(expr, PowerNode):
+    if isinstance(expr, (SqrtNode, PowerNode)):
         return 1 + node_count(expr.child)
     if isinstance(expr, (SumNode, ProductNode)):
         return 1 + sum(node_count(c) for c in expr.children)

@@ -4,37 +4,32 @@ Evaluates sums of the form
 
     S = sum_{j=lo}^{hi-1} w(j) * prod_{i=lo}^{j-1} alpha(i) / beta(i)
 
-in (big) integers.  The recursion keeps three accumulators per range: the
-alpha-product A, the beta-product B and a numerator T with S = T / B.
+in integers (Haible & Papanikolaou, 1998).  The recursion keeps three
+accumulators per range: the alpha-product A, the beta-product B and a
+numerator T with S = T / B.  :func:`product_sum` computes them exactly.
 
-:func:`product_sum` computes them exactly; balanced splitting keeps
-intermediate operands near-minimal in size, so the dominant cost is a
-handful of large multiplications.  For a sum needed only to ``width``
-bits, :func:`truncated_product_sum` runs the exact splitting on subranges
-whose operands stay below ``width`` bits and merges the subranges with
-products shifted down to ``width`` bits of B.  B stays exact by
+:func:`truncated_product_sum` serves every sum needed only to ``width``
+bits: the catalog's series, pi digits, and the fixed-point constants
+(the arctangents of pi and ln 2 in :mod:`hyperpi.bigfloat`).  It splits
+exactly on subranges whose operands stay below ``width`` bits and merges
+them with products shifted down to ``width`` bits of B.  B stays exact by
 definition -- the shift acts on A, B and T alike and cancels in T / B --
 so only A and T carry an integer error bound, proved next to the merge.
-A right half, whose terms are scaled by the product of its left sibling,
-runs at the width that product leaves it, so the tail of a series merges
-at the few bits it contributes.  The caller gets T / B with a bound, can
-tell whether the rounding it needs is certain, and falls back to the
-exact pair when it is not.  A large sum is cut once into two parts that
-need nothing from each other, the right one at a width estimated from the
-sequences ahead of time, so a forked child can sum the left one while the
-caller sums the right.
+A right half, scaled by its left sibling's product, runs at the width that
+product leaves it, so a series' tail merges at the few bits it
+contributes.  The caller gets T / B with a bound, so it can tell whether
+the rounding it needs is certain.  A large sum is cut once into two parts
+that need nothing from each other, the right one at a width estimated
+ahead of time, so a forked child sums the left one meanwhile.
 
-:func:`run_parts` runs such independent parts of one computation side by
-side, for these sums and for the hex-digit spigot's index ranges: with
-more than one usable CPU every part but the last runs in an ``os.fork``
-child while the caller runs the last, and a child sends its result back
-over a pipe as :mod:`marshal` bytes (built in, loaded at interpreter start,
-and it reads back nothing but plain values).  A part whose child fails,
-sends a short payload or cannot be forked is called by the caller instead,
-so the results never depend on forking.
-
-All integers are Python's ``int``, which :mod:`marshal` sends from a child
-as they are.
+:func:`run_parts` runs such independent parts side by side, for these
+sums and for the hex-digit spigot's index ranges: with more than one
+usable CPU every part but the last runs in an ``os.fork`` child while the
+caller runs the last, and a child sends its result back over a pipe as
+:mod:`marshal` bytes (built in, and it reads back nothing but plain
+values).  A part whose child fails, sends a short payload or cannot be
+forked is called by the caller instead, so the results never depend on
+forking.  All integers are Python's ``int``.
 """
 
 from __future__ import annotations
@@ -267,24 +262,6 @@ def _bits_at(block: tuple, i: int) -> int:
     return max(alphas[i - first].bit_length(), betas[i - first].bit_length())
 
 
-def alternating_arctan_sum(inv_arg: int, terms: int) -> tuple[int, int]:
-    """Exact rational arctangent series tail as a (numerator, denominator) pair.
-
-    Returns integers (T, B) with T/B = sum_{k=0}^{terms-1} (-1)^k / ((2k+1) * inv_arg^(2k)),
-    so that atan(1/inv_arg) = T / (B * inv_arg) up to the truncation error of
-    the series.
-    """
-    q2 = inv_arg * inv_arg
-    _, b, t = product_sum(
-        lambda j: 1,
-        lambda i: -(2 * i + 1),
-        lambda i: (2 * i + 3) * q2,
-        0,
-        terms,
-    )
-    return t, b
-
-
 # ----------------------------------------------------------------------
 # independent parts in forked children
 # ----------------------------------------------------------------------
@@ -327,13 +304,20 @@ def run_parts(parts: Sequence[Callable[[], object]]) -> list:
     load, or that cannot be forked, is called here instead, so the results
     do not depend on forking.  Every child is reaped before this returns;
     one still running when the caller unwinds (an exception, a
-    ``KeyboardInterrupt``) is killed first.
+    ``KeyboardInterrupt``, or SIGTERM, whose default action is replaced
+    meanwhile by raising ``SystemExit(143)``) is killed first.
     """
     if len(parts) < 2 or usable_cpus() < 2:
         return [part() for part in parts]
+    import signal  # not loaded at interpreter start; needed only here
+
     results: list = [None] * len(parts)
     local = [len(parts) - 1]
     children = []  # (index, pid, read end), until reaped
+    # only the default action is replaced: a handler of the caller's stays
+    unwind = signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    if unwind:
+        signal.signal(signal.SIGTERM, _terminated)
     try:
         for index, part in enumerate(parts[:-1]):
             read_end, write_end = os.pipe()
@@ -368,11 +352,16 @@ def run_parts(parts: Sequence[Callable[[], object]]) -> list:
         return results
     finally:
         for _, pid, read_end in children:
-            import signal  # not loaded at interpreter start; needed only here
-
             os.close(read_end)
             try:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             except (ProcessLookupError, ChildProcessError):
                 pass  # reaped just before the unwinding began
+        if unwind:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _terminated(signum: int, frame: object) -> NoReturn:
+    """:func:`run_parts`'s SIGTERM handler: unwind, then exit 128 + 15."""
+    raise SystemExit(128 + signum)

@@ -1,6 +1,7 @@
 """Arbitrary-precision floating point: arithmetic, constants, digit output."""
 
 import gc
+import os
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperpi import bigfloat
+from hyperpi import bigfloat, splitting
 from hyperpi.bigfloat import (
     BigFloat,
     div_nearest,
@@ -20,7 +21,7 @@ from hyperpi.bigfloat import (
     round_shift,
     sqrt,
 )
-from hyperpi.errors import DomainError
+from hyperpi.errors import DomainError, InvariantViolation
 from oracles import agrees_to_bits, pow_fraction, sin_pi
 
 PI_50 = "3.14159265358979323846264338327950288419716939937511"
@@ -354,6 +355,76 @@ def test_pi_reference_digits():
 
 def test_ln2_reference():
     assert BigFloat.from_fixed(ln2_fixed(308), 308, 300).to_decimal_string(40) == LN2_40
+
+
+# Cut and forked: every arctangent of pi_fixed and ln2_fixed sums more
+# terms times bits than splitting._MIN_CUT_WORK here.
+CUT_FBITS = 30000
+
+
+@pytest.fixture
+def fresh_constants(monkeypatch):
+    """Empty pi and ln 2 caches, two CPUs, and the forks of this process
+    counted."""
+    monkeypatch.setattr(bigfloat, "_pi_cache", {"fbits": -1, "value": 0})
+    monkeypatch.setattr(bigfloat, "_ln2_cache", {"fbits": -1, "value": 0})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks, parent, real_fork = [], os.getpid(), os.fork
+
+    def fork():
+        if os.getpid() == parent:
+            forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _off_by(name):
+    """|hyperpi's - mpmath's| ``pi_fixed`` or ``ln2_fixed`` at CUT_FBITS."""
+    libelefun = pytest.importorskip("mpmath.libmp.libelefun")
+    return abs(getattr(bigfloat, name)(CUT_FBITS) - getattr(libelefun, name)(CUT_FBITS))
+
+
+def test_constants_cut_and_forked_agree_with_mpmath(fresh_constants):
+    assert _off_by("pi_fixed") <= 1
+    assert _off_by("ln2_fixed") <= 1
+    assert len(fresh_constants) == 6  # one child per arctangent
+
+
+def _narrow_right_part(monkeypatch):
+    monkeypatch.setattr(splitting, "_DECAY_MARGIN", -5000)
+
+
+def _narrow_right_part_without_its_interval(monkeypatch):
+    _narrow_right_part(monkeypatch)
+    real_right_part = splitting._right_part
+    monkeypatch.setattr(splitting, "_right_part", lambda *args: (*real_right_part(*args)[:4], 0))
+
+
+def _dropped_child_part(monkeypatch):
+    real_run_parts = splitting.run_parts
+
+    def dropped(parts):  # the merge reads the child's part as an empty range
+        return [(1, 1, 0, 0, 0), *real_run_parts(parts)[1:]]
+
+    monkeypatch.setattr(splitting, "run_parts", dropped)
+
+
+@pytest.mark.parametrize("name", ["pi_fixed", "ln2_fixed"])
+@pytest.mark.parametrize(
+    "fault", [_narrow_right_part, _narrow_right_part_without_its_interval, _dropped_child_part]
+)
+def test_splitter_faults_fail_the_constants(fresh_constants, monkeypatch, fault, name):
+    # the reference shares the splitter with the catalog sums, so a fault in
+    # it must raise (the interval's budget check, or Machin against Gauss)
+    # or miss mpmath
+    fault(monkeypatch)
+    try:
+        off = _off_by(name)
+    except (DomainError, InvariantViolation):
+        return
+    assert off > 1
 
 
 def test_pi_hex_digits():

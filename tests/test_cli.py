@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -392,18 +393,11 @@ def test_negative_control_corrupted_bbp_weight(capsys, raw_doc, tmp_path):
     assert "FAIL" in out
 
 
-@pytest.mark.parametrize("depth", [150, 3000])
-def test_deeply_nested_closed_form_is_a_schema_error(raw_doc, tmp_path, depth):
-    # past the parser's depth cap (150), and past the JSON decoder's stack
-    # (3000): exit 2 with a typed error, in a fresh process, no traceback
-    doc = copy.deepcopy(raw_doc)
-    doc["entries"] = doc["entries"][:1]
-    leaf = json.dumps(doc["entries"][0]["lhs"])
-    doc["entries"][0]["lhs"] = "LHS"
-    nested = '{"op": "mul", "args": [' * depth + leaf + ', {"rat": "1"}]}' * depth
-    path = tmp_path / "deep.json"
-    path.write_text(json.dumps(doc).replace('"LHS"', nested))
+def verify_in_fresh_process(path):
+    """``hyperpi verify catalog --catalog path`` in a new interpreter:
+    the finished process and its wall time."""
     src = str(Path(hyperpi.__file__).resolve().parents[1])
+    started = time.monotonic()
     done = subprocess.run(
         [sys.executable, "-m", "hyperpi.cli", "verify", "catalog", "--catalog", str(path)],
         env=dict(os.environ, PYTHONPATH=src),
@@ -411,9 +405,50 @@ def test_deeply_nested_closed_form_is_a_schema_error(raw_doc, tmp_path, depth):
         text=True,
         timeout=60,
     )
+    return done, time.monotonic() - started
+
+
+@pytest.mark.parametrize("depth", [150, 3000])
+def test_deeply_nested_closed_form_is_a_schema_error(raw_doc, tmp_path, depth):
+    # past the parser's depth cap (150), and past the JSON decoder's stack
+    # (3000): exit 2 with a typed error, in a fresh process, no traceback
+    doc = copy.deepcopy(raw_doc)
+    doc["entries"] = doc["entries"][:1]
+    entry_id = doc["entries"][0]["id"]
+    leaf = json.dumps(doc["entries"][0]["lhs"])
+    doc["entries"][0]["lhs"] = "LHS"
+    nested = '{"op": "mul", "args": [' * depth + leaf + ', {"rat": "1"}]}' * depth
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc).replace('"LHS"', nested))
+    done, _ = verify_in_fresh_process(path)
     assert done.returncode == 2, done.stderr
     assert "SchemaError" in done.stderr
     assert "Traceback" not in done.stderr
+    if depth == 150:  # the file parses, so the row it fails in is named
+        assert f"entry {entry_id}: expression nested deeper" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("start", 10**7, "start must be in [0, 1000]"),
+        ("lhs", {"op": "add", "args": [{"rat": "1"}] * 1001}, "more than 1000 nodes"),
+        ("lhs", {"op": "pow", "args": [{"rat": "1"}, {"rat": "2"}]}, "unknown operator"),
+        ("lhs", {"gamma": "-1/3", "exp": 1}, "gamma leaf argument must be positive"),
+    ],
+)
+def test_hostile_row_fails_before_any_work(raw_doc, tmp_path, field, value, message):
+    # each is a schema error naming the row (exit 2) within a second
+    doc = copy.deepcopy(raw_doc)
+    doc["entries"] = doc["entries"][:1]
+    doc["entries"][0][field] = value
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(doc))
+    done, seconds = verify_in_fresh_process(path)
+    assert done.returncode == 2, done.stderr
+    assert f"SchemaError: entry {doc['entries'][0]['id']}: " in done.stderr
+    assert message in done.stderr
+    assert seconds < 1.0
 
 
 @pytest.mark.parametrize(

@@ -3,14 +3,19 @@
 import hashlib
 import math
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hyperpi
 from hyperpi import bigfloat, engine, splitting
 from hyperpi.bigfloat import BigFloat, pi_reference
 from hyperpi.constexpr import parse_const_expr
@@ -872,6 +877,55 @@ def test_interrupted_cut_kills_and_reaps_its_child(catalog_by_id, monkeypatch, f
         _ten_thousand_digit_cut(catalog_by_id, "s3.1-ex1")
     assert time.monotonic() - started < 30  # killed, not waited out
     assert len(forks) == 1
+    assert_no_child_left()
+
+
+# A process whose run_parts child sleeps, with two CPUs; it prints the
+# child's pid once the child runs.
+SLEEPING_CHILD = """
+import os, time
+from hyperpi import splitting
+os.sched_getaffinity = lambda pid: {0, 1}
+def sleeper():
+    print(os.getpid(), flush=True)
+    time.sleep(60)
+splitting.run_parts([sleeper, lambda: time.sleep(60)])
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_kills_and_reaps_the_children():
+    # SIGTERM's default action would end the parent without unwinding and
+    # leave its child running
+    src = str(Path(hyperpi.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", SLEEPING_CHILD],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    child = 0
+    try:
+        child = int(proc.stdout.readline())
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) != 0
+        deadline = time.monotonic() + 5
+        while _alive(child) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(child)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        if child and _alive(child):
+            os.kill(child, signal.SIGKILL)
     assert_no_child_left()
 
 
