@@ -243,20 +243,6 @@ class BigFloat(NamedTuple):
             return sign + text
         return sign + text[:-digits] + "." + text[-digits:]
 
-    def hex_fraction_digits(self, position: int, count: int) -> str:
-        """``count`` hexadecimal digits of the fractional part, starting at
-        the digit worth ``16**-(position+1)``.
-
-        The value must be accurate to well below ``16**-(position+count)``
-        for the digits to be meaningful.
-        """
-        if self.man < 0:
-            raise DomainError("hex digit extraction requires a nonnegative value")
-        shift = self.exp + 4 * (position + count)
-        scaled = self.man << shift if shift >= 0 else self.man >> (-shift)
-        digits = scaled % (1 << (4 * count))
-        return format(digits, "X").rjust(count, "0")
-
     # ------------------------------------------------------------------
     # value comparisons (precision-independent)
     # ------------------------------------------------------------------

@@ -425,7 +425,10 @@ def build_parser() -> _Parser:
 
     derive = sub.add_parser("derive", help="instantiate a generator family")
     derive.add_argument("--theorem", choices=("A", "B"), required=True)
-    derive.add_argument("--params", required=True, help="a,b,c,d as rationals")
+    derive.add_argument(
+        "--params", required=True,
+        help="a,b,c,d as rationals; a negative a is written --params=-1/4,1/2,1/2,1/2",
+    )
     derive.add_argument("--terms", type=_at_least(1), default=60)
     derive.add_argument("--digits", type=_at_least(1), default=40)
     common(derive)
@@ -461,10 +464,7 @@ def main(argv: list[str] | None = None) -> int:
         if not hasattr(args, "handler"):
             raise UsageError("missing subcommand (try --help)")
         return args.handler(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except RangeError as exc:
+    except (UsageError, RangeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except HyperPiError as exc:

@@ -1,7 +1,8 @@
 """Reference oracles shared by the tests: a bit-agreement measure,
 sin(pi x) by its own Taylor series, independent of the gamma code, the
-exact value of a partial sum, rational powers through exp and ln, and a
-sampler of parameters where both generator families converge."""
+exact value of a partial sum, rational powers through exp and ln, the
+hexadecimal digits of a value at an offset, and a sampler of parameters
+where both generator families converge."""
 
 from fractions import Fraction
 
@@ -75,6 +76,21 @@ def pow_fraction(x: BigFloat, exponent: Fraction, prec: int | None = None) -> Bi
         raise DomainError("rational power requires a positive base")
     wp = p + GUARD_BITS + 16
     return exp(ln(x, wp).mul_fraction(exponent, wp), p)
+
+
+def hex_fraction_digits(x: BigFloat, position: int, count: int) -> str:
+    """``count`` hexadecimal digits of the fractional part of ``x``, starting
+    at the digit worth ``16**-(position+1)``.
+
+    ``x`` must be accurate to well below ``16**-(position+count)`` for the
+    digits to be meaningful.
+    """
+    if x.man < 0:
+        raise DomainError("hex digit extraction requires a nonnegative value")
+    shift = x.exp + 4 * (position + count)
+    scaled = x.man << shift if shift >= 0 else x.man >> (-shift)
+    digits = scaled % (1 << (4 * count))
+    return format(digits, "X").rjust(count, "0")
 
 
 _VALID_DENOMS = (2, 3, 4, 6, 12)

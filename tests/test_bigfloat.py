@@ -22,7 +22,7 @@ from hyperpi.bigfloat import (
     sqrt,
 )
 from hyperpi.errors import DomainError, InvariantViolation
-from oracles import agrees_to_bits, pow_fraction, sin_pi
+from oracles import agrees_to_bits, hex_fraction_digits, pow_fraction, sin_pi
 
 PI_50 = "3.14159265358979323846264338327950288419716939937511"
 LN2_40 = "0.6931471805599453094172321214581765680755"
@@ -429,8 +429,8 @@ def test_splitter_faults_fail_the_constants(fresh_constants, monkeypatch, fault,
 
 def test_pi_hex_digits():
     ref = pi_reference(4000)
-    assert ref.hex_fraction_digits(0, 16) == "243F6A8885A308D3"
-    assert ref.hex_fraction_digits(100, 12) == "29B7C97C50DD"
+    assert hex_fraction_digits(ref, 0, 16) == "243F6A8885A308D3"
+    assert hex_fraction_digits(ref, 100, 12) == "29B7C97C50DD"
 
 
 def test_sqrt_exp_ln_pow():

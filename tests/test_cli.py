@@ -15,9 +15,11 @@ import pytest
 
 import hyperpi
 from hyperpi import catalog, dougall
+from hyperpi.bigfloat import pi_reference
 from hyperpi.cli import main
 from hyperpi.constexpr import format_rational
 from hyperpi.dougall import WellPoisedParams
+from hyperpi.engine import precision_for_digits
 from hyperpi.errors import RepeatedPole, ZeroDenominator
 from hyperpi.factorials import term_ratio
 
@@ -255,15 +257,17 @@ def test_pi_digits(capsys):
     assert out.strip() == "3.141592653589793238462643383280"
 
 
-def test_pi_ten_thousand_digits_json(capsys):
+@pytest.mark.parametrize("count", [10**4, 3 * 10**4])
+def test_pi_ten_thousand_digits_json(capsys, count):
+    # every digit against the Machin reference, cross-checked by Gauss
     code, out, _ = run(
-        capsys, "pi", "--entry", "s3.1-ex1", "--digits", "10000", "--format", "json"
+        capsys, "pi", "--entry", "s3.1-ex1", "--digits", str(count), "--format", "json"
     )
     assert code == 0
     digits = json.loads(out)["pi"]
-    assert len(digits) == 10002
-    assert digits.startswith("3.14159265358979323846")
-    assert digits.endswith("375679")  # ...3756785667...: the last digit rounds up
+    assert digits == pi_reference(precision_for_digits(count)).to_decimal_string(count)
+    if count == 10**4:
+        assert digits.endswith("375679")  # ...3756785667...: the last digit rounds up
 
 
 def test_pi_rejects_gamma_entry(capsys):

@@ -43,7 +43,7 @@ from hyperpi.errors import (
 from hyperpi.factorials import SeriesSpec, poly_eval, term_eval
 from hyperpi.prng import SplitMix64
 from hyperpi.splitting import product_sum, truncated_product_sum
-from oracles import sum_series_fraction
+from oracles import hex_fraction_digits, sum_series_fraction
 
 F = Fraction
 
@@ -501,7 +501,7 @@ def _at_fixed_positions(test):
     for position in range(10):
         for count in (1, 16):
             test = example(position=position, count=count)(test)
-    for position in (250, 500, WINDOW_REACH):
+    for position in (250, 500, 1000, WINDOW_REACH):
         test = example(position=position, count=16)(test)
     return test
 
@@ -513,8 +513,8 @@ def _at_fixed_positions(test):
 )
 @_at_fixed_positions
 def test_spigot_matches_reference_at_random_positions(window_reference, position, count):
-    assert bbp_hex_digits(position, count) == window_reference.hex_fraction_digits(
-        position, count
+    assert bbp_hex_digits(position, count) == hex_fraction_digits(
+        window_reference, position, count
     )
 
 

@@ -42,7 +42,6 @@ SHARED = {
 
 def _non_test_sources() -> list[Path]:
     files = sorted(PACKAGE.rglob("*.py"))
-    files += sorted((ROOT / "scripts").glob("*.py"))
     files += sorted(
         p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")
     )
