@@ -30,10 +30,6 @@ anywhere in the file are rejected.  The closed-form classes are
 algebraics) and ``pi^2/Gamma^3 | Gamma^3/pi^2`` (exactly one cubed gamma
 factor at argument 1/3 or 2/3).
 
-``anomalies.json`` is a sidecar list for entries that are knowingly kept in
-a deviating state; every item must carry ``"status": "anomaly"`` and is
-reported, never silently repaired.
-
 A path that cannot be read raises :class:`~hyperpi.errors.UsageError`; a
 file that is not UTF-8 JSON of this schema raises
 :class:`~hyperpi.errors.SchemaError`.
@@ -161,36 +157,22 @@ def _reject_constant(text: str) -> None:
     raise SchemaError(f"non-finite literal {text!r} is not allowed in catalogs")
 
 
-@lru_cache(maxsize=None)
-def _packaged_text(resource: str) -> str:
-    """Text of a data file shipped with the package, read once per process.
-
-    The file is opened next to this module: ``importlib.resources`` would
-    import ``inspect`` (and ``ast``, ``dis``, ``tokenize``) on Python 3.12+."""
-    path = os.path.join(os.path.dirname(__file__), "data", resource)
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
-
-
-def _load_json(path: str | os.PathLike | None, resource: str) -> object:
-    if path is None:
-        text = _packaged_text(resource)
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {resource} at {path!r}: {exc.strerror or exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"{resource} at {path!r} is not UTF-8: {exc}") from exc
+def _load_json(path: str | os.PathLike) -> object:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read the catalog at {path!r}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"catalog at {path!r} is not UTF-8: {exc}") from exc
     try:
         return json.loads(
             text, parse_float=_reject_float, parse_constant=_reject_constant
         )
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON in {resource}: {exc}") from exc
+        raise SchemaError(f"invalid JSON in the catalog: {exc}") from exc
     except RecursionError as exc:  # nested deeper than the decoder's stack allows
-        raise SchemaError(f"JSON in {resource} is nested too deeply") from exc
+        raise SchemaError("JSON in the catalog is nested too deeply") from exc
 
 
 def _rational_list(value: object, what: str, length: int | None = None) -> tuple[Fraction, ...]:
@@ -297,12 +279,17 @@ def load_catalog(path: str | os.PathLike | None = None) -> list[CatalogEntry]:
     is None, parsed once per process)."""
     if path is None:
         return list(_packaged_catalog())
-    return _parse_catalog(_load_json(path, "catalog.json"))
+    return _parse_catalog(_load_json(path))
 
 
 @lru_cache(maxsize=None)
 def _packaged_catalog() -> tuple[CatalogEntry, ...]:
-    return tuple(_parse_catalog(_load_json(None, "catalog.json")))
+    """The catalog shipped with the package, read and parsed once per process.
+
+    The file is opened next to this module: ``importlib.resources`` would
+    import ``inspect`` (and ``ast``, ``dis``, ``tokenize``) on Python 3.12+."""
+    path = os.path.join(os.path.dirname(__file__), "data", "catalog.json")
+    return tuple(_parse_catalog(_load_json(path)))
 
 
 def _parse_catalog(data: object) -> list[CatalogEntry]:
@@ -314,23 +301,6 @@ def _parse_catalog(data: object) -> list[CatalogEntry]:
         raise SchemaError("catalog 'entries' must be a list")
     seen: set[str] = set()
     return [_parse_entry(raw, seen) for raw in data["entries"]]
-
-
-def load_anomalies(path: str | os.PathLike | None = None) -> list[dict]:
-    """Load the anomaly sidecar: known deviations that are reported, not fixed."""
-    data = _load_json(path, "anomalies.json")
-    if not isinstance(data, list):
-        raise SchemaError("anomaly sidecar must be a list")
-    for item in data:
-        if not isinstance(item, dict):
-            raise SchemaError(f"anomaly record must be an object, got {item!r}")
-        if item.get("status") != "anomaly":
-            raise SchemaError(
-                f"anomaly record {item.get('id')!r} must carry status 'anomaly'"
-            )
-        if not isinstance(item.get("id"), str) or not item["id"]:
-            raise SchemaError("anomaly record needs a nonempty string id")
-    return data
 
 
 def catalog_index(entries: Iterable[CatalogEntry]) -> dict[str, CatalogEntry]:

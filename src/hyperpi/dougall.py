@@ -54,9 +54,10 @@ from hyperpi.factorials import (
     poch_quotient,
     poly_divmod,
     poly_eval,
-    poly_interpolate,
+    poly_expand,
     poly_scale,
     poly_trim,
+    poly_values,
     rising,
 )
 from hyperpi.engine import series_term_pairs
@@ -489,7 +490,8 @@ def theorem_term(params: WellPoisedParams, tag: str, k: int) -> Fraction:
 
 def _family_a_weight_at(params: WellPoisedParams, k: int) -> int:
     """The family-A weight polynomial at k, evaluated from its factored
-    form, times q**5 for the common denominator q of :attr:`~WellPoisedParams.scaled`."""
+    form, times q**5 for the common denominator q of :attr:`~WellPoisedParams.scaled`:
+    the definitional value, independent of :func:`_family_weight`."""
     q, a, b, c, d = params.scaled
     kq = k * q
     return (
@@ -498,6 +500,26 @@ def _family_a_weight_at(params: WellPoisedParams, k: int) -> int:
         + (q + 2 * kq) * (a - d + kq) * (q + a - c + 2 * kq)
         * (b + c + d - a + 2 * kq) * (d + 3 * kq)
     )
+
+
+def _family_weight(params: WellPoisedParams, tag: str) -> list[int]:
+    """Ascending integer coefficients in k of the weight polynomial of
+    family "A" times q**5, or of family "B" times q**6, for the q of
+    :attr:`~WellPoisedParams.scaled`.  Each weight is a sum of two products
+    of five linear forms ``n + d k`` (B's sum times one more form),
+    multiplied out."""
+    q, a, b, c, d = params.scaled
+    if tag == "A":
+        left = [(q + a - b - c, q), (d, q), (c + d - a, q), (b + d - a, 2 * q), (q + b, 3 * q)]
+        right = [(q, 2 * q), (a - d, q), (q + a - c, 2 * q), (b + c + d - a, 2 * q), (d, 3 * q)]
+        outer = []
+    else:
+        left = [(d, 3 * q), (a - c - d, q), (b - q, q), (b + c - a - q, q), (b + d - a - q, 2 * q)]
+        right = [(0, 2 * q), (b - 2 * q, 3 * q), (a - b, q), (a - c, 2 * q),
+                 (b + c + d - a - q, 2 * q)]
+        outer = [(a - d, q)]
+    inner = [x + y for x, y in zip(poly_expand([1], left), poly_expand([1], right))]
+    return poly_expand(inner, outer)
 
 
 def _family_forms(params: WellPoisedParams, tag: str) -> tuple:
@@ -530,6 +552,8 @@ def theorem_term_pairs(params: WellPoisedParams, tag: str, k_last: int) -> list[
     q, p_upper, (low0, low1), h_up, (h_low0, h_low1) = _family_forms(params, tag)
     u0, u1, u2, u3, u4, u5 = p_upper
     q2, q4 = q * q, q**4
+    if tag == "A":
+        weights = list(poly_values(_family_weight(params, tag), 0, k_last + 1))
     p_num = p_den = h_num = h_den = fact = 1  # P(k), H(2k) and (2k)!
     out = []
     for k in range(k_last + 1):
@@ -549,8 +573,7 @@ def theorem_term_pairs(params: WellPoisedParams, tag: str, k_last: int) -> list[
             h_den *= odd_low * even_low
             fact *= (2 * k - 1) * 2 * k
         if tag == "A":
-            weight = _family_a_weight_at(params, k)
-            out.append((weight * p_num * h_num, q4 * q * fact * (2 * k + 1) * p_den * h_den))
+            out.append((weights[k] * p_num * h_num, q4 * q * fact * (2 * k + 1) * p_den * h_den))
             continue
         # the even branch at k is over q**2 (2k)! H_den P_den; the odd branch
         # at k - 1 is over q**4 (2k-1)! H_den(2k-1) P_den(k-1), which times
@@ -616,27 +639,6 @@ def _family_skeleton(
     return upper, lower
 
 
-def _family_a_weight(params: WellPoisedParams) -> tuple[Fraction, ...]:
-    q5 = params.scaled[0] ** 5
-    points = [(Fraction(i), Fraction(_family_a_weight_at(params, i), q5)) for i in range(6)]
-    return poly_interpolate(points)
-
-
-def _family_b_weight(params: WellPoisedParams) -> tuple[Fraction, ...]:
-    a, b, c, d = params.as_tuple()
-
-    def weight(k: Fraction) -> Fraction:
-        inner = (d + 3 * k) * (a - c - d + k) * (b - 1 + k) * (b + c - a - 1 + k) * (
-            b + d - a - 1 + 2 * k
-        ) + 2 * k * (b - 2 + 3 * k) * (a - b + k) * (a - c + 2 * k) * (
-            b + c + d - a - 1 + 2 * k
-        )
-        return (a - d + k) * inner
-
-    points = [(Fraction(i), weight(Fraction(i))) for i in range(8)]
-    return poly_interpolate(points)
-
-
 def normalize_theorem_series(params: WellPoisedParams, tag: str) -> SeriesSpec:
     """Rewrite a generator family as a flat base-16 series description.
 
@@ -654,10 +656,11 @@ def normalize_theorem_series(params: WellPoisedParams, tag: str) -> SeriesSpec:
     a, b, c, d = params.as_tuple()
     upper, lower = map(list, _family_skeleton(params, tag))
     start, additive = 0, Fraction(0)
+    q, weight = params.scaled[0], _family_weight(params, tag)
     if tag == "A":
-        poly, scale = list(_family_a_weight(params)), Fraction(1)
+        poly, scale = [Fraction(c, q**5) for c in weight], Fraction(1)
     else:
-        poly, scale = list(_family_b_weight(params)), _HALF
+        poly, scale = [Fraction(c, q**6) for c in weight], _HALF
         # Linear denominator factors (x + k) and the upper slot holding 1+x.
         slots = ((a - c - d, 3), (b - 1, 0), (b + c - a - 1, 4), ((b + d - a - 1) / 2, 7))
         for x, slot in slots:
@@ -709,32 +712,30 @@ def normalize_theorem_series(params: WellPoisedParams, tag: str) -> SeriesSpec:
 
 
 def _random_params(
-    rng: SplitMix64, max_coeff: int, admissible: Callable[[tuple[int, ...]], bool]
+    rng: SplitMix64, admissible: Callable[[tuple[int, ...]], bool]
 ) -> WellPoisedParams:
     """Rejection-sample a, b, c, d as four :meth:`SplitMix64.fraction` draws
-    would (a nonzero), so the seeded streams are those of the fraction draws.
+    would (a nonzero), each numerator at most 10 in magnitude over a
+    denominator from 1 to 10, so the seeded streams are those of the
+    fraction draws.
 
     ``admissible`` sees the integer form (q, a q, b q, c q, d q) over the lcm
     q of the drawn, unreduced denominators; the draw it accepts becomes the
     parameters through that form (:meth:`WellPoisedParams.from_scaled`).
     """
     while True:
-        pairs = [rng.ratio(max_coeff, max_coeff, nonzero=True)]
-        pairs.extend(rng.ratio(max_coeff, max_coeff) for _ in range(3))
+        pairs = [rng.ratio(10, 10, nonzero=True)]
+        pairs.extend(rng.ratio(10, 10) for _ in range(3))
         q = math.lcm(*(den for _, den in pairs))
         scaled = (q, *(num * (q // den) for num, den in pairs))
         if admissible(scaled):
             return WellPoisedParams.from_scaled(scaled)
 
 
-def random_finite_params(
-    rng: SplitMix64, n_max: int, max_coeff: int = 10
-) -> WellPoisedParams:
+def random_finite_params(rng: SplitMix64, n_max: int) -> WellPoisedParams:
     """Random parameters with every denominator of the terminating
     identities nonzero up to degree ``n_max`` (rejection sampled)."""
-    return _random_params(
-        rng, max_coeff, lambda scaled: _finite_params_admissible(scaled, n_max)
-    )
+    return _random_params(rng, lambda scaled: _finite_params_admissible(scaled, n_max))
 
 
 def _finite_params_admissible(scaled: tuple[int, ...], n_max: int) -> bool:
@@ -768,7 +769,7 @@ def random_parity_params(
     assignment are additionally required to be nonzero.
     """
     return _random_params(
-        rng, 10, lambda scaled: _parity_params_admissible(scaled, n_max, for_chain)
+        rng, lambda scaled: _parity_params_admissible(scaled, n_max, for_chain)
     )
 
 

@@ -32,8 +32,8 @@ import math
 import operator
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, repeat, tee
-from typing import Callable, Iterable, NamedTuple
+from itertools import repeat, tee
+from typing import Callable, NamedTuple
 
 from hyperpi.bigfloat import BigFloat, sqrt as bigfloat_sqrt
 from hyperpi.constexpr import ConstExpr, eval_const_expr, monomial
@@ -50,7 +50,9 @@ from hyperpi.errors import (
 from hyperpi.factorials import (
     SeriesSpec,
     poly_eval,
+    poly_expand,
     poly_trim,
+    poly_values,
     term_eval,
     term_ratio,
 )
@@ -104,43 +106,6 @@ class _SeriesSetup(NamedTuple):
     lead_den: int
 
 
-def _expand(coeffs: list[int], forms: list[tuple[int, int]]) -> list[int]:
-    """Ascending integer coefficients of ``coeffs`` times ``prod (n + d x)``
-    over ``forms``, for a polynomial with ascending ``coeffs``."""
-    for n, d in forms:
-        coeffs = [a * n + b * d for a, b in zip(coeffs + [0], [0] + coeffs)]
-    return coeffs
-
-
-def _values(coeffs: list[int], lo: int, hi: int) -> Iterable[int]:
-    """The integer polynomial with ascending ``coeffs`` at every x in [lo, hi).
-
-    A range no longer than the coefficient list is evaluated point by
-    point.  A longer one takes the values at the first degree + 1 points,
-    their forward differences Δ^i p(lo), and sums them back up a level at
-    a time: Δ^degree p is constant, and each ``accumulate`` turns the
-    differences of one level into the values of the level below.  The
-    values come lazily, so a long range holds only the degree + 1 running
-    differences at a time.
-    """
-    head = []
-    for x in range(lo, min(hi, lo + len(coeffs))):
-        value = 0
-        for c in reversed(coeffs):
-            value = value * x + c
-        head.append(value)
-    if hi - lo <= len(coeffs):
-        return head
-    diffs = []
-    while head:
-        diffs.append(head[0])
-        head = list(map(operator.sub, head[1:], head))
-    values = repeat(diffs.pop(), hi - lo - len(diffs))
-    for first in reversed(diffs):
-        values = accumulate(values, initial=first)
-    return values
-
-
 def _series_setup(spec: SeriesSpec) -> _SeriesSetup:
     """Integer term inputs for ``spec``; the splitters validate it first.
 
@@ -154,7 +119,8 @@ def _series_setup(spec: SeriesSpec) -> _SeriesSetup:
     base.  The two constants lose their common factor once, here, so every
     alpha and beta the splitting feeds in is shorter and alpha/beta keeps
     its value.  ``sequences`` lists the polynomials by forward differences
-    (:func:`_values`), and the lead is alpha and beta over k in [0, start).
+    (:func:`~hyperpi.factorials.poly_values`), and the lead is alpha and
+    beta over k in [0, start).
 
     ``fold(t, b, e)`` maps a pair with ``t/b = T/B`` to an unreduced pair
     ``(num, den)``, ``den > 0``, for ``additive + sign * lead * t / (lcm *
@@ -173,17 +139,17 @@ def _series_setup(spec: SeriesSpec) -> _SeriesSetup:
     alpha_const = math.prod(d for _, d in lower_nd)
     beta_const = math.prod(d for _, d in upper_nd) * spec.base
     common = math.gcd(alpha_const, beta_const)
-    alpha = _expand([alpha_const // common], upper_nd)
-    beta = _expand([beta_const // common], lower_nd)
+    alpha = poly_expand([alpha_const // common], upper_nd)
+    beta = poly_expand([beta_const // common], lower_nd)
 
     def sequences(lo: int, hi: int) -> tuple[list[int], list[int], list[int]]:
         lo, hi = s + lo, s + hi
-        return (list(_values(weight, lo, hi)), list(_values(alpha, lo, hi)),
-                list(_values(beta, lo, hi)))
+        return (list(poly_values(weight, lo, hi)), list(poly_values(alpha, lo, hi)),
+                list(poly_values(beta, lo, hi)))
 
     # the rising factorials at the start index: the steps from index 0 to s
-    lead_num = spec.sign * math.prod(_values(alpha, 0, s))
-    lead_den = poly_lcm * math.prod(_values(beta, 0, s))
+    lead_num = spec.sign * math.prod(poly_values(alpha, 0, s))
+    lead_den = poly_lcm * math.prod(poly_values(beta, 0, s))
     if lead_den == 0:
         raise ZeroDenominator(f"lower rising factorial vanished at n={s}")
     radius_scale = additive.denominator * abs(lead_num)
@@ -376,8 +342,8 @@ def _bellard_summand(group: int) -> tuple[list[int], list[int]]:
             form = [(a * j + b, group * a)]
             # P/M + w/f = (P*f + w*M) / (M*f); P's top coefficient stays 0
             scaled = [(-1) ** j * 1024 ** (group - 1 - j) * weight * c for c in denominator]
-            numerator = list(map(operator.add, _expand(numerator, form), scaled + [0]))
-            denominator = _expand(denominator, form)
+            numerator = list(map(operator.add, poly_expand(numerator, form), scaled + [0]))
+            denominator = poly_expand(denominator, form)
     return numerator[:-1], denominator
 
 
@@ -392,8 +358,8 @@ def _powered_sum(first: int, shift: int, lo: int, hi: int) -> int:
     by forward differences, lazily, and the powers, products and divisions
     run as maps over them, so no list of the steps is ever built."""
     group = _SPIGOT_STEP
-    ms, ms_again = tee(_values(_BELLARD_STEP_M, lo, hi))
-    ps = _values(_BELLARD_STEP_P, lo, hi)
+    ms, ms_again = tee(poly_values(_BELLARD_STEP_M, lo, hi))
+    ps = poly_values(_BELLARD_STEP_P, lo, hi)
     powers = map(pow, repeat(1024), range(first - group * lo, first - group * hi, -group), ms)
     products = map(operator.lshift, map(operator.mul, powers, ps), repeat(shift))
     return sum(map(operator.floordiv, products, ms_again))
@@ -453,7 +419,9 @@ def _spigot_fraction(position: int, frac_bits: int) -> tuple[int, int, int]:
     powered = (q + 1) // group  # the steps with e >= 0 (q >= -1)
     steps = last // group + 1  # through index ``last``
     total = _powered_total(first, shift, powered)
-    tail = zip(_values(_BELLARD_STEP_M, powered, steps), _values(_BELLARD_STEP_P, powered, steps))
+    tail = zip(
+        poly_values(_BELLARD_STEP_M, powered, steps), poly_values(_BELLARD_STEP_P, powered, steps)
+    )
     for k, (m, p) in enumerate(tail, start=powered):
         bits = 10 * (first - group * k) + shift
         total += (p << bits) // m if bits >= 0 else p // (m << -bits)

@@ -3,13 +3,16 @@ series term descriptions, polynomial utilities and the term ratio as a
 rational function of the summation index.
 
 Everything in this module is exact; values are :class:`fractions.Fraction`
-and polynomial coefficients are ascending tuples of fractions.
+and polynomial coefficients are ascending tuples of fractions, except for
+the integer polynomials of :func:`poly_expand` and :func:`poly_values`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from hyperpi.errors import DomainError, InvariantViolation, ZeroDenominator
@@ -71,7 +74,8 @@ def poch_quotient(upper: Sequence[Fraction], lower: Sequence[Fraction], n: int) 
 
 
 # ----------------------------------------------------------------------
-# polynomial helpers (ascending coefficient tuples of Fractions)
+# polynomial helpers (ascending coefficients: Fraction tuples, and int
+# lists for poly_expand and poly_values)
 # ----------------------------------------------------------------------
 
 
@@ -140,25 +144,41 @@ def poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]) -> tuple[Poly,
     return poly_trim(q), poly_trim(rem)
 
 
-def poly_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
-    """Exact interpolating polynomial through distinct points (Newton form)."""
-    xs = [Fraction(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise DomainError("interpolation nodes must be distinct")
-    # Divided differences.
-    table = [Fraction(y) for _, y in points]
-    coeffs = [table[0]]
-    for level in range(1, len(points)):
-        for i in range(len(points) - level):
-            table[i] = (table[i + 1] - table[i]) / (xs[i + level] - xs[i])
-        coeffs.append(table[0])
-    # Expand the Newton form into the monomial basis.
-    out: Poly = ()
-    basis: Poly = (Fraction(1),)
-    for i, c in enumerate(coeffs):
-        out = poly_add(out, poly_scale(basis, c))
-        basis = poly_mul(basis, (-xs[i], Fraction(1)))
-    return out
+def poly_expand(coeffs: list[int], forms: list[tuple[int, int]]) -> list[int]:
+    """Ascending integer coefficients of ``coeffs`` times ``prod (n + d x)``
+    over ``forms``, for a polynomial with ascending ``coeffs``."""
+    for n, d in forms:
+        coeffs = [a * n + b * d for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def poly_values(coeffs: list[int], lo: int, hi: int) -> Iterable[int]:
+    """The integer polynomial with ascending ``coeffs`` at every x in [lo, hi).
+
+    A range no longer than the coefficient list is evaluated point by
+    point.  A longer one takes the values at the first degree + 1 points,
+    their forward differences Δ^i p(lo), and sums them back up a level at
+    a time: Δ^degree p is constant, and each ``accumulate`` turns the
+    differences of one level into the values of the level below.  The
+    values come lazily, so a long range holds only the degree + 1 running
+    differences at a time.
+    """
+    head = []
+    for x in range(lo, min(hi, lo + len(coeffs))):
+        value = 0
+        for c in reversed(coeffs):
+            value = value * x + c
+        head.append(value)
+    if hi - lo <= len(coeffs):
+        return head
+    diffs = []
+    while head:
+        diffs.append(head[0])
+        head = list(map(operator.sub, head[1:], head))
+    values = repeat(diffs.pop(), hi - lo - len(diffs))
+    for first in reversed(diffs):
+        values = accumulate(values, initial=first)
+    return values
 
 
 # ----------------------------------------------------------------------

@@ -11,13 +11,13 @@ from hyperpi.bigfloat import BigFloat, below_power_of_ten
 from hyperpi.catalog import (
     CLASS_SHAPES,
     catalog_index,
-    load_anomalies,
     load_catalog,
     match_to_theorem,
     verify_entry,
 )
 from hyperpi.constexpr import eval_const_expr
 from hyperpi.errors import InvariantViolation, NoMatch, SchemaError
+from hyperpi.gammafn import gamma_quotient
 
 EXPECTED_CLASS_COUNTS = {
     "pi^-2": 9,
@@ -130,10 +130,6 @@ def test_packaged_catalog_shape(catalog_entries):
     for e in catalog_entries:
         assert e.theorem in ("A", "B")
         assert len(e.spec.poly) <= 4  # stored weight polynomials are cubic at most
-
-
-def test_anomaly_sidecar_is_empty():
-    assert load_anomalies() == []
 
 
 def test_schema_rejections(raw_doc, tmp_path):
@@ -305,21 +301,44 @@ def test_match_modes_and_scales_are_pinned(catalog_entries):
     assert got == EXPECTED_MATCHES
 
 
+def assert_scaled_family_quotient(entry, scale, upper, lower) -> None:
+    """The entry's lhs is ``scale`` times the gamma quotient with arguments
+    ``upper`` over ``lower``, to 98 of 100 digits; a failure names the entry."""
+    prec = engine.precision_for_digits(100)
+    expected = gamma_quotient(upper, lower, prec).mul(BigFloat.from_fraction(scale, prec), prec)
+    lhs = eval_const_expr(entry.lhs, prec)
+    assert below_power_of_ten(lhs.sub(expected, prec), 98), (
+        f"entry {entry.entry_id}: lhs is not {scale} times the gamma quotient"
+    )
+
+
 def test_closed_forms_are_the_scaled_family_quotients(catalog_entries):
     # the chain from paper to catalog, closed: each entry's lhs is its match
     # scale times its family's gamma quotient at its parameters, to 98 of 100
     # digits; 46 of the quotients take a gamma at a negative argument
-    prec = engine.precision_for_digits(100)
     negative = 0
     for entry in catalog_entries:
-        match = match_to_theorem(entry)
         upper, lower = dougall.theorem_gamma_args(entry.params, entry.theorem)
         negative += any(x < 0 for x in (*upper, *lower))
-        closed = dougall.theorem_closed_value(entry.params, entry.theorem, prec)
-        expected = closed.mul(BigFloat.from_fraction(match.scale, prec), prec)
-        lhs = eval_const_expr(entry.lhs, prec)
-        assert below_power_of_ten(lhs.sub(expected, prec), 98), entry.entry_id
+        assert_scaled_family_quotient(entry, match_to_theorem(entry).scale, upper, lower)
     assert negative == 46
+
+
+@pytest.mark.parametrize("entry_id", ["s3.1-ex1", "s3.3-ex1"])
+@pytest.mark.parametrize("perturbation", ["scale", "gamma-argument"])
+def test_closed_form_tie_fails_on_a_perturbed_side(catalog_by_id, entry_id, perturbation):
+    # negative control: the scale off by one part in 10^90, or the first
+    # upper gamma argument moved by 1/3, breaks the tie for that entry
+    entry = catalog_by_id[entry_id]
+    scale = match_to_theorem(entry).scale
+    upper, lower = dougall.theorem_gamma_args(entry.params, entry.theorem)
+    assert_scaled_family_quotient(entry, scale, upper, lower)
+    if perturbation == "scale":
+        scale *= 1 + Fraction(1, 10**90)
+    else:
+        upper = (upper[0] + Fraction(1, 3), *upper[1:])
+    with pytest.raises(AssertionError, match=f"entry {entry_id}: lhs is not"):
+        assert_scaled_family_quotient(entry, scale, upper, lower)
 
 
 def test_match_head_rule_absorbs_folded_constant(catalog_by_id):
@@ -412,15 +431,3 @@ def test_match_is_guarded_by_the_definitional_terms(catalog_by_id, monkeypatch, 
     monkeypatch.setattr(module, generator, lambda *args: exact(*args) * Fraction(10**30 + 1, 10**30))
     with pytest.raises(InvariantViolation, match=f"differs from {generator}"):
         match_to_theorem(catalog_by_id["s3.1-ex1"])
-
-
-def test_load_anomalies_validates_records(tmp_path):
-    path = tmp_path / "anomalies.json"
-    path.write_text(json.dumps([{"status": "anomaly", "id": "s3.1-ex1"}]))
-    assert len(load_anomalies(path)) == 1
-    path.write_text(json.dumps([{"status": "fine", "id": "s3.1-ex1"}]))
-    with pytest.raises(SchemaError):
-        load_anomalies(path)
-    path.write_text(json.dumps({"status": "anomaly"}))
-    with pytest.raises(SchemaError):
-        load_anomalies(path)

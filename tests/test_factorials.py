@@ -16,10 +16,11 @@ from hyperpi.factorials import (
     pochhammer,
     poly_divmod,
     poly_eval,
-    poly_interpolate,
+    poly_expand,
     poly_mul,
     poly_shift,
     poly_trim,
+    poly_values,
     term_eval,
     term_ratio,
 )
@@ -134,14 +135,22 @@ def test_poch_quotient_matches_stepwise_definition(upper, lower, n):
 coeff_lists = st.lists(fractions_st, min_size=1, max_size=6)
 
 
+int_coeffs = st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=6)
+int_forms = st.lists(st.tuples(st.integers(-50, 50), st.integers(-6, 6)), max_size=5)
+
+
 @settings(max_examples=60, deadline=None)
-@given(coeff_lists)
-def test_poly_interpolate_round_trip(coeffs):
-    coeffs = poly_trim(coeffs)
-    if not coeffs:
-        return
-    points = [(Fraction(i), poly_eval(coeffs, Fraction(i))) for i in range(len(coeffs))]
-    assert poly_interpolate(points) == tuple(coeffs)
+@given(int_coeffs, int_forms, st.integers(-40, 40), st.integers(0, 30))
+def test_integer_polynomials_expand_and_list_exactly(coeffs, forms, lo, span):
+    # the product of linear forms against poly_mul, its values against poly_eval
+    expanded = poly_expand(coeffs, forms)
+    want = tuple(Fraction(c) for c in coeffs)
+    for n, d in forms:
+        want = poly_mul(want, (Fraction(n), Fraction(d)))
+    assert poly_trim(expanded) == poly_trim(want)
+    assert list(poly_values(expanded, lo, lo + span)) == [
+        poly_eval(expanded, Fraction(x)) for x in range(lo, lo + span)
+    ]
 
 
 @settings(max_examples=60, deadline=None)
