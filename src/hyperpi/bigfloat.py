@@ -104,8 +104,10 @@ def div_nearest(num: int, den: int) -> int:
 class BigFloat(NamedTuple):
     """Immutable arbitrary-precision binary float ``man * 2**exp``.
 
-    Comparisons and the hash go by value, not by the fields: equal values
-    at different precisions compare equal.
+    Equality and the hash are the tuple's, over the fields.  Every
+    constructor rounds through :meth:`normalize`, so at one precision equal
+    fields mean equal values; across precisions they do not.  There is no
+    order: ``<`` and its kin raise :class:`TypeError`.
     """
 
     man: int
@@ -243,49 +245,11 @@ class BigFloat(NamedTuple):
             return sign + text
         return sign + text[:-digits] + "." + text[-digits:]
 
-    # ------------------------------------------------------------------
-    # value comparisons (precision-independent)
-    # ------------------------------------------------------------------
+    def _unordered(self, other: object) -> bool:
+        raise TypeError("BigFloats are unordered: compare with sub, is_zero or below_power_of_ten")
 
-    def _cmp(self, other: "BigFloat") -> int:
-        if self.man == 0 and other.man == 0:
-            return 0
-        if self.man >= 0 and other.man < 0:
-            return 1
-        if self.man < 0 and other.man >= 0:
-            return -1
-        e = min(self.exp, other.exp)
-        lhs = self.man << (self.exp - e)
-        rhs = other.man << (other.exp - e)
-        return (lhs > rhs) - (lhs < rhs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BigFloat):
-            return NotImplemented
-        return self._cmp(other) == 0
-
-    def __ne__(self, other: object) -> bool:  # the tuple's own would compare fields
-        if not isinstance(other, BigFloat):
-            return NotImplemented
-        return self._cmp(other) != 0
-
-    def __lt__(self, other: "BigFloat") -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "BigFloat") -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: "BigFloat") -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "BigFloat") -> bool:
-        return self._cmp(other) >= 0
-
-    def __hash__(self) -> int:
-        if self.man == 0:
-            return hash(0)
-        tz = (self.man & -self.man).bit_length() - 1
-        return hash((self.man >> tz, self.exp + tz))
+    # as a tuple it would order by (man, exp, prec), not by value
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -346,9 +310,6 @@ class BigFloat(NamedTuple):
         if self.man == 0:
             return 0
         return self.exp + abs(self.man).bit_length()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BigFloat({self.to_float():.17g}, prec={self.prec})"
 
 
 # ----------------------------------------------------------------------

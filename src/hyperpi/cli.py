@@ -14,10 +14,10 @@ Subcommands
 * ``bbp``              -- hexadecimal digits of pi at an arbitrary offset
 * ``rate``             -- exact consecutive-term ratio of an entry
 
-Exit codes: 0 success, 1 usage error, 2 mathematical failure.  With
-``--format json`` every command prints a single deterministic JSON report:
-keys are sorted and nothing in it depends on the clock, so identical inputs
-give identical bytes.
+Exit codes: 0 success, 1 usage error (a count above its maximum among
+them), 2 mathematical failure.  With ``--format json`` every command prints
+a single deterministic JSON report: keys are sorted and nothing in it
+depends on the clock, so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -70,13 +70,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _at_least(minimum: int):
-    """argparse ``type=`` for an integer no smaller than ``minimum``."""
+def _count(option: str, minimum: int, maximum: int):
+    """argparse ``type=`` for the integer count ``option`` from ``minimum``
+    to ``maximum``.  Below it is a usage error and above it a
+    :class:`RangeError`, both raised while parsing, before any work (exit 1)."""
 
     def integer(text: str) -> int:
         value = int(text)  # argparse reports a ValueError as "invalid integer value"
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if value > maximum:
+            raise RangeError(f"{option} must be at most {maximum}, got {value}")
         return value
 
     return integer
@@ -376,29 +380,29 @@ def build_parser() -> _Parser:
     vsub = verify.add_subparsers(dest="target")
 
     vd = vsub.add_parser("dougall", help="terminating identity, random trials")
-    vd.add_argument("--trials", type=_at_least(1), default=200)
-    vd.add_argument("--nmax", type=_at_least(0), default=20)
+    vd.add_argument("--trials", type=_count("--trials", 1, 1000), default=200)
+    vd.add_argument("--nmax", type=_count("--nmax", 0, 1000), default=20)
     vd.add_argument("--seed", type=int, default=0)
     common(vd)
     vd.set_defaults(handler=_cmd_verify_dougall)
 
     vi = vsub.add_parser("inversion", help="inverse-pair round trips")
-    vi.add_argument("--trials", type=_at_least(1), default=50)
-    vi.add_argument("--nmax", type=_at_least(0), default=12)
+    vi.add_argument("--trials", type=_count("--trials", 1, 1000), default=50)
+    vi.add_argument("--nmax", type=_count("--nmax", 0, 50), default=12)
     vi.add_argument("--seed", type=int, default=0)
     common(vi)
     vi.set_defaults(handler=_cmd_verify_inversion)
 
     vc = vsub.add_parser("chain", help="parity form, dual expansion, inverse-pair chain")
-    vc.add_argument("--trials", type=_at_least(1), default=10)
-    vc.add_argument("--nmax", type=_at_least(0), default=6)
+    vc.add_argument("--trials", type=_count("--trials", 1, 1000), default=10)
+    vc.add_argument("--nmax", type=_count("--nmax", 0, 50), default=6)
     vc.add_argument("--seed", type=int, default=0)
     common(vc)
     vc.set_defaults(handler=_cmd_verify_chain)
 
     vcat = vsub.add_parser("catalog", help="catalog entries against closed forms")
     vcat.add_argument("--id", default=None)
-    vcat.add_argument("--digits", type=_at_least(1), default=100)
+    vcat.add_argument("--digits", type=_count("--digits", 1, 10_000), default=100)
     vcat.add_argument("--catalog", default=None, help="path to an alternative catalog")
     common(vcat)
     vcat.set_defaults(handler=_cmd_verify_catalog)
@@ -409,14 +413,14 @@ def build_parser() -> _Parser:
         "--params", required=True,
         help="a,b,c,d as rationals; a negative a is written --params=-1/4,1/2,1/2,1/2",
     )
-    derive.add_argument("--terms", type=_at_least(1), default=60)
-    derive.add_argument("--digits", type=_at_least(1), default=40)
+    derive.add_argument("--terms", type=_count("--terms", 1, 10_000), default=60)
+    derive.add_argument("--digits", type=_count("--digits", 1, 10_000), default=40)
     common(derive)
     derive.set_defaults(handler=_cmd_derive)
 
     pi_cmd = sub.add_parser("pi", help="decimal digits of pi via a catalog entry")
     pi_cmd.add_argument("--entry", required=True)
-    pi_cmd.add_argument("--digits", type=_at_least(1), default=50)
+    pi_cmd.add_argument("--digits", type=_count("--digits", 1, 100_000), default=50)
     pi_cmd.add_argument("--catalog", default=None)
     common(pi_cmd)
     pi_cmd.set_defaults(handler=_cmd_pi)

@@ -12,6 +12,11 @@ Tree node kinds
 * :class:`SumNode` / :class:`ProductNode` -- n-ary sum / product.
 * :class:`PowerNode` -- integer power of a subtree.
 
+Nodes are plain NamedTuples, and the walkers below tell them apart by
+``isinstance`` only.  Their ``==`` and hash are the tuples' own, so
+``SumNode(c) == ProductNode(c)``, and ``PiLeaf()`` is false as an empty
+tuple; no code here compares, hashes or truth-tests a node.
+
 JSON schema
 -----------
 
@@ -62,8 +67,7 @@ class RationalLeaf(NamedTuple):
 
 
 class PiLeaf(NamedTuple):
-    def __bool__(self) -> bool:  # a tuple with no fields would be false
-        return True
+    pass
 
 
 class GammaLeaf(NamedTuple):
@@ -86,24 +90,6 @@ class PowerNode(NamedTuple):
     child: "ConstExpr"
     exponent: int
 
-
-def _same_node(self, other: object) -> bool:
-    return type(self) is type(other) and tuple.__eq__(self, other)
-
-
-def _other_node(self, other: object) -> bool:
-    return not _same_node(self, other)
-
-
-def _node_hash(self) -> int:
-    return hash((type(self).__name__, *self))
-
-
-# A node equals and hashes with a node of its own type only: as plain
-# tuples SumNode(c) would equal ProductNode(c), and GammaLeaf(x)
-# RationalLeaf(x).
-for _node in (RationalLeaf, PiLeaf, GammaLeaf, SqrtNode, SumNode, ProductNode, PowerNode):
-    _node.__eq__, _node.__ne__, _node.__hash__ = _same_node, _other_node, _node_hash
 
 ConstExpr = Union[RationalLeaf, PiLeaf, GammaLeaf, SqrtNode, SumNode, ProductNode, PowerNode]
 

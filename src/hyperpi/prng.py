@@ -25,14 +25,6 @@ class SplitMix64:
     def __init__(self, state: int = 0) -> None:
         self.state = state
 
-    def __repr__(self) -> str:
-        return f"SplitMix64(state={self.state!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not SplitMix64:
-            return NotImplemented
-        return self.state == other.state
-
     def next_u64(self) -> int:
         """Return the next 64-bit output."""
         self.state = (self.state + _GAMMA) & _MASK
@@ -42,29 +34,21 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in the inclusive range [lo, hi].
+        """Uniform integer in the inclusive range [lo, hi], a span of at
+        most 2**64.
 
         Uses rejection sampling so the distribution is exactly uniform and
-        platform independent.  A span above 2**64 draws as many 64-bit
-        outputs as its bit length needs and joins them, high word first.
+        platform independent.
         """
         if hi < lo:
             raise ValueError("empty range")
         span = hi - lo + 1
-        if span <= _TWO64:
-            # Largest multiple of span not exceeding 2**64.
-            limit = _TWO64 - _TWO64 % span
-            while True:
-                r = self.next_u64()
-                if r < limit:
-                    return lo + r % span
-        words = -(-span.bit_length() // 64)
-        top = 1 << 64 * words
-        limit = top - top % span
+        if span > _TWO64:
+            raise ValueError(f"a span of {span} is above 2**64")
+        # Largest multiple of span not exceeding 2**64.
+        limit = _TWO64 - _TWO64 % span
         while True:
-            r = 0
-            for _ in range(words):
-                r = (r << 64) | self.next_u64()
+            r = self.next_u64()
             if r < limit:
                 return lo + r % span
 

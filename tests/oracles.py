@@ -1,6 +1,7 @@
-"""Reference oracles shared by the tests: a bit-agreement measure,
-sin(pi x) by its own Taylor series, independent of the gamma code, the
-exact value of a partial sum, rational powers through exp and ln, the
+"""Reference oracles shared by the tests: a bit-agreement measure, value
+comparison of BigFloats across precisions, typed equality of closed-form
+trees, sin(pi x) by its own Taylor series, independent of the gamma code,
+the exact value of a partial sum, rational powers through exp and ln, the
 hexadecimal digits of a value at an offset, and a sampler of parameters
 where both generator families converge."""
 
@@ -34,6 +35,24 @@ def agrees_to_bits(x: BigFloat, y: BigFloat) -> int:
     if x.man == 0:
         return max(0, -diff.magnitude_exponent())
     return max(0, x.magnitude_exponent() - diff.magnitude_exponent())
+
+
+def value_cmp(x: BigFloat, y: BigFloat) -> int:
+    """-1, 0 or 1 as the value of ``x`` lies below, at or above that of
+    ``y``, at any two precisions (``==`` on BigFloats compares the fields)."""
+    a, b = x.to_fraction(), y.to_fraction()
+    return (a > b) - (a < b)
+
+
+def same_tree(x: object, y: object) -> bool:
+    """Typed equality of closed-form trees: the same node types in the same
+    shape over equal leaves (as tuples a SumNode equals a ProductNode of
+    the same children, and a GammaLeaf a RationalLeaf)."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, tuple):  # a node, or a tuple of children
+        return len(x) == len(y) and all(same_tree(a, b) for a, b in zip(x, y))
+    return x == y
 
 
 def sin_pi(x: Fraction, prec: int) -> BigFloat:

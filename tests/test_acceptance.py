@@ -31,7 +31,7 @@ from hyperpi.gammafn import gamma_quotient, gamma_rational
 from hyperpi.factorials import pochhammer
 from hyperpi.inversion import random_scheme, random_sequence, roundtrip_check
 from hyperpi.prng import SplitMix64
-from oracles import hex_fraction_digits, pow_fraction, random_valid_params
+from oracles import hex_fraction_digits, pow_fraction, random_valid_params, value_cmp
 
 F = Fraction
 
@@ -121,7 +121,7 @@ def test_criterion_4_closed_values_numeric():
         upper, lower = limit_gamma_args(params)
         closed = gamma_quotient(upper, lower, prec)
         diff = BigFloat.from_fraction(total, prec).sub(closed, prec).abs()
-        worst_ok = worst_ok and diff < tolerance
+        worst_ok = worst_ok and value_cmp(diff, tolerance) < 0
         # both generator families
         for tag in ("A", "B"):
             family_total = sum(theorem_term(params, tag, k) for k in range(120))
@@ -131,7 +131,7 @@ def test_criterion_4_closed_values_numeric():
                 .sub(family_closed, prec)
                 .abs()
             )
-            worst_ok = worst_ok and fdiff < tolerance
+            worst_ok = worst_ok and value_cmp(fdiff, tolerance) < 0
     report(
         "4 gamma-quotient closed values vs 120-term sums, 10e-50 at 400 bits",
         worst_ok,

@@ -1,6 +1,7 @@
 """Arbitrary-precision floating point: arithmetic, constants, digit output."""
 
 import gc
+import operator
 import os
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ from hyperpi.bigfloat import (
     sqrt,
 )
 from hyperpi.errors import DomainError, InvariantViolation
-from oracles import agrees_to_bits, hex_fraction_digits, pow_fraction, sin_pi
+from oracles import agrees_to_bits, hex_fraction_digits, pow_fraction, sin_pi, value_cmp
 
 PI_50 = "3.14159265358979323846264338327950288419716939937511"
 LN2_40 = "0.6931471805599453094172321214581765680755"
@@ -240,12 +241,51 @@ def test_from_ratio_rejects_zero_denominator():
         BigFloat.from_ratio(1, 0, 53)
 
 
-def test_comparisons_go_by_value_not_by_fields():
-    # 3/2 at 8 bits and at 64 bits: different fields, one value
-    narrow, wide = BigFloat(3, -1, 8), BigFloat.from_fraction(Fraction(3, 2), 64)
-    assert narrow == wide and not narrow != wide and hash(narrow) == hash(wide)
-    assert narrow <= wide and not narrow < wide
-    assert narrow != BigFloat(3, 0, 8)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=-(2**90), max_value=2**90),
+    st.integers(min_value=-300, max_value=300),
+    st.integers(min_value=1, max_value=130),
+    st.integers(min_value=1, max_value=2**40),
+)
+@example(0, 7, 8, 3)
+def test_fields_are_the_value_at_one_precision(man, exp, prec, factor):
+    # every constructor rounds through normalize, so one value at one
+    # precision has one set of fields: the tuple's == and hash are by value
+    value = BigFloat.normalize(man, exp, prec)
+    exact = value.to_fraction()
+    one = BigFloat.from_int(1, prec)
+    spellings = [
+        BigFloat.normalize(value.man << 37, value.exp - 37, prec),
+        BigFloat.from_fraction(exact, prec),
+        BigFloat.from_ratio(exact.numerator * factor, exact.denominator * factor, prec),
+        BigFloat.from_ratio_ball(exact.numerator, exact.denominator, 0, prec),
+        BigFloat.from_fixed(value.man << 5, 5 - value.exp, prec),
+        value.add(BigFloat.zero(prec)),
+        BigFloat.zero(prec).add(value),
+        value.sub(value).add(value),
+        value.mul(one),
+        value.div(one),
+        value.neg().neg(),
+        value.abs() if man >= 0 else value.abs().neg(),
+        value.round_to(prec + 40).round_to(prec),
+    ]
+    if exact.denominator == 1:
+        spellings.append(BigFloat.from_int(exact.numerator, prec))
+    for other in spellings:
+        assert tuple(other) == tuple(value) and other == value and hash(other) == hash(value)
+    # across precisions the fields differ, and only the value agrees
+    wide = value.round_to(prec + 1)
+    assert value_cmp(wide, value) == 0
+    assert wide != value
+
+
+def test_bigfloats_have_no_order():
+    # as tuples they would order by (man, exp, prec), not by value
+    small, large = BigFloat.from_int(1, 8), BigFloat.from_int(2, 4)
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError, match="sub, is_zero or below_power_of_ten"):
+            compare(small, large)
 
 
 def test_round_shift_nearest():

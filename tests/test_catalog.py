@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -184,12 +185,17 @@ def test_floats_rejected_in_json(raw_doc, tmp_path):
     doc["entries"][0]["poly"] = ["1.5", "2"]
     with pytest.raises(SchemaError):
         load_catalog(write_doc(tmp_path, doc, "float-string.json"))
-    text = json.dumps(copy.deepcopy(raw_doc))
-    text = text.replace('"version": 1', '"version": 1, "weight": 1.25', 1)
-    path = tmp_path / "float-literal.json"
-    path.write_text(text)
-    with pytest.raises(SchemaError):
-        load_catalog(path)
+    # a float literal and the three non-finite ones, each named in the error
+    for literal, kind in (
+        ("1.25", "floating-point"), ("NaN", "non-finite"),
+        ("Infinity", "non-finite"), ("-Infinity", "non-finite"),
+    ):
+        text = json.dumps(copy.deepcopy(raw_doc))
+        text = text.replace('"version": 1', f'"version": 1, "weight": {literal}', 1)
+        path = tmp_path / "float-literal.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=re.escape(f"{kind} literal '{literal}'")):
+            load_catalog(path)
 
 
 def test_non_utf8_catalog_is_a_schema_error(tmp_path):

@@ -16,11 +16,11 @@ import pytest
 import hyperpi
 from hyperpi import catalog, dougall
 from hyperpi.bigfloat import pi_reference
-from hyperpi.cli import main
+from hyperpi.cli import build_parser, main
 from hyperpi.constexpr import format_rational
 from hyperpi.dougall import WellPoisedParams
 from hyperpi.engine import precision_for_digits
-from hyperpi.errors import RepeatedPole, ZeroDenominator
+from hyperpi.errors import RangeError, RepeatedPole, ZeroDenominator
 from hyperpi.factorials import term_ratio
 
 
@@ -165,6 +165,22 @@ BAD_COUNTS = [
     ("rate", "--id", "s3.1-ex1", "--k", "-1"),
 ]
 
+# (subcommand argv, count option, its maximum)
+COUNT_MAXIMA = [
+    (("verify", "dougall"), "--trials", 1000),
+    (("verify", "dougall"), "--nmax", 1000),
+    (("verify", "inversion"), "--trials", 1000),
+    (("verify", "inversion"), "--nmax", 50),
+    (("verify", "chain"), "--trials", 1000),
+    (("verify", "chain"), "--nmax", 50),
+    (("verify", "catalog"), "--digits", 10_000),
+    (("derive", "--theorem", "A", "--params", "1/2,1/2,1/2,1/2"), "--terms", 10_000),
+    (("derive", "--theorem", "A", "--params", "1/2,1/2,1/2,1/2"), "--digits", 10_000),
+    (("pi", "--entry", "s3.1-ex1"), "--digits", 100_000),
+]
+# one above each count's maximum: a RangeError before any work
+BAD_COUNTS += [(*argv, option, str(maximum + 1)) for argv, option, maximum in COUNT_MAXIMA]
+
 
 @pytest.mark.parametrize("argv", BAD_COUNTS, ids=[" ".join(argv) for argv in BAD_COUNTS])
 def test_bad_counts_are_usage_errors(capsys, argv):
@@ -172,6 +188,15 @@ def test_bad_counts_are_usage_errors(capsys, argv):
     assert code == 1
     assert "usage error" in err
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("argv, option, maximum", COUNT_MAXIMA)
+def test_each_count_parses_up_to_its_maximum(argv, option, maximum):
+    # the maximum itself is accepted; one more is refused while parsing
+    parsed = build_parser().parse_args([*argv, option, str(maximum)])
+    assert getattr(parsed, option[2:]) == maximum
+    with pytest.raises(RangeError, match=f"{option} must be at most {maximum}, got {maximum + 1}"):
+        build_parser().parse_args([*argv, option, str(maximum + 1)])
 
 
 # sha256 of the full catalog report at 100 digits: every entry's verdict,

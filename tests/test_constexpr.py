@@ -23,7 +23,7 @@ from hyperpi.constexpr import (
 )
 from hyperpi.errors import SchemaError, UnsupportedLhs
 from hyperpi.gammafn import gamma_rational
-from oracles import agrees_to_bits
+from oracles import agrees_to_bits, same_tree
 
 INV_PI_SQ = {
     "op": "div",
@@ -88,7 +88,7 @@ def test_parse_builds_expected_trees():
         ),
     ]
     for doc, tree in samples:
-        assert parse_const_expr(doc) == tree
+        assert same_tree(parse_const_expr(doc), tree), doc
 
 
 def test_parse_rejects_malformed_nodes():

@@ -34,7 +34,7 @@ from hyperpi.errors import InvariantViolation, NormalizationMismatch, ZeroDenomi
 from hyperpi.factorials import SeriesSpec, poch_quotient, pochhammer, poly_values, term_eval
 from hyperpi.gammafn import gamma_quotient
 from hyperpi.prng import SplitMix64
-from oracles import agrees_to_bits, random_valid_params, sum_series_fraction
+from oracles import agrees_to_bits, random_valid_params, sum_series_fraction, value_cmp
 
 F = Fraction
 
@@ -353,7 +353,7 @@ def test_limit_sum_reaches_gamma_quotient():
         upper, lower = limit_gamma_args(params)
         closed = gamma_quotient(upper, lower, prec)
         diff = BigFloat.from_fraction(total, prec).sub(closed, prec).abs()
-        assert diff < BigFloat.from_fraction(F(1, 10**80), 64)
+        assert value_cmp(diff, BigFloat.from_fraction(F(1, 10**80), 64)) < 0
 
 
 def test_theorem_a_composed_equals_prefactor_form():
@@ -552,7 +552,7 @@ def test_theorem_sums_reach_closed_values():
         total = sum(theorem_term(params, tag, k) for k in range(300))
         closed = theorem_closed_value(params, tag, prec)
         diff = BigFloat.from_fraction(total, prec).sub(closed, prec).abs()
-        assert diff < BigFloat.from_fraction(F(1, 10**100), 64)
+        assert value_cmp(diff, BigFloat.from_fraction(F(1, 10**100), 64)) < 0
 
 
 def test_theorem_a_closed_value_all_half():
@@ -682,7 +682,7 @@ def test_normalized_sums_match_closed_values_at_precision():
             total = sum_series(spec, 150, prec)
             closed = theorem_closed_value(params, tag, prec)
             diff = total.sub(closed, prec).abs()
-            assert diff < BigFloat.from_fraction(F(1, 10**60), 64)
+            assert value_cmp(diff, BigFloat.from_fraction(F(1, 10**60), 64)) < 0
         done += 1
 
 

@@ -12,6 +12,8 @@ package class also defines could pass on the other's uses; each such
 method is listed in ``SHARED`` with a caller that names its class, and
 the list must hold exactly these methods.  (An attribute of a foreign
 object, ``set.add`` for ``BigFloat.add``, still counts as a use.)
+A method that an operator or a protocol reaches without naming it (``==``,
+``<``, ``hash``, ``bool``, ``repr``) is left to ``test_reachability``.
 """
 
 from __future__ import annotations

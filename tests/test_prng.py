@@ -1,8 +1,10 @@
-"""SplitMix64 draws: pinned outputs, ranges wider than one 64-bit word, and
-the pinned streams of the samplers built on it."""
+"""SplitMix64 draws: pinned outputs, the refusal of ranges wider than one
+64-bit word, and the pinned streams of the samplers built on it."""
 
 import hashlib
 from fractions import Fraction
+
+import pytest
 
 from hyperpi.inversion import random_scheme, random_sequence
 from hyperpi.prng import SplitMix64
@@ -23,13 +25,14 @@ def test_small_span_outputs_are_pinned():
     assert rng.randint(0, 4) == 1
 
 
-def test_spans_above_two_to_the_64_return_in_range():
+def test_spans_above_two_to_the_64_raise():
+    # no caller draws more than one word: the largest span is --nmax + 1
     rng = SplitMix64(1)
-    assert 0 <= rng.randint(0, 2**64) <= 2**64
     for lo, hi in ((0, 2**64), (-(2**100), 2**100), (7, 7 + 3 * 2**130)):
-        draws = [rng.randint(lo, hi) for _ in range(50)]
-        assert all(lo <= r <= hi for r in draws)
-        assert len(set(draws)) == 50
+        with pytest.raises(ValueError, match="above 2\\*\\*64"):
+            rng.randint(lo, hi)
+    assert rng.state == 1  # nothing was drawn
+    assert rng.randint(1, 2**64) == SplitMix64(1).randint(0, 2**64 - 1) + 1
 
 
 def _stream_digest(draw, seed: int = 2024) -> str:

