@@ -426,7 +426,7 @@ def build_parser() -> _Parser:
     pi_cmd.set_defaults(handler=_cmd_pi)
 
     bbp = sub.add_parser("bbp", help="hexadecimal digits of pi at an offset")
-    bbp.add_argument("--pos", type=int, required=True)
+    bbp.add_argument("--pos", type=_count("--pos", 0, 10_000_000), required=True)
     bbp.add_argument("--count", type=int, default=16)
     common(bbp)
     bbp.set_defaults(handler=_cmd_bbp)

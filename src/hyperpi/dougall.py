@@ -50,12 +50,9 @@ from hyperpi.errors import (
 )
 from hyperpi.factorials import (
     SeriesSpec,
-    binomial,
     poch_quotient,
-    poly_divmod,
     poly_eval,
     poly_expand,
-    poly_scale,
     poly_trim,
     poly_values,
     rising,
@@ -311,7 +308,7 @@ def _dual_expansion(
             weight = -(b + 3 * jq + q) * (b - a - jq - q)
         else:
             weight = (d + 3 * jq) * (d - a - jq)
-        term = binomial(n, k) * weight * num
+        term = math.comb(n, k) * weight * num
         terms.append((term, den))
         acc = acc * step + term
     return terms, (acc, den)
@@ -639,6 +636,20 @@ def _family_skeleton(
     return upper, lower
 
 
+def _deflate(poly: list[Fraction], root: Fraction) -> list[Fraction]:
+    """Quotient of the weight ``poly`` by k - ``root``, by synthetic
+    division; a nonzero remainder poly(root) raises
+    :class:`NormalizationMismatch`."""
+    quotient, acc = [], Fraction(0)
+    for c in reversed(poly):
+        acc = acc * root + c
+        quotient.append(acc)
+    if quotient.pop():
+        factor = f"k - ({root})" if root else "k"
+        raise NormalizationMismatch(f"weight not divisible by {factor}")
+    return quotient[::-1]
+
+
 def normalize_theorem_series(params: WellPoisedParams, tag: str) -> SeriesSpec:
     """Rewrite a generator family as a flat base-16 series description.
 
@@ -672,22 +683,18 @@ def normalize_theorem_series(params: WellPoisedParams, tag: str) -> SeriesSpec:
                     raise NormalizationMismatch(
                         "two denominator factors equal to k; unsupported shape"
                     )
-                quot, rem = poly_divmod(poly, (Fraction(0), Fraction(1)))
-                if poly_trim(rem):
-                    raise NormalizationMismatch("weight not divisible by k")
-                poly = list(quot)
+                poly = _deflate(poly, Fraction(0))
                 start = 1
                 additive = theorem_term(params, "B", 0)
             elif poly_eval(poly, -x) == 0:
-                quot, rem = poly_divmod(poly, (x, Fraction(1)))
-                assert not poly_trim(rem)
-                poly = list(quot)
+                poly = _deflate(poly, -x)
             else:
                 assert upper[slot] == 1 + x
                 upper[slot] = x
                 scale /= x
     spec = SeriesSpec(
-        tuple(upper), tuple(lower), poly_scale(poly, scale), 16, start=start, additive=additive
+        tuple(upper), tuple(lower), poly_trim(coeff * scale for coeff in poly), 16,
+        start=start, additive=additive,
     )
 
     family_terms = theorem_term_pairs(params, tag, CHECK_WINDOW)

@@ -54,7 +54,6 @@ from hyperpi.factorials import (
     poly_trim,
     poly_values,
     term_eval,
-    term_ratio,
 )
 from hyperpi.splitting import product_sum, run_parts, truncated_product_sum, usable_cpus
 
@@ -244,19 +243,23 @@ def sum_series(spec: SeriesSpec, terms: int, prec: int) -> BigFloat:
 
 
 def convergence_rate(spec: SeriesSpec, k: int) -> Fraction:
-    """Exact ratio t(k+1)/t(k) of consecutive terms, as :func:`term_ratio`
-    at ``k``; its cost does not grow with ``k``.
+    """Exact ratio t(k+1)/t(k) of consecutive terms, read off the integer
+    sequences that :func:`sum_series` splits (:func:`_series_setup`):
+    weight(k+1) alpha(k) over weight(k) beta(k).  Its cost does not grow
+    with ``k``.
 
     t(k) is zero, and :class:`ZeroTerm` is raised, exactly when poly(k) = 0
     or an upper parameter is an integer in [1 - k, 0], a factor of (u)_k.
     """
+    spec.validate()
     if k < spec.start:
         raise DomainError(f"term index {k} below start index {spec.start}")
     if poly_eval(spec.poly, Fraction(k)) == 0 or any(
         u.denominator == 1 and 1 - k <= u <= 0 for u in spec.upper
     ):
         raise ZeroTerm(f"term at k={k} is zero; the ratio there is undefined")
-    return term_ratio(spec).eval_at(k)
+    weights, alphas, betas = _series_setup(spec).sequences(k - spec.start, k - spec.start + 2)
+    return Fraction(weights[1] * alphas[0], weights[0] * betas[0])
 
 
 # ----------------------------------------------------------------------

@@ -1,23 +1,20 @@
 """Exact rational building blocks: Pochhammer symbols, factorial quotients,
-series term descriptions, polynomial utilities and the term ratio as a
-rational function of the summation index.
+series term descriptions and polynomial utilities.
 
-Everything in this module is exact; values are :class:`fractions.Fraction`
-and polynomial coefficients are ascending tuples of fractions, except for
-the integer polynomials of :func:`poly_expand` and :func:`poly_values`.
+Everything in this module is exact.  Values are :class:`fractions.Fraction`;
+a weight polynomial is a sequence of ascending fractions, read by
+:func:`poly_trim` and :func:`poly_eval`, and :func:`poly_expand` and
+:func:`poly_values` work on ascending integer coefficients.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from hyperpi.errors import DomainError, InvariantViolation, ZeroDenominator
-
-Poly = tuple[Fraction, ...]  # ascending coefficients
 
 
 # ----------------------------------------------------------------------
@@ -46,13 +43,6 @@ def pochhammer(x: Fraction, n: int) -> Fraction:
     return Fraction(rising(p, q, n), q**n)
 
 
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); zero outside 0 <= k <= n."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def poch_quotient(upper: Sequence[Fraction], lower: Sequence[Fraction], n: int) -> Fraction:
     """Product of rising factorials (u)_n over the product of (l)_n.
 
@@ -74,12 +64,12 @@ def poch_quotient(upper: Sequence[Fraction], lower: Sequence[Fraction], n: int) 
 
 
 # ----------------------------------------------------------------------
-# polynomial helpers (ascending coefficients: Fraction tuples, and int
-# lists for poly_expand and poly_values)
+# polynomial helpers (ascending coefficients: fractions, and int lists
+# for poly_expand and poly_values)
 # ----------------------------------------------------------------------
 
 
-def poly_trim(coeffs: Iterable[Fraction]) -> Poly:
+def poly_trim(coeffs: Iterable[Fraction]) -> tuple[Fraction, ...]:
     out = [Fraction(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
@@ -91,57 +81,6 @@ def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     for c in reversed(tuple(coeffs)):
         acc = acc * x + c
     return acc
-
-
-def poly_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
-    n = max(len(a), len(b))
-    return poly_trim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return poly_trim(out)
-
-
-def poly_scale(a: Sequence[Fraction], s: Fraction) -> Poly:
-    return poly_trim(c * s for c in a)
-
-
-def poly_shift(coeffs: Sequence[Fraction], h: Fraction) -> Poly:
-    """Coefficients of p(x + h)."""
-    out: Poly = ()
-    for c in reversed(tuple(coeffs)):
-        out = poly_add(poly_mul(out, (Fraction(h), Fraction(1))), (Fraction(c),))
-    return out
-
-
-def poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]) -> tuple[Poly, Poly]:
-    den_t = poly_trim(den)
-    if not den_t:
-        raise ZeroDenominator("polynomial division by zero")
-    rem = list(poly_trim(num))
-    q = [Fraction(0)] * max(0, len(rem) - len(den_t) + 1)
-    lead = den_t[-1]
-    while len(rem) >= len(den_t):
-        factor = rem[-1] / lead
-        pos = len(rem) - len(den_t)
-        q[pos] = factor
-        for i, c in enumerate(den_t):
-            rem[pos + i] -= factor * c
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if not rem:
-            break
-    return poly_trim(q), poly_trim(rem)
 
 
 def poly_expand(coeffs: list[int], forms: list[tuple[int, int]]) -> list[int]:
@@ -179,40 +118,6 @@ def poly_values(coeffs: list[int], lo: int, hi: int) -> Iterable[int]:
     for first in reversed(diffs):
         values = accumulate(values, initial=first)
     return values
-
-
-# ----------------------------------------------------------------------
-# rational functions of the summation index
-# ----------------------------------------------------------------------
-
-
-class RationalFunctionOfK(NamedTuple):
-    """A quotient of polynomials in the summation index k.
-
-    The denominator is stored monic (leading coefficient one); the
-    numerator absorbs the scaling.
-    """
-
-    num: tuple[Fraction, ...]
-    den: tuple[Fraction, ...]
-
-    @staticmethod
-    def make(num: Sequence[Fraction], den: Sequence[Fraction]) -> "RationalFunctionOfK":
-        num_t, den_t = poly_trim(num), poly_trim(den)
-        if not den_t:
-            raise ZeroDenominator("rational function with zero denominator")
-        lead = den_t[-1]
-        return RationalFunctionOfK(poly_scale(num_t, 1 / lead), poly_scale(den_t, 1 / lead))
-
-    def eval_at(self, k: Fraction) -> Fraction:
-        den = poly_eval(self.den, Fraction(k))
-        if den == 0:
-            raise ZeroDenominator(f"rational function has a pole at k={k}")
-        return poly_eval(self.num, Fraction(k)) / den
-
-    def equals(self, other: "RationalFunctionOfK") -> bool:
-        """Equality as rational functions (cross-multiplied polynomials)."""
-        return poly_mul(self.num, other.den) == poly_mul(other.num, self.den)
 
 
 # ----------------------------------------------------------------------
@@ -266,13 +171,3 @@ def term_eval(spec: SeriesSpec, k: int) -> Fraction:
         / Fraction(spec.base) ** k
     )
 
-
-def term_ratio(spec: SeriesSpec) -> RationalFunctionOfK:
-    """The ratio term(k+1)/term(k) as an exact rational function of k."""
-    num = poly_shift(spec.poly, Fraction(1))
-    for u in spec.upper:
-        num = poly_mul(num, (u, Fraction(1)))
-    den: Poly = poly_scale(spec.poly, Fraction(spec.base))
-    for low in spec.lower:
-        den = poly_mul(den, (low, Fraction(1)))
-    return RationalFunctionOfK.make(num, den)

@@ -42,7 +42,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 from hyperpi.errors import ZeroDenominator
-from hyperpi.factorials import binomial, rising
+from hyperpi.factorials import rising
 from hyperpi.prng import SplitMix64
 
 Pair = tuple[int, int]  # unreduced (numerator, denominator)
@@ -107,7 +107,7 @@ SequenceFn = Callable[[int], Fraction]
 
 
 def _forward_plain_weights(scheme: InversionScheme, n: int) -> Weights:
-    u = [(-1) ** k * binomial(n, k) * scheme.phi_prefix(k)[0][n] for k in range(n + 1)]
+    u = [(-1) ** k * math.comb(n, k) * scheme.phi_prefix(k)[0][n] for k in range(n + 1)]
     return u, [1] * (n + 1), scheme.phi_prefix(0)[1][n]
 
 
@@ -118,7 +118,7 @@ def _inverse_plain_weights(scheme: InversionScheme, n: int) -> Weights:
     for k, (a, b, _) in enumerate(scheme.scaled[: n + 1]):
         if a + n * b == 0:
             raise ZeroDenominator(f"phi(n; k+1) vanished at n={n}, k={k}")
-        u.append((-1) ** k * binomial(n, k) * (a + k * b) * q_prefix[k])
+        u.append((-1) ** k * math.comb(n, k) * (a + k * b) * q_prefix[k])
         e.append(a + n * b)
     return u, e, 1
 
@@ -133,7 +133,7 @@ def _forward_extended_weights(scheme: InversionScheme, n: int) -> Weights:
         if p + (n + k) * s == 0:
             raise ZeroDenominator(f"(lam+n)_(k+1) vanished at n={n}, k={k}")
         phis = scheme.phi_prefix(scheme.lam + k)[0][n] * scheme.phi_prefix(-k)[0][n]
-        u.append((-1) ** k * binomial(n, k) * phis * (p + 2 * k * s) * s**k)
+        u.append((-1) ** k * math.comb(n, k) * phis * (p + 2 * k * s) * s**k)
         e.append(p + (n + k) * s)
     return u, e, scheme.phi_prefix(scheme.lam)[1][n] * scheme.phi_prefix(0)[1][n]
 
@@ -150,7 +150,7 @@ def _inverse_extended_weights(scheme: InversionScheme, n: int) -> Weights:
         if factor == 0:
             raise ZeroDenominator(f"phi products vanished at n={n}, k={k}")
         u.append(
-            (-1) ** k * binomial(n, k) * (a * s + (p + k * s) * b) * (a - k * b)
+            (-1) ** k * math.comb(n, k) * (a * s + (p + k * s) * b) * (a - k * b)
             * lam_dens[k] * dens[k] * rising(p + k * s, s, n)
         )
         e.append(factor)

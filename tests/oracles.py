@@ -1,9 +1,10 @@
 """Reference oracles shared by the tests: a bit-agreement measure, value
 comparison of BigFloats across precisions, typed equality of closed-form
 trees, sin(pi x) by its own Taylor series, independent of the gamma code,
-the exact value of a partial sum, rational powers through exp and ln, the
-hexadecimal digits of a value at an offset, and a sampler of parameters
-where both generator families converge."""
+the exact value of a partial sum, the term ratio from its definition,
+rational powers through exp and ln, the hexadecimal digits of a value at an
+offset, and a sampler of parameters where both generator families
+converge."""
 
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from hyperpi.bigfloat import (
 )
 from hyperpi.dougall import WellPoisedParams
 from hyperpi.errors import DomainError
-from hyperpi.factorials import SeriesSpec
+from hyperpi.factorials import SeriesSpec, poly_eval
 from hyperpi.prng import SplitMix64
 
 
@@ -84,6 +85,18 @@ def sum_series_fraction(spec: SeriesSpec, terms: int) -> Fraction:
     """Exact value of ``additive + sign * sum`` over the first ``terms``
     terms, from the exact pair that ``sum_series`` falls back to."""
     return Fraction(*engine._series_ratio(spec, terms))
+
+
+def term_ratio_reference(spec: SeriesSpec, k: int) -> Fraction:
+    """t(k+1)/t(k) from the definition of a term: poly(k+1) prod (u + k)
+    over base poly(k) prod (l + k)."""
+    num = poly_eval(spec.poly, Fraction(k + 1))
+    den = spec.base * poly_eval(spec.poly, Fraction(k))
+    for u in spec.upper:
+        num *= u + k
+    for low in spec.lower:
+        den *= low + k
+    return num / den
 
 
 def pow_fraction(x: BigFloat, exponent: Fraction, prec: int | None = None) -> BigFloat:

@@ -21,7 +21,7 @@ from hyperpi.constexpr import format_rational
 from hyperpi.dougall import WellPoisedParams
 from hyperpi.engine import precision_for_digits
 from hyperpi.errors import RangeError, RepeatedPole, ZeroDenominator
-from hyperpi.factorials import term_ratio
+from oracles import term_ratio_reference
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +177,7 @@ COUNT_MAXIMA = [
     (("derive", "--theorem", "A", "--params", "1/2,1/2,1/2,1/2"), "--terms", 10_000),
     (("derive", "--theorem", "A", "--params", "1/2,1/2,1/2,1/2"), "--digits", 10_000),
     (("pi", "--entry", "s3.1-ex1"), "--digits", 100_000),
+    (("bbp",), "--pos", 10_000_000),
 ]
 # one above each count's maximum: a RangeError before any work
 BAD_COUNTS += [(*argv, option, str(maximum + 1)) for argv, option, maximum in COUNT_MAXIMA]
@@ -343,12 +344,12 @@ def test_rate_subcommand(capsys):
 
 
 def test_rate_subcommand_far_out(capsys, catalog_by_id):
-    # one evaluation of the ratio as a rational function, however large k is
+    # two steps of the integer sequences, however large k is
     k = 10**6
     code, out, _ = run(capsys, "rate", "--id", "s3.1-ex1", "--k", str(k), "--format", "json")
     assert code == 0
     report = json.loads(out)
-    assert report["ratio"] == format_rational(term_ratio(catalog_by_id["s3.1-ex1"].spec).eval_at(k))
+    assert report["ratio"] == format_rational(term_ratio_reference(catalog_by_id["s3.1-ex1"].spec, k))
     assert report["relative_deviation"] < 1e-5
 
 

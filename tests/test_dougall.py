@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperpi import dougall, engine
 from hyperpi.bigfloat import BigFloat
@@ -619,6 +621,19 @@ def test_normalize_b_restructured_start_and_additive():
 def test_normalize_rejects_unsupported_shapes():
     with pytest.raises(NormalizationMismatch):
         normalize_theorem_series(P("1", "1", "1", "2"), "B")
+
+
+fractions_st = st.builds(F, st.integers(-60, 60), st.integers(1, 12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(fractions_st, min_size=1, max_size=6), fractions_st)
+def test_deflate_undoes_a_linear_factor(poly, root):
+    # p(k) (k - r) deflated at r gives p back; p(k) (k - r) + 1 is refused
+    product = [low - root * high for low, high in zip([F(0), *poly], [*poly, F(0)])]
+    assert dougall._deflate(product, root) == poly
+    with pytest.raises(NormalizationMismatch, match="weight not divisible by k"):
+        dougall._deflate([product[0] + 1, *product[1:]], root)
 
 
 def test_family_weights_multiply_out_their_factored_forms():

@@ -34,6 +34,7 @@ from hyperpi.engine import (
 )
 from hyperpi.errors import (
     DomainError,
+    InvariantViolation,
     NoMatch,
     RangeError,
     RepeatedPole,
@@ -43,7 +44,7 @@ from hyperpi.errors import (
 from hyperpi.factorials import SeriesSpec, poly_eval, term_eval
 from hyperpi.prng import SplitMix64
 from hyperpi.splitting import product_sum, truncated_product_sum
-from oracles import hex_fraction_digits, sum_series_fraction
+from oracles import hex_fraction_digits, sum_series_fraction, term_ratio_reference
 
 F = Fraction
 
@@ -131,6 +132,28 @@ def test_convergence_rate_zero_term():
         with pytest.raises(ZeroTerm):
             convergence_rate(spec, k)
     assert convergence_rate(spec, 1) == term_eval(spec, 2) / term_eval(spec, 1)
+    # an invalid spec raises its typed error, not a ZeroDivisionError at beta(2) = 0
+    with pytest.raises(InvariantViolation):
+        convergence_rate(SeriesSpec(upper=(), lower=(F(-2),), poly=(F(1),), base=16), 2)
+
+
+def test_convergence_rate_matches_its_definition(catalog_entries):
+    # the ratio read off the integer sequences against the definition of a
+    # term, and the definition against the terms themselves
+    for entry in catalog_entries:
+        spec = entry.spec
+        for k in (spec.start, spec.start + 1, 7, 500, 10**6):
+            if k < spec.start:
+                continue
+            try:
+                ratio = convergence_rate(spec, k)
+            except ZeroTerm:
+                assert term_eval(spec, k) == 0
+                continue
+            assert ratio == term_ratio_reference(spec, k)
+        for k in range(spec.start, 21):
+            if term_eval(spec, k) != 0:
+                assert term_ratio_reference(spec, k) == term_eval(spec, k + 1) / term_eval(spec, k)
 
 
 def test_compute_pi_across_classes(catalog_by_id):

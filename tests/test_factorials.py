@@ -1,6 +1,5 @@
 """Rising factorials, polynomial helpers, series terms."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -11,18 +10,12 @@ from hyperpi.engine import series_term_pairs
 from hyperpi.errors import DomainError, InvariantViolation, ZeroDenominator
 from hyperpi.factorials import (
     SeriesSpec,
-    binomial,
     poch_quotient,
     pochhammer,
-    poly_divmod,
     poly_eval,
     poly_expand,
-    poly_mul,
-    poly_shift,
-    poly_trim,
     poly_values,
     term_eval,
-    term_ratio,
 )
 
 fractions_st = st.builds(
@@ -45,12 +38,6 @@ def test_pochhammer_oracles():
 @given(fractions_st, st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12))
 def test_pochhammer_concatenation(x, m, n):
     assert pochhammer(x, m + n) == pochhammer(x, m) * pochhammer(x + m, n)
-
-
-def test_binomial_matches_math_comb():
-    for n in range(12):
-        for k in range(n + 1):
-            assert binomial(n, k) == math.comb(n, k)
 
 
 def test_poch_quotient_is_product_ratio():
@@ -132,9 +119,6 @@ def test_poch_quotient_matches_stepwise_definition(upper, lower, n):
         assert poch_quotient(upper, lower, n) == want
 
 
-coeff_lists = st.lists(fractions_st, min_size=1, max_size=6)
-
-
 int_coeffs = st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=6)
 int_forms = st.lists(st.tuples(st.integers(-50, 50), st.integers(-6, 6)), max_size=5)
 
@@ -142,42 +126,18 @@ int_forms = st.lists(st.tuples(st.integers(-50, 50), st.integers(-6, 6)), max_si
 @settings(max_examples=60, deadline=None)
 @given(int_coeffs, int_forms, st.integers(-40, 40), st.integers(0, 30))
 def test_integer_polynomials_expand_and_list_exactly(coeffs, forms, lo, span):
-    # the product of linear forms against poly_mul, its values against poly_eval
+    # the product of linear forms by its values at more points than its
+    # degree, its listed values against poly_eval
     expanded = poly_expand(coeffs, forms)
-    want = tuple(Fraction(c) for c in coeffs)
-    for n, d in forms:
-        want = poly_mul(want, (Fraction(n), Fraction(d)))
-    assert poly_trim(expanded) == poly_trim(want)
+    assert len(expanded) == len(coeffs) + len(forms)
+    for x in range(-len(expanded), len(expanded)):
+        want = poly_eval(coeffs, Fraction(x))
+        for n, d in forms:
+            want *= n + d * x
+        assert poly_eval(expanded, Fraction(x)) == want
     assert list(poly_values(expanded, lo, lo + span)) == [
         poly_eval(expanded, Fraction(x)) for x in range(lo, lo + span)
     ]
-
-
-@settings(max_examples=60, deadline=None)
-@given(coeff_lists, coeff_lists)
-def test_poly_divmod_reconstructs(num, den):
-    den = poly_trim(den)
-    if not den:
-        return
-    quotient, remainder = poly_divmod(num, den)
-    rebuilt = tuple(
-        a + b
-        for a, b in zip(
-            poly_mul(quotient, den) + (Fraction(0),) * 8,
-            tuple(remainder) + (Fraction(0),) * 8,
-        )
-    )
-    assert poly_trim(rebuilt) == poly_trim(num)
-    assert len(remainder) < len(den) or not poly_trim(remainder)
-
-
-def test_poly_shift():
-    # p(k) = k^2 shifted by 1 -> (k+1)^2 = k^2 + 2k + 1
-    assert poly_shift((Fraction(0), Fraction(0), Fraction(1)), Fraction(1)) == (
-        Fraction(1),
-        Fraction(2),
-        Fraction(1),
-    )
 
 
 def test_factorial_quotient_validation():
@@ -230,13 +190,3 @@ def test_term_eval_and_values():
     with pytest.raises(DomainError):
         term_eval(spec, 0)  # indices below start are rejected, not zeroed
 
-
-def test_term_ratio_matches_term_eval(catalog_entries):
-    for entry in catalog_entries[::17]:
-        spec = entry.spec
-        ratio = term_ratio(spec)
-        for k in range(spec.start, spec.start + 6):
-            t_k = term_eval(spec, k)
-            t_next = term_eval(spec, k + 1)
-            if t_k != 0:
-                assert ratio.eval_at(Fraction(k)) == t_next / t_k

@@ -1,12 +1,12 @@
 """Inverse pairs of finite series transforms."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperpi import inversion
-from hyperpi.factorials import binomial
 from hyperpi.inversion import (
     InversionScheme,
     random_scheme,
@@ -46,7 +46,7 @@ def test_constant_scheme_reduces_to_binomial_transform():
     for n in range(n_max + 1):
         f_n = transform(forward, scheme, g_values, n)
         expected = sum(
-            Fraction((-1) ** k * binomial(n, k)) * g_values[k] for k in range(n + 1)
+            Fraction((-1) ** k * math.comb(n, k)) * g_values[k] for k in range(n + 1)
         )
         assert f_n == expected
     f_values = [transform(forward, scheme, g_values, n) for n in range(n_max + 1)]

@@ -28,15 +28,11 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hyperpi"
 
 # Kept with no caller outside the tests, one reason each.
-ALLOWED = {
-    "RationalFunctionOfK.equals": "the ratio certificates of the term ratio will compare with it",
-}
+ALLOWED: dict[str, str] = {}
 
 # Methods whose bare name two or more package classes define, each with a
 # caller that names its class.
 SHARED = {
-    "WellPoisedParams.make": "cli._parse_params and catalog._parse_entry",
-    "RationalFunctionOfK.make": "factorials.term_ratio",
     "WellPoisedParams.scaled": "the dougall identity kernels and theorem_term_pairs (params.scaled)",
     "InversionScheme.scaled": "the inversion weight tables (scheme.scaled)",
 }

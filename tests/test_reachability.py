@@ -34,7 +34,6 @@ ALLOWED = {
     "dougall.IdentityCheck.rhs": "failure path: a counterexample's reported closed form",
     "dougall.WellPoisedParams.__setattr__": "immutability guard",
     "inversion.InversionScheme.__setattr__": "immutability guard",
-    "factorials.RationalFunctionOfK.equals": "the ratio certificates of the term ratio will compare with it",
     "splitting._left_part": "forked child (in-process on a one-CPU host)",
     "splitting._run_in_child": "forked child",
     "splitting._terminated": "signal handler (SIGTERM while children run)",

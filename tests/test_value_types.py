@@ -25,7 +25,7 @@ from hyperpi.constexpr import (
 )
 from hyperpi.dougall import IdentityCheck, WellPoisedParams
 from hyperpi.engine import BbpEquivalence
-from hyperpi.factorials import RationalFunctionOfK, SeriesSpec
+from hyperpi.factorials import SeriesSpec
 from hyperpi.inversion import InversionScheme
 from hyperpi.prng import SplitMix64
 from oracles import same_tree
@@ -48,7 +48,6 @@ CASES = [
     (_PARAMS, None),
     (IdentityCheck((1, 2), (2, 4)), None),
     (InversionScheme((F(1), F(2)), (F(1, 3), F(0)), F(1, 2)), None),
-    (RationalFunctionOfK.make((F(1),), (F(2), F(4))), None),
     (_SPEC, None),
     (CatalogEntry("x", "pi", "A", _PARAMS, _SPEC, PiLeaf(), None), None),
     (EntryCheck("x", 100, 90, 400, True, None), None),
