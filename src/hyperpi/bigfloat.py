@@ -255,43 +255,36 @@ class BigFloat(NamedTuple):
     # arithmetic
     # ------------------------------------------------------------------
 
-    def _target(self, other: "BigFloat", prec: int | None) -> int:
-        return prec if prec is not None else max(self.prec, other.prec)
-
-    def add(self, other: "BigFloat", prec: int | None = None) -> "BigFloat":
-        p = self._target(other, prec)
+    def add(self, other: "BigFloat", prec: int) -> "BigFloat":
         if self.man == 0:
-            return BigFloat.normalize(other.man, other.exp, p)
+            return BigFloat.normalize(other.man, other.exp, prec)
         if other.man == 0:
-            return BigFloat.normalize(self.man, self.exp, p)
+            return BigFloat.normalize(self.man, self.exp, prec)
         e = min(self.exp, other.exp)
         man = (self.man << (self.exp - e)) + (other.man << (other.exp - e))
-        return BigFloat.normalize(man, e, p)
+        return BigFloat.normalize(man, e, prec)
 
-    def sub(self, other: "BigFloat", prec: int | None = None) -> "BigFloat":
-        return self.add(other.neg(), prec if prec is not None else self._target(other, None))
+    def sub(self, other: "BigFloat", prec: int) -> "BigFloat":
+        return self.add(other.neg(), prec)
 
-    def mul(self, other: "BigFloat", prec: int | None = None) -> "BigFloat":
-        p = self._target(other, prec)
+    def mul(self, other: "BigFloat", prec: int) -> "BigFloat":
         if self.man == 0 or other.man == 0:
-            return BigFloat.zero(p)
+            return BigFloat.zero(prec)
         man = self.man * other.man
-        return BigFloat.normalize(man, self.exp + other.exp, p)
+        return BigFloat.normalize(man, self.exp + other.exp, prec)
 
-    def div(self, other: "BigFloat", prec: int | None = None) -> "BigFloat":
+    def div(self, other: "BigFloat", prec: int) -> "BigFloat":
         """``self / other`` correctly rounded: :meth:`from_ratio` of the
         mantissas, shifted by the difference of the exponents."""
-        p = self._target(other, prec)
         if other.man == 0:
             raise DomainError("division by zero")
         if self.man == 0:
-            return BigFloat.zero(p)
-        q = BigFloat.from_ratio(self.man, other.man, p)
-        return BigFloat(q.man, q.exp + self.exp - other.exp, p)
+            return BigFloat.zero(prec)
+        q = BigFloat.from_ratio(self.man, other.man, prec)
+        return BigFloat(q.man, q.exp + self.exp - other.exp, prec)
 
-    def mul_fraction(self, factor: Fraction, prec: int | None = None) -> "BigFloat":
-        p = prec if prec is not None else self.prec
-        return self.mul(BigFloat.from_fraction(factor, p + 8), p)
+    def mul_fraction(self, factor: Fraction, prec: int) -> "BigFloat":
+        return self.mul(BigFloat.from_fraction(factor, prec + 8), prec)
 
     def neg(self) -> "BigFloat":
         return BigFloat(-self.man, self.exp, self.prec)
@@ -404,18 +397,17 @@ def pi_reference(prec: int) -> BigFloat:
 # ----------------------------------------------------------------------
 
 
-def sqrt(x: BigFloat, prec: int | None = None) -> BigFloat:
+def sqrt(x: BigFloat, prec: int) -> BigFloat:
     """Square root, correctly rounded to within one ulp."""
-    p = prec if prec is not None else x.prec
     if x.man < 0:
         raise DomainError("square root of a negative value")
     if x.man == 0:
-        return BigFloat.zero(p)
-    shift = max(0, 2 * (p + 8) - x.man.bit_length())
+        return BigFloat.zero(prec)
+    shift = max(0, 2 * (prec + 8) - x.man.bit_length())
     if (x.exp - shift) & 1:
         shift += 1
     root = math.isqrt(x.man << shift)
-    return BigFloat.normalize(root, (x.exp - shift) // 2, p)
+    return BigFloat.normalize(root, (x.exp - shift) // 2, prec)
 
 
 def _exp_fixed(arg: int, fbits: int) -> int:
@@ -435,33 +427,31 @@ def _exp_fixed(arg: int, fbits: int) -> int:
     return acc
 
 
-def exp(x: BigFloat, prec: int | None = None) -> BigFloat:
+def exp(x: BigFloat, prec: int) -> BigFloat:
     """Exponential function, within 1 ulp of ``exp`` of the exact dyadic
     input.
 
     Guard bits grow with the magnitude of the argument, whose multiple of
     ln 2 is taken out exactly.
     """
-    p = prec if prec is not None else x.prec
     mag = max(0, x.magnitude_exponent())
-    wp = p + GUARD_BITS + 2 * mag + 8
+    wp = prec + GUARD_BITS + 2 * mag + 8
     fixed = x.to_fixed(wp)
     if fixed == 0:
-        return BigFloat.from_int(1, p)
+        return BigFloat.from_int(1, prec)
     ln2 = ln2_fixed(wp)
     k = div_nearest(fixed, ln2)
     rem = fixed - k * ln2
     mantissa = _exp_fixed(rem, wp)
-    return BigFloat.normalize(mantissa, k - wp, p)
+    return BigFloat.normalize(mantissa, k - wp, prec)
 
 
-def ln(x: BigFloat, prec: int | None = None) -> BigFloat:
+def ln(x: BigFloat, prec: int) -> BigFloat:
     """Natural logarithm, within 1 ulp, via Newton iteration on exp with
     precision doubling; the float seed only starts the iteration."""
-    p = prec if prec is not None else x.prec
     if x.man <= 0:
         raise DomainError("logarithm requires a positive value")
-    wp = p + GUARD_BITS + 8
+    wp = prec + GUARD_BITS + 8
     # Float seed from the top 53 mantissa bits.
     bl = x.man.bit_length()
     top = x.man >> max(0, bl - 53)
@@ -477,15 +467,14 @@ def ln(x: BigFloat, prec: int | None = None) -> BigFloat:
         work = sp + 8
         ey = exp(y.neg().round_to(work), work)
         y = y.round_to(work).add(x.round_to(work).mul(ey, work), work).sub(one, work)
-    return y.round_to(p)
+    return y.round_to(prec)
 
 
-def pow_int(x: BigFloat, exponent: int, prec: int | None = None) -> BigFloat:
+def pow_int(x: BigFloat, exponent: int, prec: int) -> BigFloat:
     """Integer power by binary exponentiation."""
-    p = prec if prec is not None else x.prec
     if exponent == 0:
-        return BigFloat.from_int(1, p)
-    wp = p + GUARD_BITS + 4 * max(1, abs(exponent).bit_length())
+        return BigFloat.from_int(1, prec)
+    wp = prec + GUARD_BITS + 4 * max(1, abs(exponent).bit_length())
     base = x.round_to(wp)
     if exponent < 0:
         base = BigFloat.from_int(1, wp).div(base, wp)
@@ -496,7 +485,7 @@ def pow_int(x: BigFloat, exponent: int, prec: int | None = None) -> BigFloat:
             acc = acc.mul(base, wp)
         base = base.mul(base, wp)
         exponent >>= 1
-    return acc.round_to(p)
+    return acc.round_to(prec)
 
 
 def below_power_of_ten(value: BigFloat, digits: int) -> bool:

@@ -38,9 +38,8 @@ Provenance
 ----------
 
 :func:`match_to_theorem` proves each entry an exact rational multiple of
-its stated generator family, termwise; the additive constant stands in for
-the family terms below index ``max(start, 1)``, so an entry that folds its
-k = 0 term into the constant matches by the same rule.
+its stated generator family by the rule of
+:func:`~hyperpi.dougall.family_scale`.
 """
 
 from __future__ import annotations
@@ -63,10 +62,9 @@ from hyperpi.constexpr import (
     parse_rational_string,
     require_int,
 )
-from hyperpi.dougall import CHECK_WINDOW, WellPoisedParams, theorem_term_pairs
+from hyperpi.dougall import WellPoisedParams, family_scale
 from hyperpi.engine import (
     precision_for_digits,
-    series_term_pairs,
     sum_series,
     terms_for_digits,
     verify_bbp_equivalence,
@@ -330,73 +328,15 @@ def verify_entry(entry: CatalogEntry, digits: int) -> EntryCheck:
 # matching an entry to the generator families
 # ----------------------------------------------------------------------
 
-def _pair_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """Sum of unreduced integer pairs (num, den) as one such pair."""
-    num, den = 0, 1
-    for n, d in pairs:
-        num, den = num * d + n * den, den * d
-    return num, den
-
-
 def match_to_theorem(entry: CatalogEntry) -> TheoremMatch:
-    """Prove the entry an exact rational multiple of its stated family.
-
-    With ``cut = max(start, 1)``, one rational ``scale`` must satisfy
-    ``entry_term(k) == scale * family_term(k)`` for every k from ``cut``
-    through :data:`~hyperpi.dougall.CHECK_WINDOW`, and the head must agree:
-    the additive constant plus the entry terms below ``cut`` must equal
-    ``scale`` times the family terms below ``cut``.  ``scale`` comes from
-    the first index at which both terms are nonzero.  Raises
-    :class:`NoMatch` when an index has exactly one zero term, a term is off
-    the scale or the head disagrees, and :class:`NoNonzeroTerm` when the
-    window holds no nonzero pair.
-
-    Both term sequences are unreduced integer pairs, from
-    :func:`~hyperpi.engine.series_term_pairs` and
-    :func:`~hyperpi.dougall.theorem_term_pairs`, compared by
-    cross-multiplication; ``scale`` and the head sums are pairs too.
-    """
-    spec = entry.spec
-    tag = entry.theorem
-    cut = max(spec.start, 1)
-    if cut > CHECK_WINDOW:
-        raise NoNonzeroTerm(
-            f"entry {entry.entry_id}: no term at or below index {CHECK_WINDOW}"
-        )
-    entry_terms = series_term_pairs(spec, CHECK_WINDOW)
-    family_terms = theorem_term_pairs(entry.params, tag, CHECK_WINDOW)
-    scale: tuple[int, int] | None = None
-    for k in range(cut, CHECK_WINDOW + 1):
-        entry_num, entry_den = entry_terms[k - spec.start]
-        family_num, family_den = family_terms[k]
-        if scale is None:
-            if entry_num == 0 and family_num == 0:
-                continue
-            if entry_num == 0 or family_num == 0:
-                raise NoMatch(
-                    f"entry {entry.entry_id}: at k={k} exactly one of the entry "
-                    f"and family {tag} terms is zero"
-                )
-            scale = (entry_num * family_den, entry_den * family_num)
-        elif entry_num * scale[1] * family_den != scale[0] * family_num * entry_den:
-            raise NoMatch(
-                f"entry {entry.entry_id}: term at k={k} is not {Fraction(*scale)} "
-                f"times the family {tag} term"
-            )
-    if scale is None:
-        raise NoNonzeroTerm(
-            f"entry {entry.entry_id}: no nonzero term pair at indices "
-            f"{cut}..{CHECK_WINDOW}"
-        )
-    additive = (spec.additive.numerator, spec.additive.denominator)
-    head_num, head_den = _pair_sum([additive, *entry_terms[: cut - spec.start]])
-    family_head_num, family_head_den = _pair_sum(family_terms[:cut])
-    if head_num * scale[1] * family_head_den != scale[0] * family_head_num * head_den:
-        raise NoMatch(
-            f"entry {entry.entry_id}: additive constant and terms below k={cut} "
-            f"are not {Fraction(*scale)} times the family {tag} terms below it"
-        )
-    return TheoremMatch(entry.entry_id, tag, "exact", Fraction(*scale))
+    """Prove the entry an exact rational multiple of its stated family by
+    :func:`~hyperpi.dougall.family_scale`, whose :class:`NoMatch` or
+    :class:`NoNonzeroTerm` is raised again with the entry id in front."""
+    try:
+        scale = family_scale(entry.spec, entry.params, entry.theorem)
+    except (NoMatch, NoNonzeroTerm) as exc:
+        raise type(exc)(f"entry {entry.entry_id}: {exc}") from exc
+    return TheoremMatch(entry.entry_id, entry.theorem, "exact", scale)
 
 
 # ----------------------------------------------------------------------

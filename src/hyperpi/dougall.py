@@ -29,9 +29,11 @@ integer loop that yields two unreduced pairs, compared once by
 cross-multiplication (:class:`IdentityCheck`); fractions are built only for
 reports.  The samplers test admissibility on the same integers and hand the
 accepted integer form to the parameters.  The family terms are integer pairs
-over q too (:func:`theorem_term_pairs`), compared by cross-multiplication
-with the terms of a flat description (:func:`normalize_theorem_series`) or
-of a catalog entry (:func:`hyperpi.catalog.match_to_theorem`).
+over q too (:func:`theorem_term_pairs`).  One rule, :func:`family_scale`,
+proves a flat description an exact rational multiple of its family by
+cross-multiplication: the normaliser's own description at scale 1
+(:func:`normalize_theorem_series`), a catalog entry at the scale its terms
+give (:func:`hyperpi.catalog.match_to_theorem`).
 """
 
 from __future__ import annotations
@@ -39,11 +41,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from hyperpi.bigfloat import BigFloat
 from hyperpi.errors import (
     InvariantViolation,
+    NoMatch,
+    NoNonzeroTerm,
     NormalizationMismatch,
     ZeroDenominator,
     ZeroLeadParameter,
@@ -56,6 +60,7 @@ from hyperpi.factorials import (
     poly_trim,
     poly_values,
     rising,
+    term_eval,
 )
 from hyperpi.engine import series_term_pairs
 from hyperpi.gammafn import gamma_quotient
@@ -64,9 +69,9 @@ from hyperpi.prng import SplitMix64
 
 _HALF = Fraction(1, 2)
 
-#: Last index of the exact termwise checks: :func:`normalize_theorem_series`
-#: proves its rewrite and :func:`hyperpi.catalog.match_to_theorem` its
-#: proportionality for every k through this index.
+#: Last index of the exact termwise checks of :func:`family_scale`, which
+#: proves both :func:`normalize_theorem_series`'s rewrite and
+#: :func:`hyperpi.catalog.match_to_theorem`'s proportionality.
 CHECK_WINDOW = 50
 
 
@@ -539,9 +544,8 @@ def theorem_term_pairs(params: WellPoisedParams, tag: str, k_last: int) -> list[
     gains (H upper + m q) q over its lower forms; (2k)! is a running int.
     The family-A weight is an integer over q**5; family B adds its odd
     branch at k - 1 (:func:`limit_series_term`) over the even one's
-    denominator, which it divides.  Raises :class:`ZeroDenominator` at the first index at which
-    :func:`theorem_term` would; the last term is checked against
-    :func:`theorem_term`, and a difference raises :class:`InvariantViolation`.
+    denominator, which it divides.  Raises :class:`ZeroDenominator` at the
+    first index at which :func:`theorem_term` would.
     """
     if tag not in ("A", "B"):
         raise ValueError(f"unknown generator family tag {tag!r}")
@@ -583,13 +587,83 @@ def theorem_term_pairs(params: WellPoisedParams, tag: str, k_last: int) -> list[
             )
             num += odd * 2 * k * q2 * even_low * p_low
         out.append((num, q2 * fact * h_den * p_den))
-    if out:
-        (num, den), check = out[-1], theorem_term(params, tag, k_last)
-        if num * check.denominator != check.numerator * den:
-            raise InvariantViolation(
-                f"running family {tag} term at k={k_last} differs from theorem_term"
-            )
     return out
+
+
+# ----------------------------------------------------------------------
+# provenance: a flat series as an exact multiple of a family
+# ----------------------------------------------------------------------
+
+
+def _pair_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of unreduced integer pairs (num, den) as one such pair."""
+    num, den = 0, 1
+    for n, d in pairs:
+        num, den = num * d + n * den, den * d
+    return num, den
+
+
+def family_scale(
+    spec: SeriesSpec, params: WellPoisedParams, tag: str, scale: Fraction | None = None
+) -> Fraction:
+    """Prove ``spec`` an exact rational multiple of family ``tag`` at
+    ``params`` and return the multiple.
+
+    With ``cut = max(start, 1)``, one rational ``scale`` must satisfy
+    ``spec_term(k) == scale * family_term(k)`` for every k from ``cut``
+    through :data:`CHECK_WINDOW`, and the head must agree: the additive
+    constant plus the spec terms below ``cut`` must equal ``scale`` times
+    the family terms below ``cut``.  Unless given, ``scale`` comes from the
+    first index at which both terms are nonzero.  Raises :class:`NoMatch`
+    when an index has exactly one zero term, a term is off the scale or the
+    head disagrees, and :class:`NoNonzeroTerm` when ``cut`` lies past the
+    window, or no scale is given and the window holds no nonzero pair.
+
+    Both term lists are unreduced integer pairs, from
+    :func:`~hyperpi.engine.series_term_pairs` and :func:`theorem_term_pairs`,
+    compared by cross-multiplication; ``scale`` and the head sums are pairs
+    too.  The last term of each list is checked against its definition,
+    :func:`~hyperpi.factorials.term_eval` or :func:`theorem_term`, and a
+    difference raises :class:`InvariantViolation`.
+    """
+    cut = max(spec.start, 1)
+    if cut > CHECK_WINDOW:
+        raise NoNonzeroTerm(f"no term at or below index {CHECK_WINDOW}")
+    # the family first: a lower factorial that vanishes in both is reported
+    # at the family's index k
+    family_terms = theorem_term_pairs(params, tag, CHECK_WINDOW)
+    spec_terms = series_term_pairs(spec, CHECK_WINDOW)
+    (num, den), check = spec_terms[-1], term_eval(spec, CHECK_WINDOW)
+    if num * check.denominator != check.numerator * den:
+        raise InvariantViolation(f"running series term at k={CHECK_WINDOW} differs from term_eval")
+    (num, den), check = family_terms[-1], theorem_term(params, tag, CHECK_WINDOW)
+    if num * check.denominator != check.numerator * den:
+        raise InvariantViolation(
+            f"running family {tag} term at k={CHECK_WINDOW} differs from theorem_term"
+        )
+    pair = None if scale is None else (scale.numerator, scale.denominator)
+    for k in range(cut, CHECK_WINDOW + 1):
+        num, den = spec_terms[k - spec.start]
+        family_num, family_den = family_terms[k]
+        if pair is None:
+            if num == 0 and family_num == 0:
+                continue
+            if num == 0 or family_num == 0:
+                raise NoMatch(f"at k={k} exactly one of the entry and family {tag} terms is zero")
+            pair = (num * family_den, den * family_num)
+        elif num * pair[1] * family_den != pair[0] * family_num * den:
+            raise NoMatch(f"term at k={k} is not {Fraction(*pair)} times the family {tag} term")
+    if pair is None:
+        raise NoNonzeroTerm(f"no nonzero term pair at indices {cut}..{CHECK_WINDOW}")
+    additive = (spec.additive.numerator, spec.additive.denominator)
+    head_num, head_den = _pair_sum([additive, *spec_terms[: cut - spec.start]])
+    family_head_num, family_head_den = _pair_sum(family_terms[:cut])
+    if head_num * pair[1] * family_head_den != pair[0] * family_head_num * head_den:
+        raise NoMatch(
+            f"additive constant and terms below k={cut} are not {Fraction(*pair)} "
+            f"times the family {tag} terms below it"
+        )
+    return Fraction(*pair)
 
 
 def theorem_gamma_args(
@@ -653,14 +727,11 @@ def _deflate(poly: list[Fraction], root: Fraction) -> list[Fraction]:
 def normalize_theorem_series(params: WellPoisedParams, tag: str) -> SeriesSpec:
     """Rewrite a generator family as a flat base-16 series description.
 
-    The rewrite is proven on the spot: every term of the returned
-    description from its start index through :data:`CHECK_WINDOW` must
-    equal the corresponding family term exactly, and a nonzero start index
-    must be compensated exactly by the additive constant.  Any discrepancy
-    raises :class:`NormalizationMismatch`.  Both sides are integer pairs,
-    compared by cross-multiplication: the description's terms from
-    :func:`~hyperpi.engine.series_term_pairs`, the family's from
-    :func:`theorem_term_pairs`.
+    The rewrite is proven on the spot by :func:`family_scale` at scale 1:
+    the returned description must equal the family term by term through
+    :data:`CHECK_WINDOW`, a start index of 1 compensated exactly by the
+    additive constant.  A discrepancy raises :class:`NormalizationMismatch`;
+    a family whose terms are all 0 passes, its description summing to 0.
     """
     if tag not in ("A", "B"):
         raise ValueError(f"unknown generator family tag {tag!r}")
@@ -696,20 +767,10 @@ def normalize_theorem_series(params: WellPoisedParams, tag: str) -> SeriesSpec:
         tuple(upper), tuple(lower), poly_trim(coeff * scale for coeff in poly), 16,
         start=start, additive=additive,
     )
-
-    family_terms = theorem_term_pairs(params, tag, CHECK_WINDOW)
-    spec_terms = series_term_pairs(spec, CHECK_WINDOW)
-    for k, (num, den) in enumerate(spec_terms, spec.start):
-        family_num, family_den = family_terms[k]
-        if num * family_den != family_num * den:
-            raise NormalizationMismatch(
-                f"normalized term differs from the generator at k={k} "
-                f"(family {tag}, params {params})"
-            )
-    if spec.start == 1:
-        family_num, family_den = family_terms[0]
-        if spec.additive.numerator * family_den != family_num * spec.additive.denominator:
-            raise NormalizationMismatch("additive constant does not equal the k=0 term")
+    try:
+        family_scale(spec, params, tag, Fraction(1))
+    except NoMatch as exc:
+        raise NormalizationMismatch(f"{exc} (params {params})") from exc
     return spec
 
 

@@ -39,7 +39,6 @@ from hyperpi.bigfloat import BigFloat, sqrt as bigfloat_sqrt
 from hyperpi.constexpr import ConstExpr, eval_const_expr, monomial
 from hyperpi.errors import (
     DomainError,
-    InvariantViolation,
     NoMatch,
     RangeError,
     RepeatedPole,
@@ -53,7 +52,6 @@ from hyperpi.factorials import (
     poly_expand,
     poly_trim,
     poly_values,
-    term_eval,
 )
 from hyperpi.splitting import product_sum, run_parts, truncated_product_sum, usable_cpus
 
@@ -170,8 +168,7 @@ def series_term_pairs(spec: SeriesSpec, k_last: int) -> list[tuple[int, int]]:
     unreduced integer pairs ``(num, den)``, ``den != 0``: running products
     of the integers that :func:`sum_series` splits (:func:`_series_setup`).
     Raises :class:`ZeroDenominator` at the first index at which
-    :func:`~hyperpi.factorials.term_eval` would; the last term is checked
-    against ``term_eval``, and a difference raises :class:`InvariantViolation`.
+    :func:`~hyperpi.factorials.term_eval` would.
     """
     setup = _series_setup(spec)
     weights, alphas, betas = setup.sequences(0, k_last - spec.start + 1)
@@ -184,10 +181,6 @@ def series_term_pairs(spec: SeriesSpec, k_last: int) -> list[tuple[int, int]]:
             num *= alphas[j - 1]
             den *= betas[j - 1]
         out.append((num * weight, den))
-    if out:
-        last, check = out[-1], term_eval(spec, k_last)
-        if last[0] * check.denominator != check.numerator * last[1]:
-            raise InvariantViolation(f"running series term at k={k_last} differs from term_eval")
     return out
 
 

@@ -99,15 +99,14 @@ def term_ratio_reference(spec: SeriesSpec, k: int) -> Fraction:
     return num / den
 
 
-def pow_fraction(x: BigFloat, exponent: Fraction, prec: int | None = None) -> BigFloat:
+def pow_fraction(x: BigFloat, exponent: Fraction, prec: int) -> BigFloat:
     """Rational power of a positive value via exp(exponent * ln x)."""
-    p = prec if prec is not None else x.prec
     if exponent.denominator == 1:
-        return pow_int(x, exponent.numerator, p)
+        return pow_int(x, exponent.numerator, prec)
     if x.man <= 0:
         raise DomainError("rational power requires a positive base")
-    wp = p + GUARD_BITS + 16
-    return exp(ln(x, wp).mul_fraction(exponent, wp), p)
+    wp = prec + GUARD_BITS + 16
+    return exp(ln(x, wp).mul_fraction(exponent, wp), prec)
 
 
 def hex_fraction_digits(x: BigFloat, position: int, count: int) -> str:

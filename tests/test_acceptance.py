@@ -26,7 +26,7 @@ from hyperpi.dougall import (
     verify_parity_form,
 )
 from hyperpi.engine import bbp_hex_digits, compute_pi_via, convergence_rate, verify_bbp_equivalence
-from hyperpi.errors import NormalizationMismatch
+from hyperpi.errors import HyperPiError
 from hyperpi.gammafn import gamma_quotient, gamma_rational
 from hyperpi.factorials import pochhammer
 from hyperpi.inversion import random_scheme, random_sequence, roundtrip_check
@@ -150,7 +150,7 @@ def test_criterion_5_full_catalog(entries):
             continue
         try:
             match_to_theorem(entry)
-        except NormalizationMismatch:
+        except HyperPiError:
             bad.append(f"{entry.entry_id}: match")
     report(
         "5 full catalog certification at 100 digits plus family matching",

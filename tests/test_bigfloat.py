@@ -261,11 +261,11 @@ def test_fields_are_the_value_at_one_precision(man, exp, prec, factor):
         BigFloat.from_ratio(exact.numerator * factor, exact.denominator * factor, prec),
         BigFloat.from_ratio_ball(exact.numerator, exact.denominator, 0, prec),
         BigFloat.from_fixed(value.man << 5, 5 - value.exp, prec),
-        value.add(BigFloat.zero(prec)),
-        BigFloat.zero(prec).add(value),
-        value.sub(value).add(value),
-        value.mul(one),
-        value.div(one),
+        value.add(BigFloat.zero(prec), prec),
+        BigFloat.zero(prec).add(value, prec),
+        value.sub(value, prec).add(value, prec),
+        value.mul(one, prec),
+        value.div(one, prec),
         value.neg().neg(),
         value.abs() if man >= 0 else value.abs().neg(),
         value.round_to(prec + 40).round_to(prec),

@@ -430,10 +430,13 @@ def test_match_negative_controls_keep_their_messages(catalog_by_id):
 
 @pytest.mark.parametrize("generator", ["theorem_term", "term_eval"])
 def test_match_is_guarded_by_the_definitional_terms(catalog_by_id, monkeypatch, generator):
-    # each generator re-checks its last term against its definition, so a
-    # perturbed definitional value stops the match
-    module = dougall if generator == "theorem_term" else engine
-    exact = getattr(module, generator)
-    monkeypatch.setattr(module, generator, lambda *args: exact(*args) * Fraction(10**30 + 1, 10**30))
+    # family_scale checks the last term of each running list against its
+    # definition, so a perturbed definitional value stops the match and the
+    # normaliser alike
+    entry = catalog_by_id["s3.1-ex1"]
+    exact = getattr(dougall, generator)
+    monkeypatch.setattr(dougall, generator, lambda *args: exact(*args) * Fraction(10**30 + 1, 10**30))
     with pytest.raises(InvariantViolation, match=f"differs from {generator}"):
-        match_to_theorem(catalog_by_id["s3.1-ex1"])
+        match_to_theorem(entry)
+    with pytest.raises(InvariantViolation, match=f"differs from {generator}"):
+        dougall.normalize_theorem_series(entry.params, entry.theorem)

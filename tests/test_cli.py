@@ -353,6 +353,29 @@ def test_rate_subcommand_far_out(capsys, catalog_by_id):
     assert report["relative_deviation"] < 1e-5
 
 
+# sha256 of derive reports down the normaliser's two paths through the
+# provenance rule: family B with start 1 and additive 3/2 (s3.2-ex4's
+# family), and a quadruple at which every term of either family is 0, and so
+# are the sum and the closed form
+PINNED_DERIVE_REPORTS = [
+    ("B", "5/2,1,2,1", "a1dde69abde166a32f19b7cbd77653cf096f912a44286a5a7fe074c04a5b81aa"),
+    ("A", "1/2,0,1/2,1/2", "743b539ed389f2c0749aabf92c651a8bbba2974a900c6287570968fd5d330f6c"),
+    ("B", "1/2,0,1/2,1/2", "92471c493c51e59e536de45359fb803af00fae51ca381f87aae5dbef0789ec1a"),
+]
+
+
+@pytest.mark.parametrize(
+    "theorem,params,digest", PINNED_DERIVE_REPORTS,
+    ids=[f"{theorem}-{params}" for theorem, params, _ in PINNED_DERIVE_REPORTS],
+)
+def test_derive_reports_are_pinned(capsys, theorem, params, digest):
+    code, out, _ = run(
+        capsys, "derive", "--theorem", theorem, "--params", params, "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "terms,digits,code",
     [(2, 30, 2), (12, 20, 2), (30, 20, 0), (60, 40, 0)],
