@@ -51,6 +51,7 @@ from hyperpi.engine import (
     compute_pi_via,
     convergence_rate,
     precision_for_digits,
+    series_term_pairs,
     sum_series,
 )
 from hyperpi.errors import (
@@ -58,7 +59,6 @@ from hyperpi.errors import (
     RangeError,
     UsageError,
 )
-from hyperpi.factorials import term_eval
 from hyperpi.inversion import random_scheme, random_sequence, roundtrip_check
 from hyperpi.prng import SplitMix64
 
@@ -86,20 +86,8 @@ def _count(option: str, minimum: int, maximum: int):
     return integer
 
 
-def _rat(value: Fraction) -> str:
-    return format_rational(value)
-
-
 def _params_str(params: WellPoisedParams) -> list[str]:
-    return [_rat(v) for v in params.as_tuple()]
-
-
-def _emit(args: argparse.Namespace, report: dict, human_lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for line in human_lines:
-            print(line)
+    return [format_rational(v) for v in params.as_tuple()]
 
 
 def _report(command: str, parameters: dict, passed: bool, **extra) -> dict:
@@ -119,44 +107,37 @@ def _report(command: str, parameters: dict, passed: bool, **extra) -> dict:
 # ----------------------------------------------------------------------
 
 
-def _cmd_verify_dougall(args: argparse.Namespace) -> int:
+def _trials(
+    args: argparse.Namespace, command: str, header: str, failures: list[tuple[dict, str]]
+) -> tuple[dict, list[str]]:
+    """Report and human lines of a ``verify`` trial command, from one
+    ``(report row, human line)`` pair per counterexample."""
+    passed = not failures
+    report = _report(command, {"trials": args.trials, "nmax": args.nmax, "seed": args.seed},
+                     passed, counterexamples=[row for row, _ in failures])
+    lines = [f"{header}, seed {args.seed}"]
+    lines.extend(f"  COUNTEREXAMPLE {line}" for _, line in failures)
+    lines.append("PASS" if passed else "FAIL")
+    return report, lines
+
+
+def _cmd_verify_dougall(args: argparse.Namespace) -> tuple[dict, list[str]]:
     rng = SplitMix64(args.seed)
-    counterexamples = []
+    failures = []
     for _ in range(args.trials):
         params = random_finite_params(rng, args.nmax)
         degree = rng.randint(0, args.nmax)
         check = verify_dougall(params, degree)
         if not check.passed:
-            counterexamples.append(
-                {
-                    "params": _params_str(params),
-                    "n": degree,
-                    "sum": _rat(check.lhs),
-                    "closed_form": _rat(check.rhs),
-                }
-            )
-    passed = not counterexamples
-    report = _report(
-        "verify-dougall",
-        {"trials": args.trials, "nmax": args.nmax, "seed": args.seed},
-        passed,
-        counterexamples=counterexamples,
-    )
-    lines = [
-        f"terminating identity: {args.trials} random trials, degrees 0..{args.nmax}, "
-        f"seed {args.seed}"
-    ]
-    for ce in counterexamples:
-        lines.append(
-            f"  COUNTEREXAMPLE params={ce['params']} n={ce['n']} "
-            f"sum={ce['sum']} closed={ce['closed_form']}"
-        )
-    lines.append("PASS" if passed else "FAIL")
-    _emit(args, report, lines)
-    return 0 if passed else 2
+            row = {"params": _params_str(params), "n": degree,
+                   "sum": format_rational(check.lhs), "closed_form": format_rational(check.rhs)}
+            failures.append((row, f"params={row['params']} n={degree} "
+                                  f"sum={row['sum']} closed={row['closed_form']}"))
+    header = f"terminating identity: {args.trials} random trials, degrees 0..{args.nmax}"
+    return _trials(args, "verify-dougall", header, failures)
 
 
-def _cmd_verify_inversion(args: argparse.Namespace) -> int:
+def _cmd_verify_inversion(args: argparse.Namespace) -> tuple[dict, list[str]]:
     rng = SplitMix64(args.seed)
     failures = []
     for pair in ("plain", "extended"):
@@ -164,46 +145,23 @@ def _cmd_verify_inversion(args: argparse.Namespace) -> int:
             scheme = random_scheme(rng, args.nmax, extended=(pair == "extended"))
             sequence = random_sequence(rng, args.nmax)
             for message in roundtrip_check(scheme, sequence, args.nmax, pair):
-                failures.append({"pair": pair, "detail": message})
-    passed = not failures
-    report = _report(
-        "verify-inversion",
-        {"trials": args.trials, "nmax": args.nmax, "seed": args.seed},
-        passed,
-        counterexamples=failures,
-    )
-    lines = [
-        f"inverse pairs plain, extended: {args.trials} random schemes each, "
-        f"n <= {args.nmax}, seed {args.seed}"
-    ]
-    lines.extend(f"  COUNTEREXAMPLE [{f['pair']}] {f['detail']}" for f in failures)
-    lines.append("PASS" if passed else "FAIL")
-    _emit(args, report, lines)
-    return 0 if passed else 2
+                failures.append(({"pair": pair, "detail": message}, f"[{pair}] {message}"))
+    header = (f"inverse pairs plain, extended: {args.trials} random schemes each, "
+              f"n <= {args.nmax}")
+    return _trials(args, "verify-inversion", header, failures)
 
 
-def _cmd_verify_chain(args: argparse.Namespace) -> int:
+def _cmd_verify_chain(args: argparse.Namespace) -> tuple[dict, list[str]]:
     rng = SplitMix64(args.seed)
     failures = []
     for _ in range(args.trials):
         params = random_parity_params(rng, args.nmax, for_chain=True)
         for message in verify_chain(params, args.nmax):
-            failures.append({"params": _params_str(params), "detail": message})
-    passed = not failures
-    report = _report(
-        "verify-chain",
-        {"trials": args.trials, "nmax": args.nmax, "seed": args.seed},
-        passed,
-        counterexamples=failures,
-    )
-    lines = [
-        f"parity/dual/inverse-pair chain: {args.trials} random parameter sets, "
-        f"n <= {args.nmax}, seed {args.seed}"
-    ]
-    lines.extend(f"  COUNTEREXAMPLE {f}" for f in failures)
-    lines.append("PASS" if passed else "FAIL")
-    _emit(args, report, lines)
-    return 0 if passed else 2
+            row = {"params": _params_str(params), "detail": message}
+            failures.append((row, str(row)))
+    header = (f"parity/dual/inverse-pair chain: {args.trials} random parameter sets, "
+              f"n <= {args.nmax}")
+    return _trials(args, "verify-chain", header, failures)
 
 
 def _find_entry(entries: list[CatalogEntry], entry_id: str) -> CatalogEntry:
@@ -213,13 +171,12 @@ def _find_entry(entries: list[CatalogEntry], entry_id: str) -> CatalogEntry:
     return index[entry_id]
 
 
-def _cmd_verify_catalog(args: argparse.Namespace) -> int:
+def _cmd_verify_catalog(args: argparse.Namespace) -> tuple[dict, list[str]]:
     entries = load_catalog(args.catalog)
     if args.id is not None:
         entries = [_find_entry(entries, args.id)]
     rows = [certify_entry(entry, args.digits) for entry in entries]
-    failed = [row for row in rows if row["failure"] is not None]
-    passed = not failed
+    passed = all(row["failure"] is None for row in rows)
     report = _report(
         "verify-catalog",
         {"id": args.id, "digits": args.digits, "catalog": args.catalog,
@@ -238,8 +195,7 @@ def _cmd_verify_catalog(args: argparse.Namespace) -> int:
                 f"match={row['match_mode']} scale={row['scale']}{bbp_note}"
             )
     lines.append("PASS" if passed else "FAIL")
-    _emit(args, report, lines)
-    return 0 if passed else 2
+    return report, lines
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +213,7 @@ def _parse_params(text: str) -> WellPoisedParams:
         raise UsageError(f"invalid parameter list {text!r}: {exc}") from exc
 
 
-def _cmd_derive(args: argparse.Namespace) -> int:
+def _cmd_derive(args: argparse.Namespace) -> tuple[dict, list[str]]:
     params = _parse_params(args.params)
     spec = normalize_theorem_series(params, args.theorem)
     prec = precision_for_digits(args.digits)
@@ -268,23 +224,26 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     passed = below_power_of_ten(difference, args.digits)
     agreement = difference.abs().to_float() or None  # None: zero or below floats
     head = [
-        {"k": k, "term": _rat(term_eval(spec, k))}
-        for k in range(spec.start, min(spec.start + 8, spec.start + args.terms))
+        {"k": k, "term": format_rational(Fraction(*pair))}
+        for k, pair in enumerate(
+            series_term_pairs(spec, spec.start + min(8, args.terms) - 1), spec.start
+        )
     ]
+    series = {
+        "upper": [format_rational(u) for u in spec.upper],
+        "lower": [format_rational(v) for v in spec.lower],
+        "poly": [format_rational(c) for c in spec.poly],
+        "base": spec.base,
+        "start": spec.start,
+        "additive": format_rational(spec.additive),
+        "sign": spec.sign,
+    }
     report = _report(
         "derive",
         {"theorem": args.theorem, "params": _params_str(params),
          "terms": args.terms, "digits": args.digits},
         passed,
-        series={
-            "upper": [_rat(u) for u in spec.upper],
-            "lower": [_rat(v) for v in spec.lower],
-            "poly": [_rat(c) for c in spec.poly],
-            "base": spec.base,
-            "start": spec.start,
-            "additive": _rat(spec.additive),
-            "sign": spec.sign,
-        },
+        series=series,
         leading_terms=head,
         partial_sum=partial.to_decimal_string(args.digits),
         closed_form=closed_text,
@@ -292,11 +251,11 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     )
     lines = [
         f"family {args.theorem} at parameters ({', '.join(_params_str(params))})",
-        f"  upper    : {' '.join(_rat(u) for u in spec.upper)}",
-        f"  lower    : {' '.join(_rat(v) for v in spec.lower)}",
-        f"  poly     : {' '.join(_rat(c) for c in spec.poly)}",
+        f"  upper    : {' '.join(series['upper'])}",
+        f"  lower    : {' '.join(series['lower'])}",
+        f"  poly     : {' '.join(series['poly'])}",
         f"  base     : {spec.base}   start: {spec.start}   "
-        f"additive: {_rat(spec.additive)}   sign: {spec.sign}",
+        f"additive: {series['additive']}   sign: {spec.sign}",
     ]
     lines.extend(f"  term[{h['k']}] = {h['term']}" for h in head)
     lines.append(f"  partial sum ({args.terms} terms) = {report['partial_sum']}")
@@ -304,11 +263,10 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     lines.append(f"  |difference| ~ {agreement if agreement is not None else 0}")
     if not passed:
         lines.append(f"FAIL: |partial sum - closed form| is not below 10^-{args.digits}")
-    _emit(args, report, lines)
-    return 0 if passed else 2
+    return report, lines
 
 
-def _cmd_pi(args: argparse.Namespace) -> int:
+def _cmd_pi(args: argparse.Namespace) -> tuple[dict, list[str]]:
     entry = _find_entry(load_catalog(args.catalog), args.entry)
     value = compute_pi_via(entry.spec, entry.lhs, args.digits)
     digits_text = value.to_decimal_string(args.digits)
@@ -318,11 +276,10 @@ def _cmd_pi(args: argparse.Namespace) -> int:
         True,
         pi=digits_text,
     )
-    _emit(args, report, [digits_text])
-    return 0
+    return report, [digits_text]
 
 
-def _cmd_bbp(args: argparse.Namespace) -> int:
+def _cmd_bbp(args: argparse.Namespace) -> tuple[dict, list[str]]:
     digits = bbp_hex_digits(args.pos, args.count)
     report = _report(
         "bbp",
@@ -330,11 +287,10 @@ def _cmd_bbp(args: argparse.Namespace) -> int:
         True,
         hex_digits=digits,
     )
-    _emit(args, report, [digits])
-    return 0
+    return report, [digits]
 
 
-def _cmd_rate(args: argparse.Namespace) -> int:
+def _cmd_rate(args: argparse.Namespace) -> tuple[dict, list[str]]:
     entry = _find_entry(load_catalog(args.catalog), args.id)
     if args.k < entry.spec.start:
         raise UsageError(
@@ -348,18 +304,17 @@ def _cmd_rate(args: argparse.Namespace) -> int:
         "rate",
         {"id": args.id, "k": args.k, "catalog": args.catalog},
         True,
-        ratio=_rat(ratio),
+        ratio=format_rational(ratio),
         ratio_float=float(ratio),
-        geometric_target=_rat(target),
+        geometric_target=format_rational(target),
         relative_deviation=float(deviation),
     )
     lines = [
-        f"t({args.k + 1})/t({args.k}) = {_rat(ratio)} ~ {float(ratio):.10f}",
+        f"t({args.k + 1})/t({args.k}) = {format_rational(ratio)} ~ {float(ratio):.10f}",
         f"geometric target 1/{entry.spec.base}; relative deviation "
         f"{float(deviation):.3e}",
     ]
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
 # ----------------------------------------------------------------------
@@ -372,42 +327,34 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hyperpi", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"hyperpi {__version__}")
     sub = parser.add_subparsers(dest="command")
-
-    def common(p: _Parser) -> None:
-        p.add_argument("--format", choices=("human", "json"), default="human")
-
     verify = sub.add_parser("verify", help="run exact/high-precision checks")
     vsub = verify.add_subparsers(dest="target")
+    commands = []
 
-    vd = vsub.add_parser("dougall", help="terminating identity, random trials")
-    vd.add_argument("--trials", type=_count("--trials", 1, 1000), default=200)
-    vd.add_argument("--nmax", type=_count("--nmax", 0, 1000), default=20)
-    vd.add_argument("--seed", type=int, default=0)
-    common(vd)
-    vd.set_defaults(handler=_cmd_verify_dougall)
+    def command(parent, name: str, handler, help: str) -> _Parser:
+        # --format is added at the end, so each --help lists it after the command's own options
+        p = parent.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        commands.append(p)
+        return p
 
-    vi = vsub.add_parser("inversion", help="inverse-pair round trips")
-    vi.add_argument("--trials", type=_count("--trials", 1, 1000), default=50)
-    vi.add_argument("--nmax", type=_count("--nmax", 0, 50), default=12)
-    vi.add_argument("--seed", type=int, default=0)
-    common(vi)
-    vi.set_defaults(handler=_cmd_verify_inversion)
+    def trial(name: str, handler, help: str, trials: int, nmax_max: int, nmax: int) -> None:
+        p = command(vsub, name, handler, help)
+        p.add_argument("--trials", type=_count("--trials", 1, 1000), default=trials)
+        p.add_argument("--nmax", type=_count("--nmax", 0, nmax_max), default=nmax)
+        p.add_argument("--seed", type=int, default=0)
 
-    vc = vsub.add_parser("chain", help="parity form, dual expansion, inverse-pair chain")
-    vc.add_argument("--trials", type=_count("--trials", 1, 1000), default=10)
-    vc.add_argument("--nmax", type=_count("--nmax", 0, 50), default=6)
-    vc.add_argument("--seed", type=int, default=0)
-    common(vc)
-    vc.set_defaults(handler=_cmd_verify_chain)
+    trial("dougall", _cmd_verify_dougall, "terminating identity, random trials", 200, 1000, 20)
+    trial("inversion", _cmd_verify_inversion, "inverse-pair round trips", 50, 50, 12)
+    trial("chain", _cmd_verify_chain, "parity form, dual expansion, inverse-pair chain",
+          10, 50, 6)
 
-    vcat = vsub.add_parser("catalog", help="catalog entries against closed forms")
+    vcat = command(vsub, "catalog", _cmd_verify_catalog, "catalog entries against closed forms")
     vcat.add_argument("--id", default=None)
     vcat.add_argument("--digits", type=_count("--digits", 1, 10_000), default=100)
     vcat.add_argument("--catalog", default=None, help="path to an alternative catalog")
-    common(vcat)
-    vcat.set_defaults(handler=_cmd_verify_catalog)
 
-    derive = sub.add_parser("derive", help="instantiate a generator family")
+    derive = command(sub, "derive", _cmd_derive, "instantiate a generator family")
     derive.add_argument("--theorem", choices=("A", "B"), required=True)
     derive.add_argument(
         "--params", required=True,
@@ -415,29 +362,23 @@ def build_parser() -> _Parser:
     )
     derive.add_argument("--terms", type=_count("--terms", 1, 10_000), default=60)
     derive.add_argument("--digits", type=_count("--digits", 1, 10_000), default=40)
-    common(derive)
-    derive.set_defaults(handler=_cmd_derive)
 
-    pi_cmd = sub.add_parser("pi", help="decimal digits of pi via a catalog entry")
+    pi_cmd = command(sub, "pi", _cmd_pi, "decimal digits of pi via a catalog entry")
     pi_cmd.add_argument("--entry", required=True)
     pi_cmd.add_argument("--digits", type=_count("--digits", 1, 100_000), default=50)
     pi_cmd.add_argument("--catalog", default=None)
-    common(pi_cmd)
-    pi_cmd.set_defaults(handler=_cmd_pi)
 
-    bbp = sub.add_parser("bbp", help="hexadecimal digits of pi at an offset")
+    bbp = command(sub, "bbp", _cmd_bbp, "hexadecimal digits of pi at an offset")
     bbp.add_argument("--pos", type=_count("--pos", 0, 10_000_000), required=True)
-    bbp.add_argument("--count", type=int, default=16)
-    common(bbp)
-    bbp.set_defaults(handler=_cmd_bbp)
+    bbp.add_argument("--count", type=_count("--count", 1, 16), default=16)
 
-    rate = sub.add_parser("rate", help="consecutive-term ratio of an entry")
+    rate = command(sub, "rate", _cmd_rate, "consecutive-term ratio of an entry")
     rate.add_argument("--id", required=True)
     rate.add_argument("--k", type=int, default=500)
     rate.add_argument("--catalog", default=None)
-    common(rate)
-    rate.set_defaults(handler=_cmd_rate)
 
+    for p in commands:
+        p.add_argument("--format", choices=("human", "json"), default="human")
     return parser
 
 
@@ -447,13 +388,19 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if not hasattr(args, "handler"):
             raise UsageError("missing subcommand (try --help)")
-        return args.handler(args)
+        report, lines = args.handler(args)
     except (UsageError, RangeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except HyperPiError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        print(json.dumps(report, sort_keys=True, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return 0 if report["passed"] else 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import hyperpi
-from hyperpi import catalog, dougall
+from hyperpi import catalog, dougall, inversion
 from hyperpi.bigfloat import pi_reference
 from hyperpi.cli import build_parser, main
 from hyperpi.constexpr import format_rational
@@ -62,11 +62,31 @@ def test_verify_chain_ok(capsys):
     assert "PASS" in out
 
 
-def test_verify_chain_failure_exits_2(capsys, monkeypatch):
-    exact = dougall.parity_closed_form
+def _shift_closed_quotient(monkeypatch):
+    closed_forms = dougall._closed_forms
     monkeypatch.setattr(
-        dougall, "parity_closed_form", lambda params, n: exact(params, n) + 1
+        dougall, "_closed_forms", lambda q, a, b, c, d: closed_forms(q, a, b + q, c, d)
     )
+
+
+def _shift_parity_form(monkeypatch):
+    exact = dougall.parity_closed_form
+    monkeypatch.setattr(dougall, "parity_closed_form", lambda params, n: exact(params, n) + 1)
+
+
+def _shift_inverse_pair_sums(monkeypatch):
+    # every transform's numerator off by its denominator: each value off by 1
+    apply = inversion._apply
+
+    def shifted(weights, values):
+        num, den = apply(weights, values)
+        return num + den, den
+
+    monkeypatch.setattr(inversion, "_apply", shifted)
+
+
+def test_verify_chain_failure_exits_2(capsys, monkeypatch):
+    _shift_parity_form(monkeypatch)
     code, out, _ = run(
         capsys, "verify", "chain", "--trials", "1", "--nmax", "2", "--seed", "3",
         "--format", "json",
@@ -79,10 +99,7 @@ def test_verify_chain_failure_exits_2(capsys, monkeypatch):
 def test_verify_dougall_failure_exits_2(capsys, monkeypatch):
     # the closed quotient taken at b + 1: every trial of positive degree fails,
     # and each counterexample shows both sides as reduced fractions
-    closed_forms = dougall._closed_forms
-    monkeypatch.setattr(
-        dougall, "_closed_forms", lambda q, a, b, c, d: closed_forms(q, a, b + q, c, d)
-    )
+    _shift_closed_quotient(monkeypatch)
     code, out, _ = run(
         capsys, "verify", "dougall", "--trials", "4", "--nmax", "6", "--seed", "1",
         "--format", "json",
@@ -101,6 +118,44 @@ def test_verify_dougall_failure_exits_2(capsys, monkeypatch):
     monkeypatch.undo()
     for params, n, check in checks:
         assert check.lhs == dougall.verify_dougall(params, n).rhs != check.rhs
+
+
+# the human output of each trial command, passing and under a planted fault:
+# header, one line per counterexample, verdict
+TRIAL_OUTPUTS = [
+    (("verify", "dougall", "--trials", "3", "--nmax", "2", "--seed", "1"),
+     _shift_closed_quotient,
+     "terminating identity: 3 random trials, degrees 0..2, seed 1\n",
+     "  COUNTEREXAMPLE params=['-3/4', '6/5', '3/7', '1/6'] n=2 "
+     "sum=-695623145/76755991 closed=26431804515/4657982563\n"
+     "  COUNTEREXAMPLE params=['10/3', '-3/5', '8/7', '-1'] n=1 "
+     "sum=2532673/2493874 closed=1550263/1573294\n"),
+    (("verify", "chain", "--trials", "1", "--nmax", "1", "--seed", "3"),
+     _shift_parity_form,
+     "parity/dual/inverse-pair chain: 1 random parameter sets, n <= 1, seed 3\n",
+     "  COUNTEREXAMPLE {'params': ['-1/2', '-1/2', '-7/6', '5'], "
+     "'detail': 'parity form failed at n=0: 1 != 2'}\n"
+     "  COUNTEREXAMPLE {'params': ['-1/2', '-1/2', '-7/6', '5'], "
+     "'detail': 'parity form failed at n=1: 169/253 != 422/253'}\n"),
+    (("verify", "inversion", "--trials", "1", "--nmax", "0", "--seed", "3"),
+     _shift_inverse_pair_sums,
+     "inverse pairs plain, extended: 1 random schemes each, n <= 0, seed 3\n",
+     "  COUNTEREXAMPLE [plain] plain: inverse(forward(g))(0) = 31/13 != 5/13\n"
+     "  COUNTEREXAMPLE [plain] plain: forward(inverse(g))(0) = 31/13 != 5/13\n"
+     "  COUNTEREXAMPLE [extended] extended: inverse(forward(g))(0) = 22/19 != -16/19\n"
+     "  COUNTEREXAMPLE [extended] extended: forward(inverse(g))(0) = 22/19 != -16/19\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,fault,header,counterexamples", TRIAL_OUTPUTS, ids=[argv[1] for argv, *_ in TRIAL_OUTPUTS]
+)
+def test_trial_commands_print_header_counterexamples_and_verdict(
+    capsys, monkeypatch, argv, fault, header, counterexamples
+):
+    assert run(capsys, *argv) == (0, header + "PASS\n", "")
+    fault(monkeypatch)
+    assert run(capsys, *argv) == (2, header + counterexamples + "FAIL\n", "")
 
 
 def test_verify_catalog_single_entry(capsys):
@@ -178,6 +233,7 @@ COUNT_MAXIMA = [
     (("derive", "--theorem", "A", "--params", "1/2,1/2,1/2,1/2"), "--digits", 10_000),
     (("pi", "--entry", "s3.1-ex1"), "--digits", 100_000),
     (("bbp",), "--pos", 10_000_000),
+    (("bbp", "--pos", "0"), "--count", 16),
 ]
 # one above each count's maximum: a RangeError before any work
 BAD_COUNTS += [(*argv, option, str(maximum + 1)) for argv, option, maximum in COUNT_MAXIMA]
@@ -273,8 +329,11 @@ def test_reports_carry_only_what_the_run_computed(capsys, argv, keys):
     assert set(json.loads(out)) == shared | keys
 
 
-# sha256 of the JSON reports of the benchmark's identity commands; the
-# exact-arithmetic layers they run must not change a byte of them
+# sha256 of the JSON reports of the benchmark's identity commands.  A
+# passing report holds the parameters, "passed": true and an empty
+# "counterexamples" list and no computed value, so these digests pin the
+# verdicts and the report's shape; the draws are pinned by the sampler
+# stream tests (test_prng, test_dougall)
 PINNED_REPORTS = [
     (("verify", "dougall", "--nmax", "20", "--trials", "120", "--seed", "1"),
      "dbd622485dd6ea2d263b23767651eaabce73ad385c061c82133ce8f30be8c787"),
