@@ -71,6 +71,7 @@ from hyperpi.engine import (
 )
 from hyperpi.errors import (
     HyperPiError,
+    InvariantViolation,
     NoMatch,
     NoNonzeroTerm,
     SchemaError,
@@ -252,7 +253,7 @@ def _parse_entry(raw: object, seen_ids: set[str]) -> CatalogEntry:
     )
     try:
         spec.validate()
-    except Exception as exc:
+    except InvariantViolation as exc:
         raise SchemaError(f"entry {entry_id}: invalid series: {exc}") from exc
     try:
         lhs = parse_const_expr(raw["lhs"])

@@ -234,19 +234,15 @@ def parity_closed_form(params: WellPoisedParams, n: int) -> Fraction:
     return Fraction(num1 * num2 * num3, den1 * den2 * den3)
 
 
-def _shifted_closed_pair(params: WellPoisedParams, n: int) -> tuple[int, int]:
-    """The closed quotient at (b + floor(n/2), d + ceil(n/2)) as a pair."""
-    q, a, b, c, d = params.scaled
-    forms = _closed_forms(q, a, b + n // 2 * q, c, d + (n - n // 2) * q)
-    return _rising_quotient(*forms, q, n)
-
-
 def verify_parity_form(params: WellPoisedParams, n: int) -> IdentityCheck:
     """Closed quotient at (b + floor(n/2), d + ceil(n/2)) vs the bracket product.
 
-    The bracket side comes through :func:`parity_closed_form`, reduced once.
+    The left pair is the shifted closed quotient, unreduced; the bracket
+    side comes through :func:`parity_closed_form`, reduced once.
     """
-    closed = _shifted_closed_pair(params, n)
+    q, a, b, c, d = params.scaled
+    forms = _closed_forms(q, a, b + n // 2 * q, c, d + (n - n // 2) * q)
+    closed = _rising_quotient(*forms, q, n)
     brackets = parity_closed_form(params, n)
     return IdentityCheck(closed, (brackets.numerator, brackets.denominator))
 
@@ -254,16 +250,6 @@ def verify_parity_form(params: WellPoisedParams, n: int) -> IdentityCheck:
 # ----------------------------------------------------------------------
 # binomial dual expansion
 # ----------------------------------------------------------------------
-
-
-def _dual_quotient_pair(params: WellPoisedParams, n: int) -> tuple[int, int]:
-    q, a, b, c, d = params.scaled
-    return _rising_quotient(
-        (b, c, d, q + 2 * a - b - c - d),
-        (q + a - b, q + a - c, q + a - d, b + c + d - a),
-        q,
-        n,
-    )
 
 
 def _dual_expansion(
@@ -320,8 +306,12 @@ def _dual_expansion(
 
 
 def verify_dual_relation(params: WellPoisedParams, n: int) -> IdentityCheck:
-    """Exact check: dual quotient against its binomial expansion."""
-    return IdentityCheck(_dual_quotient_pair(params, n), _dual_expansion(params, n)[1])
+    """Exact check: dual quotient against its binomial expansion.  The left
+    pair is the dual quotient, unreduced."""
+    q, a, b, c, d = params.scaled
+    quotient = _rising_quotient((b, c, d, q + 2 * a - b - c - d),
+                                (q + a - b, q + a - c, q + a - d, b + c + d - a), q, n)
+    return IdentityCheck(quotient, _dual_expansion(params, n)[1])
 
 
 # ----------------------------------------------------------------------
@@ -356,60 +346,52 @@ def verify_chain(params: WellPoisedParams, n_max: int) -> list[str]:
     3. each dual summand equals the corresponding inverse-transform term,
     4. the dual expansion totals the dual quotient.
 
-    The assignment is g(k) = dual quotient * (a)_k / a and f(n) = the
-    parity-shifted closed quotient * phi(a; n) phi(0; n) / (a + n).  Over
-    the common denominator q, (a)_k is an integer over q**k and a + n one
-    over q; the g values are reduced once, as the transform's input, and
+    One pass over n runs :func:`verify_parity_form` and
+    :func:`verify_dual_relation` and reads the assignment off their left
+    pairs: g(n) = dual quotient * (a)_n / a and f(n) = the parity-shifted
+    closed quotient * phi(a; n) phi(0; n) / (a + n).  Checks 2 and 3 at n
+    need g and f up to n only, so all four run at the same degree; the
+    failures are listed check by check, each in order of n.  Over the common
+    denominator q, (a)_n is a running integer over q**n and a + n one over
+    q; the g values are reduced once, as the transform's input, and
     everything else is compared as unreduced pairs.
     """
     q, a = params.scaled[:2]
     if a == 0:
         raise ZeroLeadParameter("the leading parameter must be nonzero")
-    failures: list[str] = []
+    parity, forward, mapping, dual = [], [], [], []
     scheme = assignment_scheme(params, n_max)
     phi_a, phi_0 = scheme.phi_prefix(params.a), scheme.phi_prefix(0)
-    g_vals = []
-    f_pairs = []
+    g_vals, f_pairs = [], []
+    poch, q_n = 1, 1  # (a)_n = poch / q_n
     for n in range(n_max + 1):
-        num, den = _dual_quotient_pair(params, n)
-        g_vals.append(Fraction(num * rising(a, q, n) * q, den * q**n * a))
+        closed = verify_parity_form(params, n)
+        if not closed.passed:
+            parity.append(f"parity form failed at n={n}: {closed.lhs} != {closed.rhs}")
+        relation = verify_dual_relation(params, n)
+        if not relation.passed:
+            dual.append(f"dual expansion failed at n={n}: {relation.lhs} != {relation.rhs}")
         if a + n * q == 0:
             raise ZeroDenominator(f"a + n vanished at n={n}")
-        num, den = _shifted_closed_pair(params, n)
-        f_pairs.append((
-            num * phi_a[0][n] * phi_0[0][n] * q,
-            den * phi_a[1][n] * phi_0[1][n] * (a + n * q),
-        ))
-
-    for n in range(n_max + 1):
-        chk = verify_parity_form(params, n)
+        num, den = relation.lhs_pair
+        g_vals.append(Fraction(num * poch * q, den * q_n * a))
+        num, den = closed.lhs_pair
+        f_pairs.append((num * phi_a[0][n] * phi_0[0][n] * q,
+                        den * phi_a[1][n] * phi_0[1][n] * (a + n * q)))
+        chk = IdentityCheck(forward_extended(scheme, g_vals, n), f_pairs[n])
         if not chk.passed:
-            failures.append(f"parity form failed at n={n}: {chk.lhs} != {chk.rhs}")
-
-    for n in range(n_max + 1):
-        got = forward_extended(scheme, g_vals.__getitem__, n)
-        chk = IdentityCheck((got.numerator, got.denominator), f_pairs[n])
-        if not chk.passed:
-            failures.append(f"forward transform at n={n}: {got} != {chk.rhs}")
-
-    # Term k of the extended inverse transform of f at n, times a / (a)_n.
-    # (a)_n is nonzero here: for an integer a in [1 - n, 0], a + m vanishes
-    # at m = -a < n, which raised above.
-    for n in range(n_max + 1):
-        scale = (a * q**n, q * rising(a, q, n))
+            forward.append(f"forward transform at n={n}: {chk.lhs} != {chk.rhs}")
+        # Term k of the extended inverse transform of f at n, times a / (a)_n.
+        # (a)_n is nonzero here: for an integer a in [1 - n, 0], a + m
+        # vanishes at m = -a < n, which raised at degree m.
         summands = _dual_expansion(params, n)[0]
         for k, (num, den) in enumerate(inverse_extended_terms(scheme, f_pairs, n)):
-            chk = IdentityCheck((num * scale[0], den * scale[1]), summands[k])
+            chk = IdentityCheck((num * a * q_n, den * q * poch), summands[k])
             if not chk.passed:
-                failures.append(
-                    f"summand mapping at n={n}, k={k}: {chk.lhs} != {chk.rhs}"
-                )
-
-    for n in range(n_max + 1):
-        chk = verify_dual_relation(params, n)
-        if not chk.passed:
-            failures.append(f"dual expansion failed at n={n}: {chk.lhs} != {chk.rhs}")
-    return failures
+                mapping.append(f"summand mapping at n={n}, k={k}: {chk.lhs} != {chk.rhs}")
+        poch *= a + n * q
+        q_n *= q
+    return parity + forward + mapping + dual
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from hyperpi.errors import ZeroDenominator
 from hyperpi.factorials import rising
@@ -101,9 +101,6 @@ class InversionScheme(_Sequences):
                 dens.append(dens[-1] * q * s)
             prefix = self._prefixes[x] = (nums, dens)
         return prefix
-
-
-SequenceFn = Callable[[int], Fraction]
 
 
 def _forward_plain_weights(scheme: InversionScheme, n: int) -> Weights:
@@ -170,10 +167,9 @@ def _apply(weights: Weights, values: Sequence[Fraction]) -> Pair:
     return acc, den
 
 
-def forward_extended(scheme: InversionScheme, g: SequenceFn, n: int) -> Fraction:
-    """f(n) from g via the extended forward transform."""
-    values = [g(k) for k in range(n + 1)]
-    return Fraction(*_apply(_forward_extended_weights(scheme, n), values))
+def forward_extended(scheme: InversionScheme, g_values: Sequence[Fraction], n: int) -> Pair:
+    """f(n) from g_0 .. g_n via the extended forward transform, unreduced."""
+    return _apply(_forward_extended_weights(scheme, n), g_values[: n + 1])
 
 
 def inverse_extended_terms(scheme: InversionScheme, f: Sequence[Pair], n: int) -> list[Pair]:
@@ -202,20 +198,21 @@ def roundtrip_check(
     """Exact round-trip failures (empty list when the pair inverts cleanly).
 
     Both composition orders are checked: forward-then-inverse recovers g,
-    and inverse-then-forward recovers g as well.  The intermediate sequence
-    is reduced once per value; each recovered value stays an unreduced pair
-    and is compared with g by cross-multiplication.
+    and inverse-then-forward recovers g as well.  The forward and inverse
+    weight tables for n <= n_max are built once and serve both orders.  The
+    intermediate sequence is reduced once per value; each recovered value
+    stays an unreduced pair and is compared with g by cross-multiplication.
     """
     if pair not in _PAIRS:
         raise ValueError(f"unknown pair {pair!r}")
-    fwd, inv = _PAIRS[pair]
+    fwd, inv = ([weights(scheme, n) for n in range(n_max + 1)] for weights in _PAIRS[pair])
     failures: list[str] = []
     for first, second, label in ((fwd, inv, "inverse(forward(g))"),
                                  (inv, fwd, "forward(inverse(g))")):
-        middle = [Fraction(*_apply(first(scheme, n), g_values[: n + 1]))
-                  for n in range(n_max + 1)]
-        for n in range(n_max + 1):
-            num, den = _apply(second(scheme, n), middle[: n + 1])
+        middle = [Fraction(*_apply(weights, g_values[: n + 1]))
+                  for n, weights in enumerate(first)]
+        for n, weights in enumerate(second):
+            num, den = _apply(weights, middle[: n + 1])
             want = g_values[n]
             if num * want.denominator != want.numerator * den:
                 failures.append(f"{pair}: {label}({n}) = {Fraction(num, den)} != {want}")

@@ -18,6 +18,7 @@ from hyperpi.catalog import (
 )
 from hyperpi.constexpr import eval_const_expr
 from hyperpi.errors import InvariantViolation, NoMatch, SchemaError
+from hyperpi.factorials import SeriesSpec
 from hyperpi.gammafn import gamma_quotient
 
 EXPECTED_CLASS_COUNTS = {
@@ -178,6 +179,23 @@ def test_schema_rejections(raw_doc, tmp_path):
     expect_schema_error(
         lambda d: d["entries"][0].__setitem__("attribution", 7), "bad-attribution"
     )
+
+
+def test_only_series_invariants_are_schema_errors(raw_doc, tmp_path, monkeypatch):
+    # a broken invariant of the series is the entry's schema error; anything
+    # else raised by the validation is a bug and passes through unchanged
+    doc = copy.deepcopy(raw_doc)
+    doc["entries"][0]["lower"][0] = "-1"
+    with pytest.raises(SchemaError, match="invalid series: lower entry -1") as info:
+        load_catalog(write_doc(tmp_path, doc, "bad-lower.json"))
+    assert isinstance(info.value.__cause__, InvariantViolation)
+
+    def broken(self):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(SeriesSpec, "validate", broken)
+    with pytest.raises(ZeroDivisionError, match="planted"):
+        load_catalog(write_doc(tmp_path, raw_doc))
 
 
 def test_floats_rejected_in_json(raw_doc, tmp_path):

@@ -85,6 +85,18 @@ def _shift_inverse_pair_sums(monkeypatch):
     monkeypatch.setattr(inversion, "_apply", shifted)
 
 
+def _fault_every_chain_check(monkeypatch):
+    # the bracket side, the dual summands (taken at d + 1/3) and the forward
+    # transform each off: every one of the chain's four checks fails
+    _shift_parity_form(monkeypatch)
+    expansion = dougall._dual_expansion
+    monkeypatch.setattr(
+        dougall, "_dual_expansion",
+        lambda params, n: expansion(params._replace(d=params.d + Fraction(1, 3)), n),
+    )
+    _shift_inverse_pair_sums(monkeypatch)
+
+
 def test_verify_chain_failure_exits_2(capsys, monkeypatch):
     _shift_parity_form(monkeypatch)
     code, out, _ = run(
@@ -144,11 +156,28 @@ TRIAL_OUTPUTS = [
      "  COUNTEREXAMPLE [plain] plain: forward(inverse(g))(0) = 31/13 != 5/13\n"
      "  COUNTEREXAMPLE [extended] extended: inverse(forward(g))(0) = 22/19 != -16/19\n"
      "  COUNTEREXAMPLE [extended] extended: forward(inverse(g))(0) = 22/19 != -16/19\n"),
+    # the chain lists its failures check by check: parity, forward, mapping, dual
+    (("verify", "chain", "--trials", "1", "--nmax", "1", "--seed", "0"),
+     _fault_every_chain_check,
+     "parity/dual/inverse-pair chain: 1 random parameter sets, n <= 1, seed 0\n",
+     "".join(
+         f"  COUNTEREXAMPLE {{'params': ['6', '6/5', '6', '-2'], 'detail': '{detail}'}}\n"
+         for detail in (
+             "parity form failed at n=0: 1 != 2",
+             "parity form failed at n=1: -119/232 != 113/232",
+             "forward transform at n=0: 7/6 != 1/6",
+             "forward transform at n=1: -5/29 != -34/29",
+             "summand mapping at n=1, k=0: 16/9 != 115/52",
+             "summand mapping at n=1, k=1: 238/261 != 2425/1508",
+             "dual expansion failed at n=1: 78/29 != 1440/377",
+         )
+     )),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,fault,header,counterexamples", TRIAL_OUTPUTS, ids=[argv[1] for argv, *_ in TRIAL_OUTPUTS]
+    "argv,fault,header,counterexamples", TRIAL_OUTPUTS,
+    ids=["dougall", "chain", "inversion", "chain-every-check"],
 )
 def test_trial_commands_print_header_counterexamples_and_verdict(
     capsys, monkeypatch, argv, fault, header, counterexamples

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,6 +121,28 @@ def test_round_trip_fails_against_a_shifted_inverse(monkeypatch):
     got, want = failures[0][len(first):].split(" != ")
     assert want == str(sequence[1])
     assert got == str(Fraction(got)) and Fraction(got) != sequence[1]
+
+
+@pytest.mark.parametrize("pair", ["plain", "extended"])
+def test_round_trip_builds_each_weight_table_once(monkeypatch, pair):
+    # both composition orders share one forward and one inverse table per n
+    calls = {"forward": 0, "inverse": 0}
+
+    def counted(name, weights):
+        def wrapper(scheme, n):
+            calls[name] += 1
+            return weights(scheme, n)
+        return wrapper
+
+    forward, inverse = inversion._PAIRS[pair]
+    monkeypatch.setitem(
+        inversion._PAIRS, pair, (counted("forward", forward), counted("inverse", inverse))
+    )
+    rng = SplitMix64(5)
+    n_max = 6
+    scheme = random_scheme(rng, n_max, extended=(pair == "extended"))
+    assert roundtrip_check(scheme, random_sequence(rng, n_max), n_max, pair) == []
+    assert calls == {"forward": n_max + 1, "inverse": n_max + 1}
 
 
 @settings(max_examples=200, deadline=None)
