@@ -15,16 +15,16 @@ it rounds alike; ``from_ratio`` is its radius-0 case.
 
 Elementary functions (sqrt, exp, ln and integer powers) work in
 fixed-point integer arithmetic with guard bits taken from
-:data:`GUARD_BITS`; ``exp`` and ``ln`` are each within 1 ulp of the value
-at their exact dyadic input, the budget :mod:`hyperpi.gammafn` counts for
-its prefactor N^s e^(-N).  All of it runs on Python's ``int``.
+:data:`GUARD_BITS`, all on Python's ``int``; ``exp``, and ``ln`` where
+|ln x| >= 2**-39, are within 1 ulp of the value at the exact dyadic input,
+the budget :mod:`hyperpi.gammafn` counts for its prefactor N^s e^(-N).
 
 The module also provides reference constants in fixed point: pi by
 Machin's arctangent formula, cross-checked against Gauss's three-term one,
-and ln 2 by 2 atanh(1/3).  All three go through one helper that sums each
-arctangent with :func:`~hyperpi.splitting.truncated_product_sum` and
-rounds it with one division under a stated, checked error budget; each
-constant is cached at the largest precision computed so far.
+and ln 2 by 2 atanh(1/3).  They and ``ln`` go through one helper that sums
+each arctangent with :func:`~hyperpi.splitting.truncated_product_sum` and
+rounds it with one division under a stated, checked error budget; pi and
+ln 2 are cached at the largest precision computed so far.
 """
 
 from __future__ import annotations
@@ -312,47 +312,48 @@ class BigFloat(NamedTuple):
 _pi_cache: dict[str, int] = {"fbits": -1, "value": 0}
 _ln2_cache: dict[str, int] = {"fbits": -1, "value": 0}
 
-# (c, q) tables for _arctan_fixed: pi = 16 atan(1/5) - 4 atan(1/239) (Machin)
+# (c, p, q) tables for _arctan_fixed: pi = 16 atan(1/5) - 4 atan(1/239) (Machin)
 # = 48 atan(1/18) + 32 atan(1/57) - 20 atan(1/239) (Gauss); ln 2 = 2 atanh(1/3).
-_MACHIN = ((16, 5), (-4, 239))
-_GAUSS = ((48, 18), (32, 57), (-20, 239))
-_LN2 = ((2, 3),)
+_MACHIN = ((16, 1, 5), (-4, 1, 239))
+_GAUSS = ((48, 1, 18), (32, 1, 57), (-20, 1, 239))
+_LN2 = ((2, 1, 3),)
 
 
-def _arctan_fixed(table: tuple[tuple[int, int], ...], sign: int, fbits: int) -> int:
-    """The sum of ``c * atan(1/q)`` (``sign`` -1) or ``c * atanh(1/q)``
-    (``sign`` +1) over the (c, q) pairs of ``table``, times 2**fbits.
+def _arctan_fixed(table: tuple[tuple[int, int, int], ...], sign: int, fbits: int) -> int:
+    """The sum of ``c * atan(r)`` (``sign`` -1) or ``c * atanh(r)`` (``sign``
+    +1), r = p/q <= 1/3, over the (c, p, q) rows of ``table``, times 2**fbits.
 
-    Each pair sums S = sum_k sign**k / ((2k+1) q**(2k)) over N =
-    floor(fbits / log2(q**2)) + 8 terms by :func:`truncated_product_sum`
-    at width fbits + 64, with |t - S*b| <= e, and adds ``div_nearest(c * t
-    * 2**fbits, q * b)``.  Its error, in units of 2**-fbits, is at most
+    Each row sums S = sum_k sign**k r**(2k) / (2k+1) over N = floor(fbits /
+    log2(q**2 / p**2)) + 8 terms by :func:`truncated_product_sum` at width
+    fbits + 64, with |t - S*b| <= e, and adds ``div_nearest(c * p * t *
+    2**fbits, q * b)``.  Its error, in units of 2**-fbits, is at most
 
     * 1/2 from ``div_nearest``;
-    * plus |c| e 2**fbits / (q |b|) from the interval, checked below 1 here
+    * plus |c| p e 2**fbits / (q |b|) from the interval, checked below 1 here
       (a truncated ``b`` keeps fbits + 64 bits; e is 0 otherwise);
-    * plus the tail: q**(2N) > 2**fbits q**14, and the tail is at most
-      q**2 / (q**2 - 1) times 1 / ((2N+1) q**(2N)), so below |c| q**-15.
+    * plus the tail: r**(2N) < 2**-fbits r**14, and the tail is at most
+      1 / (1 - r**2) times r**(2N) / (2N+1) of |c| r, so below |c| r**15.
 
     Machin's sum is off by less than 3.01, Gauss's by less than 4.51 and
     ln 2's by less than 1.51.
     """
     total = 0
-    for c, q in table:
-        terms = int(fbits / math.log2(q * q)) + 8
-        b, t, e = truncated_product_sum(partial(_arctan_sequences, sign, q * q), terms, fbits + 64)
-        if abs(c) * e << fbits >= q * abs(b):
+    for c, p, q in table:
+        terms = int(fbits / (math.log2(q * q) - math.log2(p * p))) + 8
+        sequences = partial(_arctan_sequences, sign * p * p, q * q)
+        b, t, e = truncated_product_sum(sequences, terms, fbits + 64)
+        if abs(c) * p * e << fbits >= q * abs(b):
             raise InvariantViolation(
-                f"series at q = {q}: a {e.bit_length()}-bit interval on a {b.bit_length()}-bit b"
+                f"series at {p}/{q}: a {e.bit_length()}-bit interval on a {b.bit_length()}-bit b"
             )
-        total += div_nearest(c * t << fbits, q * b)
+        total += div_nearest(c * p * t << fbits, q * b)
     return total
 
 
-def _arctan_sequences(sign: int, q2: int, lo: int, hi: int) -> tuple[list[int], ...]:
+def _arctan_sequences(p2: int, q2: int, lo: int, hi: int) -> tuple[list[int], ...]:
     """Weights, alphas and betas of one arctangent series over [lo, hi)."""
     span = range(lo, hi)
-    return [1] * len(span), [sign * (2 * i + 1) for i in span], [(2 * i + 3) * q2 for i in span]
+    return [1] * len(span), [(2 * i + 1) * p2 for i in span], [(2 * i + 3) * q2 for i in span]
 
 
 def pi_fixed(fbits: int) -> int:
@@ -447,27 +448,27 @@ def exp(x: BigFloat, prec: int) -> BigFloat:
 
 
 def ln(x: BigFloat, prec: int) -> BigFloat:
-    """Natural logarithm, within 1 ulp, via Newton iteration on exp with
-    precision doubling; the float seed only starts the iteration."""
+    """Natural logarithm: for x = m 2**e with 2**k <= m < 2**(k+1), ln x =
+    (e + k) ln 2 + 2 atanh(p/q), p/q = (m - 2**k) / (m + 2**k) in lowest
+    terms, in [0, 1/3); one row of :func:`_arctan_fixed`, none for p = 0.
+
+    At wp = prec + GUARD_BITS + L + 8 fraction bits, L the bit length of
+    |e + k|, ``ln2_fixed(wp)`` adds at most |e + k| (1/2 + 1.51 2**-16)
+    units of 2**-wp (rounded from a cached value 16 or more bits deeper)
+    and the row 1/2 + 1 + 2 (1/3)**15, its middle term checked there: below
+    2**L + 1 units, or 2**-(prec + 39).  With the final 1/2 ulp the result
+    is within 1 ulp whenever |ln x| >= 2**-39.  The row's operands are as
+    long as p/q: at most 16 bits for gammafn's integer N.
+    """
     if x.man <= 0:
         raise DomainError("logarithm requires a positive value")
-    wp = prec + GUARD_BITS + 8
-    # Float seed from the top 53 mantissa bits.
-    bl = x.man.bit_length()
-    top = x.man >> max(0, bl - 53)
-    seed = math.log(top) + (x.exp + max(0, bl - 53)) * math.log(2.0)
-    steps = [wp]
-    while steps[-1] > 60:
-        steps.append(steps[-1] // 2 + 8)
-    steps.reverse()
-    y = BigFloat.from_fraction(Fraction(seed).limit_denominator(1 << 60), 64)
-    one = BigFloat.from_int(1, wp + 8)
-    for sp in steps:
-        # y <- y + x*exp(-y) - 1, quadratically convergent.
-        work = sp + 8
-        ey = exp(y.neg().round_to(work), work)
-        y = y.round_to(work).add(x.round_to(work).mul(ey, work), work).sub(one, work)
-    return y.round_to(prec)
+    k = x.man.bit_length() - 1
+    shift = x.exp + k
+    p, q = x.man - (1 << k), x.man + (1 << k)
+    g = math.gcd(p, q)
+    wp = prec + GUARD_BITS + abs(shift).bit_length() + 8
+    fixed = shift * ln2_fixed(wp) + _arctan_fixed(((2, p // g, q // g),) if p else (), 1, wp)
+    return BigFloat.normalize(fixed, -wp, prec)
 
 
 def pow_int(x: BigFloat, exponent: int, prec: int) -> BigFloat:

@@ -36,7 +36,7 @@ from hyperpi.catalog import (
     certify_entry,
     load_catalog,
 )
-from hyperpi.constexpr import format_rational
+from hyperpi.constexpr import format_rational, parse_rational_string
 from hyperpi.dougall import (
     WellPoisedParams,
     normalize_theorem_series,
@@ -54,11 +54,7 @@ from hyperpi.engine import (
     series_term_pairs,
     sum_series,
 )
-from hyperpi.errors import (
-    HyperPiError,
-    RangeError,
-    UsageError,
-)
+from hyperpi.errors import HyperPiError, RangeError, SchemaError, UsageError
 from hyperpi.inversion import random_scheme, random_sequence, roundtrip_check
 from hyperpi.prng import SplitMix64
 
@@ -208,8 +204,8 @@ def _parse_params(text: str) -> WellPoisedParams:
     if len(parts) != 4:
         raise UsageError(f"--params needs four comma-separated rationals, got {text!r}")
     try:
-        return WellPoisedParams.make(*(Fraction(p) for p in parts))
-    except (ValueError, ZeroDivisionError) as exc:
+        return WellPoisedParams(*map(parse_rational_string, parts))
+    except SchemaError as exc:
         raise UsageError(f"invalid parameter list {text!r}: {exc}") from exc
 
 
@@ -299,20 +295,22 @@ def _cmd_rate(args: argparse.Namespace) -> tuple[dict, list[str]]:
         )
     ratio = convergence_rate(entry.spec, args.k)
     target = Fraction(1, entry.spec.base)
-    deviation = abs(ratio - target) / target
+    try:
+        ratio_float, deviation = float(ratio), float(abs(ratio - target) / target)
+    except OverflowError as exc:
+        raise RangeError(f"entry {args.id!r} at k = {args.k}: the ratio is beyond floats") from exc
     report = _report(
         "rate",
         {"id": args.id, "k": args.k, "catalog": args.catalog},
         True,
         ratio=format_rational(ratio),
-        ratio_float=float(ratio),
+        ratio_float=ratio_float,
         geometric_target=format_rational(target),
-        relative_deviation=float(deviation),
+        relative_deviation=deviation,
     )
     lines = [
-        f"t({args.k + 1})/t({args.k}) = {format_rational(ratio)} ~ {float(ratio):.10f}",
-        f"geometric target 1/{entry.spec.base}; relative deviation "
-        f"{float(deviation):.3e}",
+        f"t({args.k + 1})/t({args.k}) = {format_rational(ratio)} ~ {ratio_float:.10f}",
+        f"geometric target 1/{entry.spec.base}; relative deviation {deviation:.3e}",
     ]
     return report, lines
 

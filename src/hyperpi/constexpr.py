@@ -111,13 +111,12 @@ def _parse_rational(text: str) -> Fraction:
     """:func:`parse_rational_string` of a string, parsed once per distinct
     text: a catalog repeats a few dozen strings thousands of times, and a
     Fraction is immutable, so every caller may share it."""
+    if "." in text or "e" in text.lower():  # before Fraction expands 1e10000000
+        raise SchemaError(f"rational strings must be exact integers or p/q: {text!r}")
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"invalid rational string {text!r}") from exc
-    if "." in text or "e" in text.lower():
-        raise SchemaError(f"rational strings must be exact integers or p/q: {text!r}")
-    return value
 
 
 def format_rational(value: Fraction) -> str:

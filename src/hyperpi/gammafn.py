@@ -34,10 +34,11 @@ bits, with N and K from :func:`_series_size`, in integers only:
   The code checks the same bound on the integers it summed: with (A, B,
   T) from ``product_sum``, t_K / sum = A / T.
 * Rounding: the sum is one ``from_ratio`` (1/2 ulp at w bits), ``ln N``
-  and ``exp`` are each within 1 ulp, and the exponent s ln N - N adds
-  three more roundings at w bits; its absolute error is below 4 N 2^-w,
-  which ``exp`` turns into a relative one of the same size.  The product
-  is rounded to ``prec`` bits, 1/2 ulp.
+  (checked bound in :func:`~hyperpi.bigfloat.ln`, ln N >= ln 24 > 3) and
+  ``exp`` are each within 1 ulp, and the exponent s ln N - N adds three
+  more roundings at w bits; its absolute error is below 4 N 2^-w, which
+  ``exp`` turns into a relative one of the same size.  The product is
+  rounded to ``prec`` bits, 1/2 ulp.
 
 With 24 <= N < w these add up to 2^-prec (the last 1/2 ulp) plus less
 than 8 N 2^-w, which is below 2^(-prec - 20) at every ``prec``.  So

@@ -397,9 +397,11 @@ def test_ln2_reference():
     assert BigFloat.from_fixed(ln2_fixed(308), 308, 300).to_decimal_string(40) == LN2_40
 
 
-# Cut and forked: every arctangent of pi_fixed and ln2_fixed sums more
-# terms times bits than splitting._MIN_CUT_WORK here.
+# Cut and forked: every arctangent of pi_fixed and ln2_fixed, and the row of
+# ln(LN_N) (about 5800 terms), sums more terms times bits than
+# splitting._MIN_CUT_WORK here.
 CUT_FBITS = 30000
+LN_N = 23000
 
 
 @pytest.fixture
@@ -421,8 +423,13 @@ def fresh_constants(monkeypatch):
 
 
 def _off_by(name):
-    """|hyperpi's - mpmath's| ``pi_fixed`` or ``ln2_fixed`` at CUT_FBITS."""
+    """|hyperpi's - mpmath's| ``pi_fixed`` or ``ln2_fixed`` at CUT_FBITS, or
+    ``ln`` of LN_N at CUT_FBITS bits in units of its last place."""
     libelefun = pytest.importorskip("mpmath.libmp.libelefun")
+    if name == "ln":
+        value = ln(BigFloat.from_int(LN_N, CUT_FBITS), CUT_FBITS)
+        _, man, e, _ = libelefun.mpf_log(libelefun.from_int(LN_N), CUT_FBITS + 64)
+        return abs(value.man - round_shift(man, value.exp - e))
     return abs(getattr(bigfloat, name)(CUT_FBITS) - getattr(libelefun, name)(CUT_FBITS))
 
 
@@ -430,6 +437,8 @@ def test_constants_cut_and_forked_agree_with_mpmath(fresh_constants):
     assert _off_by("pi_fixed") <= 1
     assert _off_by("ln2_fixed") <= 1
     assert len(fresh_constants) == 6  # one child per arctangent
+    assert _off_by("ln") <= 1
+    assert len(fresh_constants) == 8  # ln's row, and ln 2 again 28 bits deeper
 
 
 def _narrow_right_part(monkeypatch):
@@ -451,7 +460,7 @@ def _dropped_child_part(monkeypatch):
     monkeypatch.setattr(splitting, "run_parts", dropped)
 
 
-@pytest.mark.parametrize("name", ["pi_fixed", "ln2_fixed"])
+@pytest.mark.parametrize("name", ["pi_fixed", "ln2_fixed", "ln"])
 @pytest.mark.parametrize(
     "fault", [_narrow_right_part, _narrow_right_part_without_its_interval, _dropped_child_part]
 )
@@ -497,13 +506,35 @@ def test_exp_and_ln_are_within_one_ulp(prec):
         man, e = value.man_exp  # man is |mantissa|
         return (-1 if value < 0 else 1) * Fraction(man) * Fraction(2) ** e
 
+    def at(x):  # the exact dyadic value of a BigFloat
+        return mpmath.mpf(x.man) * mpmath.mpf(2) ** x.exp
+
     for n in (2, 3, 31, 97, 100, 1234, 2411, 4999):
         x = BigFloat.from_fraction(Fraction(-n * 7919, 7907), prec)
         with mpmath.workprec(prec + 80):
             ln_ref = exact(mpmath.log(n))
-            exp_ref = exact(mpmath.exp(mpmath.mpf(x.man) * mpmath.mpf(2) ** x.exp))
+            exp_ref = exact(mpmath.exp(at(x)))
         assert ulps(ln(BigFloat.from_int(n, prec), prec), ln_ref) <= 1
         assert ulps(exp(x, prec), exp_ref) <= 1
+    # ln below 1, of a non-integer, and of a power of two (no atanh row)
+    for value in (Fraction(7907, 7919), Fraction(355, 113), Fraction(1, 2**37)):
+        x = BigFloat.from_fraction(value, prec)
+        with mpmath.workprec(prec + 80):
+            ln_ref = exact(mpmath.log(at(x)))
+        assert ulps(ln(x, prec), ln_ref) <= 1
+
+
+def test_ln_calls_no_exp(monkeypatch):
+    # ln is ln 2 and one atanh row of _arctan_fixed, no iteration on exp
+    def no_exp(*args):
+        raise AssertionError("ln called exp")
+
+    monkeypatch.setattr(bigfloat, "exp", no_exp)
+    for prec in (64, 3500):
+        assert agrees_to_bits(
+            ln(BigFloat.from_int(2411, prec), prec).add(ln(BigFloat.from_int(7, prec), prec), prec),
+            ln(BigFloat.from_int(2411 * 7, prec), prec),
+        ) >= prec - 2
 
 
 def test_sin_pi_special_values():

@@ -247,6 +247,10 @@ BAD_COUNTS = [
     ("derive", "--theorem", "A", "--params", "1/2,1/2,1/2,1/2", "--digits", "0"),
     ("derive", "--theorem", "A", "--params", "1/2,1/2,1/2,1/2", "--terms", "0"),
     ("rate", "--id", "s3.1-ex1", "--k", "-1"),
+    # read as strictly as the catalog's rationals: no decimal point, and no
+    # exponent, whose expansion alone would take seconds
+    ("derive", "--theorem", "A", "--params=1.5,1/2,1/2,1/2"),
+    ("derive", "--theorem", "A", "--params=1e10000000,1/2,1/2,1/2"),
 ]
 
 # (subcommand argv, count option, its maximum)
@@ -299,6 +303,10 @@ def test_catalog_report_is_pinned(capsys):
 # sha256 of the full catalog report at 1000 digits, where the gamma-class
 # entries take the longest gamma series
 CATALOG_REPORT_1000_DIGEST = "86fd8252fd5ec4ead7e2ad52f74cff3d5a0e2fe96e4f5159e95256e439c3841e"
+
+# sha256 of the full catalog report at 10**4 digits, the largest --digits.
+# Only CI reads it: the run takes about 10 s, so tier-1 leaves it out.
+CATALOG_REPORT_10000_DIGEST = "660368d85cfd9b60a66d9e43fa644fcee84a16143bff2ac6b3e0d25259ca901f"
 
 
 def test_catalog_report_at_1000_digits_is_pinned(capsys):
@@ -439,6 +447,18 @@ def test_rate_subcommand_far_out(capsys, catalog_by_id):
     report = json.loads(out)
     assert report["ratio"] == format_rational(term_ratio_reference(catalog_by_id["s3.1-ex1"].spec, k))
     assert report["relative_deviation"] < 1e-5
+
+
+def test_rate_outside_the_float_range_is_a_range_error(capsys, raw_doc, tmp_path):
+    # schema-valid, but its ratio at k = 0 is about 10**400
+    entry = copy.deepcopy(next(e for e in raw_doc["entries"] if e["id"] == "s3.1-ex1"))
+    entry["upper"][0] = str(10**400)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(raw_doc, entries=[entry])))
+    code, out, err = run(capsys, "rate", "--id", "s3.1-ex1", "--catalog", str(path), "--k", "0")
+    assert code == 1
+    assert "usage error" in err and "s3.1-ex1" in err
+    assert "Traceback" not in out + err
 
 
 # sha256 of derive reports down the normaliser's two paths through the
