@@ -1,5 +1,5 @@
 """Catalog of base-16 series with closed forms: loading, strict schema
-validation, high-precision verification, exact matching against the two
+validation, high-precision verification, exact matching against the
 infinite-series generator families, and the per-entry verdict that
 ``verify catalog`` reports (:func:`certify_entry`).
 
@@ -12,7 +12,7 @@ entry object has exactly these fields (plus an optional ``attribution``):
 ======================  ======================================================
 ``id``                  unique string key, e.g. ``"s3.1-ex1"``
 ``class``               one of the seven closed-form classes below
-``theorem``             generator family tag, ``"A"`` or ``"B"``
+``theorem``             generator family tag, a key of ``dougall.FAMILIES``
 ``params``              four rational strings: the family parameters
 ``upper`` / ``lower``   rising-factorial parameters as rational strings
 ``poly``                weight polynomial, ascending coefficients, degree <= 3
@@ -62,7 +62,7 @@ from hyperpi.constexpr import (
     parse_rational_string,
     require_int,
 )
-from hyperpi.dougall import WellPoisedParams, family_scale
+from hyperpi.dougall import FAMILIES, WellPoisedParams, family_scale
 from hyperpi.engine import (
     precision_for_digits,
     sum_series,
@@ -221,7 +221,7 @@ def _parse_entry(raw: object, seen_ids: set[str]) -> CatalogEntry:
     if family_class not in CLASS_SHAPES:
         raise SchemaError(f"entry {entry_id}: unknown class {family_class!r}")
     tag = raw["theorem"]
-    if tag not in ("A", "B"):
+    if tag not in FAMILIES:
         raise SchemaError(f"entry {entry_id}: theorem tag must be 'A' or 'B', got {tag!r}")
     params_values = _rational_list(raw["params"], f"entry {entry_id} params", 4)
     poly = _rational_list(raw["poly"], f"entry {entry_id} poly")

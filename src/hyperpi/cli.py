@@ -38,6 +38,7 @@ from hyperpi.catalog import (
 )
 from hyperpi.constexpr import format_rational, parse_rational_string
 from hyperpi.dougall import (
+    FAMILIES,
     WellPoisedParams,
     normalize_theorem_series,
     random_finite_params,
@@ -199,18 +200,25 @@ def _cmd_verify_catalog(args: argparse.Namespace) -> tuple[dict, list[str]]:
 # ----------------------------------------------------------------------
 
 
+#: Largest |value| of ``derive --params``: Γ lifts x through about x rising factors.
+MAX_PARAM = 10_000
+
+
 def _parse_params(text: str) -> WellPoisedParams:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise UsageError(f"--params needs four comma-separated rationals, got {text!r}")
     try:
-        return WellPoisedParams(*map(parse_rational_string, parts))
+        params = WellPoisedParams(*map(parse_rational_string, parts))
     except SchemaError as exc:
         raise UsageError(f"invalid parameter list {text!r}: {exc}") from exc
+    if any(abs(value) > MAX_PARAM for value in params):
+        raise RangeError(f"--params values must be at most {MAX_PARAM} in absolute value: {text}")
+    return params
 
 
 def _cmd_derive(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    params = _parse_params(args.params)
+    params = args.params
     spec = normalize_theorem_series(params, args.theorem)
     prec = precision_for_digits(args.digits)
     partial = sum_series(spec, args.terms, prec)
@@ -353,9 +361,9 @@ def build_parser() -> _Parser:
     vcat.add_argument("--catalog", default=None, help="path to an alternative catalog")
 
     derive = command(sub, "derive", _cmd_derive, "instantiate a generator family")
-    derive.add_argument("--theorem", choices=("A", "B"), required=True)
+    derive.add_argument("--theorem", choices=tuple(FAMILIES), required=True)
     derive.add_argument(
-        "--params", required=True,
+        "--params", type=_parse_params, required=True,
         help="a,b,c,d as rationals; a negative a is written --params=-1/4,1/2,1/2,1/2",
     )
     derive.add_argument("--terms", type=_count("--terms", 1, 10_000), default=60)

@@ -13,9 +13,9 @@ covers, for a parameter quadruple (a, b, c, d):
   (:func:`verify_dual_relation`), together with the explicit inverse-pair
   assignment connecting it to the extended binomial inversion
   (:func:`verify_chain`).
-* Two infinite-series generator families, tagged "A" and "B", whose sums
-  are four-factor gamma quotients; :func:`normalize_theorem_series` turns
-  either family into a flat :class:`~hyperpi.factorials.SeriesSpec` in base
+* The infinite-series generator families, the rows of :data:`FAMILIES`,
+  whose sums are four-factor gamma quotients; :func:`normalize_theorem_series`
+  turns a family into a flat :class:`~hyperpi.factorials.SeriesSpec` in base
   16 and proves the rewrite exact term by term.
 
 The finite identities run on integers.  The quadruple is written over its
@@ -58,7 +58,6 @@ from hyperpi.factorials import (
     poly_eval,
     poly_expand,
     poly_trim,
-    poly_values,
     rising,
     term_eval,
 )
@@ -66,8 +65,6 @@ from hyperpi.engine import series_term_pairs
 from hyperpi.gammafn import gamma_quotient
 from hyperpi.inversion import InversionScheme, forward_extended, inverse_extended_terms
 from hyperpi.prng import SplitMix64
-
-_HALF = Fraction(1, 2)
 
 #: Last index of the exact termwise checks of :func:`family_scale`, which
 #: proves both :func:`normalize_theorem_series`'s rewrite and
@@ -399,12 +396,30 @@ def verify_chain(params: WellPoisedParams, n_max: int) -> list[str]:
 # ----------------------------------------------------------------------
 
 
+class FamilyRow(NamedTuple):
+    """A generator family: ``shift`` raises (2k)! to (2k + shift)! and by as
+    much the index-2k lower forms 1+a-c and b+c+d-a and their Γ arguments.
+    The normal form's weight is times ``scale``, and the upper 1 + x at each
+    index in ``slots`` takes the factor x + k out of the weight or becomes x."""
+
+    shift: int
+    scale: Fraction
+    slots: tuple[int, ...]
+
+
+#: The generator families by tag (:func:`theorem_term` defines their terms).
+FAMILIES = {
+    "A": FamilyRow(1, Fraction(1), ()),
+    "B": FamilyRow(0, Fraction(1, 2), (3, 0, 4, 7)),
+}
+
+
 def limit_series_term(params: WellPoisedParams, k: int, branch: str) -> Fraction:
     """k-th term of the even/odd branch of the limiting series.
 
     The limiting series is the degree-to-infinity limit of the dual
-    expansion; its total over both branches is the four-factor gamma
-    quotient :func:`limit_gamma_args`.  The factors are arranged so that
+    expansion; its total over both branches is family B's four-factor gamma
+    quotient (:func:`theorem_gamma_args`).  The factors are arranged so that
     coincidences such as a = d cause no spurious 0/0.
     """
     a, b, c, d = params.as_tuple()
@@ -430,15 +445,6 @@ def limit_series_term(params: WellPoisedParams, k: int, branch: str) -> Fraction
             * (c + d - a + k)
         )
     raise ValueError(f"unknown branch {branch!r}")
-
-
-def limit_gamma_args(params: WellPoisedParams) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Gamma-quotient closed value of the limiting series (upper, lower)."""
-    a, b, c, d = params.as_tuple()
-    return (
-        (1 + a - b, 1 + a - c, 1 + a - d, b + c + d - a),
-        (b, c, d, 1 + 2 * a - b - c - d),
-    )
 
 
 def theorem_term(params: WellPoisedParams, tag: str, k: int) -> Fraction:
@@ -486,11 +492,11 @@ def _family_a_weight_at(params: WellPoisedParams, k: int) -> int:
     )
 
 
-def _family_weight(params: WellPoisedParams, tag: str) -> list[int]:
-    """Ascending integer coefficients in k of the weight polynomial of
-    family "A" times q**5, or of family "B" times q**6, for the q of
+def _family_weight(params: WellPoisedParams, tag: str) -> tuple[list[int], int]:
+    """Ascending integer coefficients in k of a family's weight polynomial
+    over q**(5 + outer forms), and that denominator, for the q of
     :attr:`~WellPoisedParams.scaled`.  Each weight is a sum of two products
-    of five linear forms ``n + d k`` (B's sum times one more form),
+    of five linear forms ``n + d k`` (family B's sum times one outer form),
     multiplied out."""
     q, a, b, c, d = params.scaled
     if tag == "A":
@@ -503,41 +509,39 @@ def _family_weight(params: WellPoisedParams, tag: str) -> list[int]:
                  (b + c + d - a - q, 2 * q)]
         outer = [(a - d, q)]
     inner = [x + y for x, y in zip(poly_expand([1], left), poly_expand([1], right))]
-    return poly_expand(inner, outer)
+    return poly_expand(inner, outer), q ** (5 + len(outer))
 
 
 def _family_forms(params: WellPoisedParams, tag: str) -> tuple:
     """``(q, P upper, P lower, H upper, H lower)``: the rising-factorial
-    parameters of family "A" or "B" as integer forms over the q of
+    parameters of a family as integer forms over the q of
     :attr:`~WellPoisedParams.scaled`, P the quotient at index k and H the
-    one at index 2k, whose lower forms family A raises by one."""
+    one at index 2k, whose lower forms the family's shift raises."""
     q, a, b, c, d = params.scaled
-    s = q if tag == "A" else 0
+    s = FAMILIES[tag].shift * q
     p_upper = (b, d, q + a - b - c, q + a - c - d, b + c - a, c + d - a)
     return q, p_upper, (q + a - b, q + a - d), b + d - a, (q + a - c + s, b + c + d - a + s)
 
 
 def theorem_term_pairs(params: WellPoisedParams, tag: str, k_last: int) -> list[tuple[int, int]]:
-    """Terms k = 0..k_last of generator family "A" or "B", each equal to
+    """Terms k = 0..k_last of a generator family, each equal to
     :func:`theorem_term`, as unreduced integer pairs (num, den), den != 0.
 
     Running products over :func:`_family_forms`: per step in k, P gains
     its upper forms over its lower forms times q**4; per half step m, H
-    gains (H upper + m q) q over its lower forms; (2k)! is a running int.
-    The family-A weight is an integer over q**5; family B adds its odd
-    branch at k - 1 (:func:`limit_series_term`) over the even one's
-    denominator, which it divides.  Raises :class:`ZeroDenominator` at the
-    first index at which :func:`theorem_term` would.
+    gains (H upper + m q) q over its lower forms; (2k + shift)! is a
+    running int.  Family A's weight is its factored form over q**5
+    (:func:`_family_a_weight_at`); family B adds its odd branch at k - 1
+    (:func:`limit_series_term`) over the even one's denominator, which it
+    divides.  Raises :class:`ZeroDenominator` at the first index at which
+    :func:`theorem_term` would.
     """
-    if tag not in ("A", "B"):
-        raise ValueError(f"unknown generator family tag {tag!r}")
     _, a, b, c, d = params.scaled
     q, p_upper, (low0, low1), h_up, (h_low0, h_low1) = _family_forms(params, tag)
     u0, u1, u2, u3, u4, u5 = p_upper
-    q2, q4 = q * q, q**4
-    if tag == "A":
-        weights = list(poly_values(_family_weight(params, tag), 0, k_last + 1))
-    p_num = p_den = h_num = h_den = fact = 1  # P(k), H(2k) and (2k)!
+    shift = FAMILIES[tag].shift
+    q2, q4, q5 = q * q, q**4, q**5
+    p_num = p_den = h_num = h_den = fact = 1  # P(k), H(2k) and (2k + shift)!
     out = []
     for k in range(k_last + 1):
         kq = k * q
@@ -554,21 +558,21 @@ def theorem_term_pairs(params: WellPoisedParams, tag: str, k_last: int) -> list[
             odd_num = h_num * (h_up + mq - q) * q  # the numerator of H(2k - 1)
             h_num = odd_num * (h_up + mq) * q
             h_den *= odd_low * even_low
-            fact *= (2 * k - 1) * 2 * k
-        if tag == "A":
-            out.append((weights[k] * p_num * h_num, q4 * q * fact * (2 * k + 1) * p_den * h_den))
-            continue
-        # the even branch at k is over q**2 (2k)! H_den P_den; the odd branch
-        # at k - 1 is over q**4 (2k-1)! H_den(2k-1) P_den(k-1), which times
-        # 2k q**2 and the newest lower forms of H and P is the same integer
-        num = (d + 3 * kq) * (a - d + kq) * h_num * p_num
-        if k:
-            odd = (
-                (b + 3 * kq - 2 * q) * (a - b - c + kq) * (d + jq) * (c + d - a + jq)
-                * odd_num * prev_num
-            )
-            num += odd * 2 * k * q2 * even_low * p_low
-        out.append((num, q2 * fact * h_den * p_den))
+            fact *= (2 * k - 1 + shift) * (2 * k + shift)
+        if tag == "B":
+            # the even branch at k is over q**2 (2k)! H_den P_den; the odd branch
+            # at k - 1 is over q**4 (2k-1)! H_den(2k-1) P_den(k-1), which times
+            # 2k q**2 and the newest lower forms of H and P is the same integer
+            num = (d + 3 * kq) * (a - d + kq) * h_num * p_num
+            if k:
+                odd = (
+                    (b + 3 * kq - 2 * q) * (a - b - c + kq) * (d + jq) * (c + d - a + jq)
+                    * odd_num * prev_num
+                )
+                num += odd * 2 * k * q2 * even_low * p_low
+            out.append((num, q2 * fact * h_den * p_den))
+        else:
+            out.append((_family_a_weight_at(params, k) * p_num * h_num, q5 * fact * p_den * h_den))
     return out
 
 
@@ -651,21 +655,18 @@ def family_scale(
 def theorem_gamma_args(
     params: WellPoisedParams, tag: str
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Gamma-quotient closed value of a generator family (upper, lower)."""
+    """Gamma-quotient closed value of a generator family (upper, lower): the
+    limiting series' quotient, its 1+a-c and b+c+d-a raised by the shift."""
     a, b, c, d = params.as_tuple()
-    if tag == "A":
-        return (
-            (1 + a - b, 2 + a - c, 1 + a - d, 1 - a + b + c + d),
-            (b, c, d, 1 + 2 * a - b - c - d),
-        )
-    if tag == "B":
-        return limit_gamma_args(params)
-    raise ValueError(f"unknown generator family tag {tag!r}")
+    s = FAMILIES[tag].shift
+    return (
+        (1 + a - b, 1 + s + a - c, 1 + a - d, s + b + c + d - a),
+        (b, c, d, 1 + 2 * a - b - c - d),
+    )
 
 
 def theorem_closed_value(params: WellPoisedParams, tag: str, prec: int) -> BigFloat:
-    upper, lower = theorem_gamma_args(params, tag)
-    return gamma_quotient(upper, lower, prec)
+    return gamma_quotient(*theorem_gamma_args(params, tag), prec)
 
 
 # ----------------------------------------------------------------------
@@ -678,14 +679,14 @@ def _family_skeleton(
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Upper and lower parameters of a family's flat description: the
     forms of :func:`_family_forms` over q, the index-2k quotient split into
-    halves and (2k)! or (2k+1)! into (1)_k (1/2)_k or (1)_k (3/2)_k."""
+    halves and (2k + shift)! into 4**k (1)_k (1/2 + shift)_k."""
     q, p_upper, p_lower, h_up, h_lower = _family_forms(params, tag)
     upper = (
         *(Fraction(u, q) for u in p_upper),
         Fraction(h_up, 2 * q), Fraction(h_up + q, 2 * q),
     )
     lower = (
-        Fraction(1), Fraction(3, 2) if tag == "A" else Fraction(1, 2),
+        Fraction(1), Fraction(1, 2) + FAMILIES[tag].shift,
         *(Fraction(low, q) for low in p_lower),
         *(Fraction(low + m, 2 * q) for low in h_lower for m in (0, q)),
     )
@@ -715,36 +716,26 @@ def normalize_theorem_series(params: WellPoisedParams, tag: str) -> SeriesSpec:
     additive constant.  A discrepancy raises :class:`NormalizationMismatch`;
     a family whose terms are all 0 passes, its description summing to 0.
     """
-    if tag not in ("A", "B"):
-        raise ValueError(f"unknown generator family tag {tag!r}")
-    a, b, c, d = params.as_tuple()
+    row = FAMILIES[tag]
     upper, lower = map(list, _family_skeleton(params, tag))
     start, additive = 0, Fraction(0)
-    q, weight = params.scaled[0], _family_weight(params, tag)
-    if tag == "A":
-        poly, scale = [Fraction(c, q**5) for c in weight], Fraction(1)
-    else:
-        poly, scale = [Fraction(c, q**6) for c in weight], _HALF
-        # Linear denominator factors (x + k) and the upper slot holding 1+x.
-        slots = ((a - c - d, 3), (b - 1, 0), (b + c - a - 1, 4), ((b + d - a - 1) / 2, 7))
-        for x, slot in slots:
-            if x == 0:
-                # Factor is k itself: the weight polynomial always has the
-                # root, but the pure-quotient shape only starts at k = 1; the
-                # k = 0 term moves into the additive constant.
-                if start == 1:
-                    raise NormalizationMismatch(
-                        "two denominator factors equal to k; unsupported shape"
-                    )
-                poly = _deflate(poly, Fraction(0))
-                start = 1
-                additive = theorem_term(params, "B", 0)
-            elif poly_eval(poly, -x) == 0:
-                poly = _deflate(poly, -x)
-            else:
-                assert upper[slot] == 1 + x
-                upper[slot] = x
-                scale /= x
+    weight, denominator = _family_weight(params, tag)
+    poly, scale = [Fraction(c, denominator) for c in weight], row.scale
+    for slot in row.slots:
+        x = upper[slot] - 1
+        if x == 0:
+            # Factor is k itself: the weight always has the root, but the pure
+            # quotient starts at k = 1; the k = 0 term moves into the constant.
+            if start == 1:
+                raise NormalizationMismatch("two denominator factors equal to k; unsupported shape")
+            poly = _deflate(poly, Fraction(0))
+            start = 1
+            additive = Fraction(*theorem_term_pairs(params, tag, 0)[0])
+        elif poly_eval(poly, -x) == 0:
+            poly = _deflate(poly, -x)
+        else:
+            upper[slot] = x
+            scale /= x
     spec = SeriesSpec(
         tuple(upper), tuple(lower), poly_trim(coeff * scale for coeff in poly), 16,
         start=start, additive=additive,

@@ -16,10 +16,10 @@ from hyperpi.catalog import load_catalog, match_to_theorem, verify_entry
 from hyperpi.cli import main as cli_main
 from hyperpi.dougall import (
     limit_series_term,
-    limit_gamma_args,
     random_finite_params,
     random_parity_params,
     theorem_closed_value,
+    theorem_gamma_args,
     theorem_term,
     verify_dougall,
     verify_dual_relation,
@@ -118,7 +118,7 @@ def test_criterion_4_closed_values_numeric():
             limit_series_term(params, k, "even") + limit_series_term(params, k, "odd")
             for k in range(120)
         )
-        upper, lower = limit_gamma_args(params)
+        upper, lower = theorem_gamma_args(params, "B")
         closed = gamma_quotient(upper, lower, prec)
         diff = BigFloat.from_fraction(total, prec).sub(closed, prec).abs()
         worst_ok = worst_ok and value_cmp(diff, tolerance) < 0

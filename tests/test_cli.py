@@ -251,6 +251,12 @@ BAD_COUNTS = [
     # exponent, whose expansion alone would take seconds
     ("derive", "--theorem", "A", "--params=1.5,1/2,1/2,1/2"),
     ("derive", "--theorem", "A", "--params=1e10000000,1/2,1/2,1/2"),
+    # each parameter at most 10^4 in absolute value, so Γ's lift stays short
+    ("derive", "--theorem", "A", "--params=1/2,1/2,1/2,10001"),
+    ("derive", "--theorem", "A", "--params=-10001,1/2,1/2,1/2"),
+    ("derive", "--theorem", "A", "--params=1/2,1/2,1/2,100000000"),
+    # the family tags are the keys of dougall.FAMILIES
+    ("derive", "--theorem", "C", "--params", "1/2,1/2,1/2,1/2"),
 ]
 
 # (subcommand argv, count option, its maximum)
@@ -287,6 +293,16 @@ def test_each_count_parses_up_to_its_maximum(argv, option, maximum):
     assert getattr(parsed, option[2:]) == maximum
     with pytest.raises(RangeError, match=f"{option} must be at most {maximum}, got {maximum + 1}"):
         build_parser().parse_args([*argv, option, str(maximum + 1)])
+
+
+def test_derive_params_parse_up_to_their_maximum():
+    # 10^4 itself is accepted, either sign; one past it is refused while parsing
+    argv = ["derive", "--theorem", "A", "--params=-10000,1/2,1/2,10000"]
+    params = build_parser().parse_args(argv).params
+    assert params == WellPoisedParams.make(-10000, "1/2", "1/2", 10000)
+    too_large = "1/2,-20001/2,1/2,1/2"
+    with pytest.raises(RangeError, match=f"at most 10000 in absolute value: {too_large}"):
+        build_parser().parse_args([*argv[:3], f"--params={too_large}"])
 
 
 # sha256 of the full catalog report at 100 digits: every entry's verdict,

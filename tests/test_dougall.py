@@ -17,7 +17,6 @@ from hyperpi.dougall import (
     _parity_params_admissible,
     assignment_scheme,
     family_scale,
-    limit_gamma_args,
     limit_series_term,
     normalize_theorem_series,
     parity_closed_form,
@@ -353,7 +352,7 @@ def test_limit_sum_reaches_gamma_quotient():
             limit_series_term(params, k, "even") + limit_series_term(params, k, "odd")
             for k in range(120)
         )
-        upper, lower = limit_gamma_args(params)
+        upper, lower = theorem_gamma_args(params, "B")
         closed = gamma_quotient(upper, lower, prec)
         diff = BigFloat.from_fraction(total, prec).sub(closed, prec).abs()
         assert value_cmp(diff, BigFloat.from_fraction(F(1, 10**80), 64)) < 0
@@ -638,9 +637,14 @@ def test_family_weights_multiply_out_their_factored_forms():
         params = P(*(rng.fraction(12, 12) for _ in range(4)))
         q = params.scaled[0]
         a, b, c, d = params.as_tuple()
-        weight_a = list(poly_values(dougall._family_weight(params, "A"), 0, 12))
-        assert weight_a == [dougall._family_a_weight_at(params, k) for k in range(12)]
-        weight_b = poly_values(dougall._family_weight(params, "B"), 0, 12)
+        weight_a, denominator_a = dougall._family_weight(params, "A")
+        assert denominator_a == q**5
+        assert list(poly_values(weight_a, 0, 12)) == [
+            dougall._family_a_weight_at(params, k) for k in range(12)
+        ]
+        weight_b, denominator_b = dougall._family_weight(params, "B")
+        assert denominator_b == q**6
+        weight_b = poly_values(weight_b, 0, 12)
         for k, value in enumerate(weight_b):
             inner = (d + 3 * k) * (a - c - d + k) * (b - 1 + k) * (b + c - a - 1 + k) * (
                 b + d - a - 1 + 2 * k
@@ -648,6 +652,36 @@ def test_family_weights_multiply_out_their_factored_forms():
                 b + c + d - a - 1 + 2 * k
             )
             assert F(value, q**6) == (a - d + k) * inner
+
+
+def test_family_b_slots_hold_their_linear_forms(catalog_entries):
+    # the normaliser reads x off the upper parameter 1 + x at each slot of
+    # family B's row; these are the linear factors x + k of its weight
+    assert dougall.FAMILIES["B"].slots == (3, 0, 4, 7)
+    rng = SplitMix64(59)
+    cases = [entry.params for entry in catalog_entries if entry.theorem == "B"]
+    cases += [P(*(rng.fraction(12, 12) for _ in range(4))) for _ in range(100)]
+    for params in cases:
+        a, b, c, d = params.as_tuple()
+        upper, _ = _family_skeleton(params, "B")
+        assert [upper[slot] - 1 for slot in dougall.FAMILIES["B"].slots] == [
+            a - c - d, b - 1, b + c - a - 1, (b + d - a - 1) / 2
+        ]
+
+
+def test_family_a_weight_expansion_is_checked_by_the_normaliser(monkeypatch):
+    # family A's term pairs read the weight from its factored form, so a
+    # fault in the multiplied-out coefficients fails the normaliser's proof
+    real = dougall._family_weight
+
+    def faulty(params, tag):
+        weight, denominator = real(params, tag)
+        return [weight[0], weight[1] + 1, *weight[2:]], denominator
+
+    assert normalize_theorem_series(ALL_HALF, "A")
+    monkeypatch.setattr(dougall, "_family_weight", faulty)
+    with pytest.raises(NormalizationMismatch, match="term at k=1 is not 1 times the family A"):
+        normalize_theorem_series(ALL_HALF, "A")
 
 
 # sha256 of the flat descriptions that normalize_theorem_series gives for
@@ -701,7 +735,7 @@ def dual_limit_deviation(params: WellPoisedParams, n: int, prec: int = 220) -> f
     The dual quotient decays like 1/n^2; scaled by n^2 it approaches the
     same gamma quotient the limiting series sums to, with an O(1/n) error.
     """
-    upper, lower = limit_gamma_args(params)
+    upper, lower = theorem_gamma_args(params, "B")
     closed = gamma_quotient(upper, lower, prec)
     scaled = BigFloat.from_fraction(verify_dual_relation(params, n).lhs * n * n, prec)
     return abs(scaled.div(closed, prec).to_float() - 1.0)
